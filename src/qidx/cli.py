@@ -5,9 +5,9 @@ Subcommands: expand (evaluate an expression to a printed series), verify
 fixed suite), count-reps (representation-count table), list (registry).
 
 Exit codes: 0 success / all equal; 1 at least one mismatch; 2 usage, parse,
-or constraint error. `--json` switches machine-readable reports onto stdout;
-diagnostics always go to stderr. QIDX_SEED in the environment overrides
---seed.
+constraint or any other error. `--json` switches machine-readable reports
+onto stdout; diagnostics always go to stderr. QIDX_SEED in the environment
+overrides --seed.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ def _assignment_for(ident: str, base: Optional[int], spec_text: str) -> ParamAss
     return ParamAssignment(base, params)
 
 
+def _check_order(order: int) -> None:
+    if order < 0:
+        raise UsageError(f"--order must be at least 0, got {order}")
+
+
 def _report_line(r: CheckReport) -> str:
     spec = r.spec if r.spec else "-"
     head = f"{r.identity:<10} base={r.base:<3} order={r.order_requested:<4} spec={spec}"
@@ -91,6 +96,7 @@ def _print_reports(reports: List[CheckReport], as_json: bool) -> None:
 
 
 def _cmd_expand(args) -> int:
+    _check_order(args.order)
     assign = ParamAssignment(args.base, parse_spec_string(args.spec))
     ast = parse_expr(args.expr)
     series = eval_expr(ast, assign, args.order)
@@ -99,6 +105,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_order(args.order)
     assign = _assignment_for(args.identity, args.base, args.spec)
     report = check_identity(args.identity, assign, args.order)
     if args.json:
@@ -114,6 +121,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
+    _check_order(args.order)
     seed = os.environ.get("QIDX_SEED", args.seed)
     reports = run_suite(order=args.order, trials=args.trials, seed=seed)
     ok = suite_ok(reports)
@@ -228,6 +236,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except QidxError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        # exit 1 means a mismatch; anything else that goes wrong is exit 2
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -18,16 +18,17 @@ window and check the result does not move.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (
     ConstraintViolationError,
     DivergentTailError,
     NegativeOrderArgumentError,
     PoleError,
+    RingMismatchError,
     SymbolicNonUnitError,
 )
 from .exactalg import (
@@ -39,6 +40,7 @@ from .exactalg import (
     mono_mul,
     mono_pow,
     mono_str,
+    normalize_scalar,
 )
 from .qring import QSeries, RATIONAL, SYMBOLIC, CoeffRing
 
@@ -159,117 +161,189 @@ def infer_ring(*xs: Optional[SpecMonomial]) -> CoeffRing:
     return RATIONAL
 
 
-def _dict_to_series(acc: dict, ring: CoeffRing, order: int) -> QSeries:
-    acc = {e: c for e, c in acc.items() if e <= order and c}
-    if not acc:
-        return QSeries.zero(ring, order)
-    lo = min(acc)
-    return QSeries.make(ring, lo, [acc.get(e, 0) for e in range(lo, order + 1)], order)
+_ONE = Unit()
+_BILATERAL = ((0, 1), (-1, -1))
+
+
+def _lead(g: int, k: int, s: int) -> int:
+    """The lowest q-exponent in the expansion of v^k/(1-v)^s, ord(v) = g."""
+    return k * g if g > 0 else (s - k) * -g
+
+
+class _Acc:
+    """Exact coefficients of a sum of terms, accumulated per exponent up to
+    ``order`` and made into one series at the end.
+
+    Scalar parts live in a dense list over [lo, order]; parts that carry a
+    symbolic monomial live in a dict keyed by (exponent, monomial).
+    """
+
+    __slots__ = ("ring", "order", "lo", "num", "sym")
+
+    def __init__(self, ring: CoeffRing, order: int):
+        self.ring = ring
+        self.order = order
+        self.lo = order + 1
+        self.num: list = []
+        self.sym: dict = {}
+
+    def _reach(self, e: int) -> None:
+        if e < self.lo:
+            self.num[:0] = [0] * (self.lo - e)
+            self.lo = e
+
+    def _need_symbolic(self) -> None:
+        if not self.ring.symbolic:
+            raise RingMismatchError("symbolic coefficient in a rational-ring series")
+
+    def add(self, e: int, c: Scalar, mono: Monomial = MONO_ONE) -> None:
+        """Add c * mono * q^e."""
+        if e > self.order:
+            return
+        self._reach(e)
+        if mono == MONO_ONE:
+            self.num[e - self.lo] += c
+        else:
+            self._need_symbolic()
+            self.sym[e, mono] = self.sym.get((e, mono), 0) + c
+
+    def add_term(
+        self, c: Scalar, unit: Unit, shift: int, v: SpecMonomial, k: int, s: int
+    ) -> None:
+        """Add c * unit * q^shift * v^k / (1-v)^s, for k in {0, 1}, s in {1, 2}.
+
+        With v = u q^g the expansion is
+          g > 0:  sum over j >= k of C(j-k+s-1, s-1) u^j q^(jg),
+          g < 0:  (-1)^s times the sum over j >= s-k of C(j+k-1, s-1) u^-j q^(-jg),
+          g = 0:  the constant (-1)^k / 2^s for u = -1, an error otherwise.
+        """
+        if s not in (1, 2):
+            raise ValueError("s must be 1 or 2")
+        g, u = v.qexp, v.unit
+        if g == 0:
+            what = f"term {v}/(1-{v})^{s}" if k else f"1/(1-{v})^{s}"
+            if u.symbolic:
+                raise SymbolicNonUnitError(
+                    f"{what} has a non-Laurent constant coefficient"
+                    if k
+                    else f"{what} is not Laurent in q"
+                )
+            if u.sign == 1:
+                raise PoleError(f"{what} hits the pole at 1")
+        if unit.symbolic:
+            self._need_symbolic()
+        if g == 0:
+            self.add(shift, c * unit.sign * Fraction((-1) ** k, 2**s), unit.mono)
+            return
+        if g > 0:
+            step, us, um, j, lead, d = g, u.sign, u.mono, k, 1, 1 - k
+        else:
+            ui = u.inv()
+            step, us, um, j, lead, d = -g, ui.sign, ui.mono, s - k, (-1) ** s, k - 1
+        # the binomial factor C(., s-1) of the j-th term is 1, or j + d for s = 2
+        e = shift + j * step
+        n = max((self.order - e) // step + 1, 0)
+        if um != MONO_ONE and n > (0 if j else 1):
+            self._need_symbolic()
+        if not n:
+            return
+        self._reach(e)
+        c0 = c * lead * unit.sign * (us if j % 2 else 1)
+        mono = mono_mul(unit.mono, mono_pow(um, j))
+        if mono == MONO_ONE and um == MONO_ONE:
+            cs = [c0, c0 * us]
+            if s == 1:
+                terms = cs * (n // 2 + 1)
+            else:
+                terms = [cs[i & 1] * b for i, b in enumerate(range(j + d, j + d + n))]
+            window = slice(e - self.lo, None, step)
+            self.num[window] = list(map(operator.add, self.num[window], terms))
+            return
+        sym = self.sym
+        for b in range(j + d, j + d + n):
+            sym[e, mono] = sym.get((e, mono), 0) + (c0 if s == 1 else c0 * b)
+            e += step
+            c0 *= us
+            mono = mono_mul(mono, um)
+
+    def series(self) -> QSeries:
+        num, lo = self.num, self.lo
+        cols: dict = {}
+        for (e, mono), c in self.sym.items():
+            if mono == MONO_ONE:
+                num[e - lo] += c
+            elif c:
+                cols.setdefault(e, {})[mono] = normalize_scalar(c)
+        coeffs = [c if type(c) is int else normalize_scalar(c) for c in num]
+        for e, terms in cols.items():
+            if coeffs[e - lo]:
+                terms[MONO_ONE] = coeffs[e - lo]
+            coeffs[e - lo] = LaurentPoly._raw(terms)
+        return QSeries._raw(self.ring, lo, coeffs, self.order)
+
+
+def _window(order: int, pad: int, min_order, grows, starts, what: str):
+    """Yield the indices of a summation window, walking from each (start,
+    step) of ``starts``.  A direction closes at the first index whose term
+    lies wholly above ``order`` while ``grows(n, step)`` says every later
+    term does too; ``pad`` more indices are taken past that point."""
+    for n, step in starts:
+        extra = pad
+        for _ in range(_LOOP_LIMIT + 1):
+            if min_order(n) > order and grows(n, step):
+                if extra <= 0:
+                    break
+                extra -= 1
+            yield n
+            n += step
+        else:
+            raise DivergentTailError(f"{what} failed to close")
+
+
+def _lambert_window(
+    ring, order, pad, starts, what, v_unit, g0, m, k, s, shift, prefactor
+) -> QSeries:
+    """The sum over the window of c * unit * q^shift(n) * v^k / (1-v)^s with
+    v = v_unit q^(g0 + m n) and (c, unit) = prefactor(n); c = 0 skips n."""
+    acc = _Acc(ring, order)
+
+    def min_order(n: int) -> int:
+        return shift(n) + _lead(g0 + m * n, k, s)
+
+    def grows(n: int, step: int) -> bool:
+        return (g0 + m * n) * step > 0
+
+    for n in _window(order, pad, min_order, grows, starts, what):
+        c, unit = prefactor(n)
+        if c:
+            acc.add_term(c, unit, shift(n), SpecMonomial(v_unit, g0 + m * n), k, s)
+    return acc.series()
 
 
 def one_minus(x: SpecMonomial, ring: CoeffRing, order: int) -> QSeries:
     """The two-term series 1 - u*q^e."""
-    acc = {0: 1}
-    acc[x.qexp] = acc.get(x.qexp, 0) - x.unit.value()
-    return _dict_to_series(acc, ring, order)
+    acc = _Acc(ring, order)
+    acc.add(0, 1)
+    acc.add(x.qexp, -x.unit.sign, x.unit.mono)
+    return acc.series()
 
 
 def term_series(
     v: SpecMonomial, s: int, order: int, ring: Optional[CoeffRing] = None
 ) -> QSeries:
     """Expand v/(1-v)^s exactly, for s in {1, 2}."""
-    if s not in (1, 2):
-        raise ValueError("s must be 1 or 2")
-    if ring is None:
-        ring = infer_ring(v)
-    g = v.qexp
-    u = v.unit
-    if g == 0:
-        if u.symbolic:
-            raise SymbolicNonUnitError(
-                f"term {v}/(1-{v})^{s} has a non-Laurent constant coefficient"
-            )
-        if u.sign == 1:
-            raise PoleError(f"term {v}/(1-{v})^{s} hits the pole at 1")
-        c = Fraction(-1, 2) if s == 1 else Fraction(-1, 4)
-        return QSeries.const(ring, c, order)
-    acc: dict = {}
-    if g > 0:
-        # v/(1-v)^s = sum_{k>=1} C(k+s-2, s-1) v^k
-        k = 1
-        sign, mono = u.sign, u.mono
-        while k * g <= order:
-            w = k if s == 2 else 1
-            acc[k * g] = (w * sign) if mono == MONO_ONE else LaurentPoly.monomial(
-                mono, w * sign
-            )
-            k += 1
-            sign *= u.sign
-            mono = mono_mul(mono, u.mono)
-    else:
-        # flipped: v/(1-v) = -1 - sum_{k>=1} v^-k; v/(1-v)^2 = sum_{k>=1} k v^-k
-        ui = u.inv()
-        if s == 1:
-            acc[0] = -1
-        k = 1
-        sign, mono = ui.sign, ui.mono
-        step = -g
-        while k * step <= order:
-            w = k if s == 2 else -1
-            acc[k * step] = (w * sign) if mono == MONO_ONE else LaurentPoly.monomial(
-                mono, w * sign
-            )
-            k += 1
-            sign *= ui.sign
-            mono = mono_mul(mono, ui.mono)
-    return _dict_to_series(acc, ring, order)
+    acc = _Acc(ring or infer_ring(v), order)
+    acc.add_term(1, _ONE, 0, v, 1, s)
+    return acc.series()
 
 
 def recip_series(
     v: SpecMonomial, s: int, order: int, ring: Optional[CoeffRing] = None
 ) -> QSeries:
     """Expand 1/(1-v)^s exactly, for s in {1, 2}."""
-    if s not in (1, 2):
-        raise ValueError("s must be 1 or 2")
-    if ring is None:
-        ring = infer_ring(v)
-    g = v.qexp
-    u = v.unit
-    if g == 0:
-        if u.symbolic:
-            raise SymbolicNonUnitError(f"1/(1-{v})^{s} is not Laurent in q")
-        if u.sign == 1:
-            raise PoleError(f"1/(1-{v})^{s} hits the pole at 1")
-        return QSeries.const(ring, Fraction(1, 2 ** s), order)
-    acc: dict = {}
-    if g > 0:
-        # 1/(1-v)^s = sum_{k>=0} C(k+s-1, s-1) v^k
-        k = 0
-        sign, mono = 1, MONO_ONE
-        while k * g <= order:
-            w = comb(k + s - 1, s - 1)
-            acc[k * g] = (w * sign) if mono == MONO_ONE else LaurentPoly.monomial(
-                mono, w * sign
-            )
-            k += 1
-            sign *= u.sign
-            mono = mono_mul(mono, u.mono)
-    else:
-        # 1/(1-v)^s = (-1)^s sum_{j>=s} C(j-1, s-1) v^-j
-        ui = u.inv()
-        outer = -1 if s == 1 else 1
-        j = s
-        sign, mono = ui.pow(s).sign, ui.pow(s).mono
-        step = -g
-        while j * step <= order:
-            w = outer * comb(j - 1, s - 1)
-            acc[j * step] = (w * sign) if mono == MONO_ONE else LaurentPoly.monomial(
-                mono, w * sign
-            )
-            j += 1
-            sign *= ui.sign
-            mono = mono_mul(mono, ui.mono)
-    return _dict_to_series(acc, ring, order)
+    acc = _Acc(ring or infer_ring(v), order)
+    acc.add_term(1, _ONE, 0, v, 0, s)
+    return acc.series()
 
 
 def times_spec_monomial(qs: QSeries, x: SpecMonomial, weight: Scalar = 1) -> QSeries:
@@ -285,7 +359,8 @@ def times_spec_monomial(qs: QSeries, x: SpecMonomial, weight: Scalar = 1) -> QSe
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+# Bounded: a full verify-all uses about 230 distinct products.
+@functools.lru_cache(maxsize=512)
 def _poch_inf_cached(x: SpecMonomial, m: int, order: int, symbolic: bool) -> QSeries:
     ring = SYMBOLIC if symbolic else RATIONAL
     result = QSeries.const(ring, 1, order)
@@ -351,53 +426,32 @@ def theta_sum(
     """The alternating bilateral sum of z^n * q^{m(n^2-n)/2}."""
     if m < 1:
         raise ConstraintViolationError("base scale must be a positive integer")
-    if ring is None:
-        ring = infer_ring(z)
+    acc = _Acc(ring or infer_ring(z), order)
     e = z.qexp
-    acc: dict = {}
 
     def expo(n):
         return m * (n * n - n) // 2 + n * e
 
-    def add_term(n):
-        ex = expo(n)
-        if ex > order:
-            return
-        u = z.unit.pow(n)
-        c = u.sign if n % 2 == 0 else -u.sign
-        val = c if u.mono == MONO_ONE else LaurentPoly.monomial(u.mono, c)
-        acc[ex] = acc.get(ex, 0) + val
+    def past_vertex(n, step):
+        return n != 0 and expo(n) >= expo(n - step)
 
-    for direction in (1, -1):
-        n = 0 if direction == 1 else -1
-        extra = pad
-        guard = 0
-        while True:
-            past_vertex = expo(n) >= expo(n - direction) and abs(n) > 0
-            if expo(n) > order and past_vertex:
-                if extra <= 0:
-                    break
-                extra -= 1
-            add_term(n)
-            n += direction
-            guard += 1
-            if guard > _LOOP_LIMIT:
-                raise DivergentTailError("theta window failed to close")
-    return _dict_to_series(acc, ring, order)
+    for n in _window(order, pad, expo, past_vertex, _BILATERAL, "theta window"):
+        u = z.unit.pow(n)
+        acc.add(expo(n), u.sign if n % 2 == 0 else -u.sign, u.mono)
+    return acc.series()
 
 
 def phi_minus(m: int, order: int, ring: Optional[CoeffRing] = None) -> QSeries:
     """The bilateral sum of (-1)^n q^{m n^2}."""
     if m < 1:
         raise ConstraintViolationError("base scale must be a positive integer")
-    if ring is None:
-        ring = RATIONAL
-    acc = {0: 1}
+    acc = _Acc(ring or RATIONAL, order)
+    acc.add(0, 1)
     n = 1
     while m * n * n <= order:
-        acc[m * n * n] = 2 if n % 2 == 0 else -2
+        acc.add(m * n * n, 2 if n % 2 == 0 else -2)
         n += 1
-    return _dict_to_series(acc, ring, order)
+    return acc.series()
 
 
 def pf_sum(
@@ -426,43 +480,30 @@ def pf_sum(
         raise ConstraintViolationError(
             f"partial-fraction argument needs ord(z) >= 0, got {z.qexp}"
         )
-    if ring is None:
-        ring = infer_ring(z)
+    acc = _Acc(ring or infer_ring(z), order)
+    if cleared and z.unit.symbolic:
+        acc._need_symbolic()  # the factor (1 - z) itself
     e = z.qexp
-    om = one_minus(z, ring, order) if cleared else None
-    total = QSeries.zero(ring, order)
 
-    def term(n: int) -> QSeries:
-        base = m * (n * n + n) // 2
-        if cleared and n == 0:
-            return QSeries.const(ring, 1, order)
-        r = recip_series(SpecMonomial(z.unit, e + m * n), 1, order - base, ring)
-        if cleared:
-            r = r * om
-        if n % 2:
-            r = -r
-        return r.shifted(base)
+    def base(n: int) -> int:
+        return m * (n * n + n) // 2
 
     def min_order(n: int) -> int:
-        base = m * (n * n + n) // 2
-        g = e + m * n
-        return base + (0 if g >= 0 else -g)
+        return base(n) + _lead(e + m * n, 0, 1)
 
-    for direction in (1, -1):
-        n = 0 if direction == 1 else -1
-        extra = pad
-        guard = 0
-        while True:
-            if min_order(n) > order and (e + m * n) * direction > 0:
-                if extra <= 0:
-                    break
-                extra -= 1
-            total = total + term(n)
-            n += direction
-            guard += 1
-            if guard > _LOOP_LIMIT:
-                raise DivergentTailError("partial-fraction window failed to close")
-    return total
+    def grows(n: int, step: int) -> bool:
+        return (e + m * n) * step > 0
+
+    for n in _window(order, pad, min_order, grows, _BILATERAL, "partial-fraction window"):
+        if cleared and n == 0:
+            acc.add(0, 1)
+            continue
+        sign = -1 if n % 2 else 1
+        v = SpecMonomial(z.unit, e + m * n)
+        acc.add_term(sign, _ONE, base(n), v, 0, 1)
+        if cleared:
+            acc.add_term(-sign, z.unit, base(n) + e, v, 0, 1)
+    return acc.series()
 
 
 def _check_f_args(a: SpecMonomial, m: int, name: str):
@@ -500,31 +541,12 @@ def jordan_kronecker(
     """
     _check_f_args(a, m, "first argument")
     _check_pole_guard(b, m, "second argument")
-    if ring is None:
-        ring = infer_ring(a, b)
-    al, be = a.qexp, b.qexp
-    total = QSeries.zero(ring, order)
-
-    def min_order(n: int) -> int:
-        g = be + m * n
-        return al * n + (0 if g >= 0 else -g)
-
-    for direction in (1, -1):
-        n = 0 if direction == 1 else -1
-        extra = pad
-        guard = 0
-        while True:
-            if min_order(n) > order and (be + m * n) * direction > 0:
-                if extra <= 0:
-                    break
-                extra -= 1
-            r = recip_series(SpecMonomial(b.unit, be + m * n), 1, order - al * n, ring)
-            total = total + times_spec_monomial(r, a.pow(n))
-            n += direction
-            guard += 1
-            if guard > _LOOP_LIMIT:
-                raise DivergentTailError("bilateral window failed to close")
-    return total
+    return _lambert_window(
+        ring or infer_ring(a, b), order, pad, _BILATERAL, "bilateral window",
+        b.unit, b.qexp, m, 0, 1,
+        shift=lambda n: a.qexp * n,
+        prefactor=lambda n: (1, a.unit.pow(n)),
+    )
 
 
 def jk_partial_a(
@@ -538,32 +560,12 @@ def jk_partial_a(
     """The bilateral sum of b^n q^{mn} / (1 - a q^{mn})^2."""
     _check_f_args(a, m, "first argument")
     _check_f_args(b, m, "second argument")
-    if ring is None:
-        ring = infer_ring(a, b)
-    al, be = a.qexp, b.qexp
-    total = QSeries.zero(ring, order)
-
-    def min_order(n: int) -> int:
-        g = al + m * n
-        return (be + m) * n + (0 if g >= 0 else -2 * g)
-
-    for direction in (1, -1):
-        n = 0 if direction == 1 else -1
-        extra = pad
-        guard = 0
-        while True:
-            if min_order(n) > order and (al + m * n) * direction > 0:
-                if extra <= 0:
-                    break
-                extra -= 1
-            shift = (be + m) * n
-            r = recip_series(SpecMonomial(a.unit, al + m * n), 2, order - shift, ring)
-            total = total + times_spec_monomial(r, SpecMonomial(b.unit.pow(n), shift))
-            n += direction
-            guard += 1
-            if guard > _LOOP_LIMIT:
-                raise DivergentTailError("bilateral window failed to close")
-    return total
+    return _lambert_window(
+        ring or infer_ring(a, b), order, pad, _BILATERAL, "bilateral window",
+        a.unit, a.qexp, m, 0, 2,
+        shift=lambda n: (b.qexp + m) * n,
+        prefactor=lambda n: (1, b.unit.pow(n)),
+    )
 
 
 def n_weighted_sum(
@@ -581,31 +583,12 @@ def n_weighted_sum(
             f"second argument needs positive order, got {x.qexp}"
         )
     _check_pole_guard(x, m, "second argument")
-    if ring is None:
-        ring = infer_ring(a, x)
-    al, xi = a.qexp, x.qexp
-    total = QSeries.zero(ring, order)
-
-    def min_order(n: int) -> int:
-        g = xi + m * n
-        return al * n + (0 if g >= 0 else -g)
-
-    for direction in (1, -1):
-        n = direction
-        extra = pad
-        guard = 0
-        while True:
-            if min_order(n) > order and (xi + m * n) * direction > 0:
-                if extra <= 0:
-                    break
-                extra -= 1
-            r = recip_series(SpecMonomial(x.unit, xi + m * n), 1, order - al * n, ring)
-            total = total + times_spec_monomial(r, a.pow(n), weight=n)
-            n += direction
-            guard += 1
-            if guard > _LOOP_LIMIT:
-                raise DivergentTailError("bilateral window failed to close")
-    return total
+    return _lambert_window(
+        ring or infer_ring(a, x), order, pad, ((1, 1), (-1, -1)), "bilateral window",
+        x.unit, x.qexp, m, 0, 1,
+        shift=lambda n: a.qexp * n,
+        prefactor=lambda n: (n, a.unit.pow(n)),
+    )
 
 
 def generalized_lambert(
@@ -625,6 +608,8 @@ def generalized_lambert(
         raise ConstraintViolationError("base scale must be a positive integer")
     if r0 not in (0, 1):
         raise ConstraintViolationError("lower summation index must be 0 or 1")
+    if s not in (1, 2):
+        raise ConstraintViolationError("denominator power must be 1 or 2")
     mu, xi = M.qexp, x.qexp
     if mu + m <= 0:
         raise DivergentTailError(
@@ -641,37 +626,12 @@ def generalized_lambert(
                 )
             if x.unit.sign == 1:
                 raise PoleError(f"Lambert term at r = {rstar} hits the pole at 1")
-    if ring is None:
-        ring = infer_ring(M, x)
-    total = QSeries.zero(ring, order)
-
-    def min_order(r: int) -> int:
-        g = xi + m * r
-        if g > 0:
-            t = g
-        elif g == 0:
-            t = 0
-        else:
-            t = 0 if s == 1 else -g
-        return mu * r + t
-
-    r = r0
-    extra = pad
-    guard = 0
-    while True:
-        if min_order(r) > order and xi + m * r > 0:
-            if extra <= 0:
-                break
-            extra -= 1
-        w = W(r)
-        if w != 0:
-            t = term_series(SpecMonomial(x.unit, xi + m * r), s, order - mu * r, ring)
-            total = total + times_spec_monomial(t, M.pow(r), weight=w)
-        r += 1
-        guard += 1
-        if guard > _LOOP_LIMIT:
-            raise DivergentTailError("Lambert tail failed to close")
-    return total
+    return _lambert_window(
+        ring or infer_ring(M, x), order, pad, ((r0, 1),), "Lambert tail",
+        x.unit, xi, m, 1, s,
+        shift=lambda r: mu * r,
+        prefactor=lambda r: (W(r), M.unit.pow(r)),
+    )
 
 
 def l_func(

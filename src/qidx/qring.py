@@ -80,6 +80,17 @@ RATIONAL = CoeffRing("rational", symbolic=False)
 SYMBOLIC = CoeffRing("symbolic", symbolic=True)
 
 
+def _canon(c):
+    """The storage form of a coefficient an arithmetic op produced: an
+    integral Fraction becomes an int, a constant LaurentPoly its scalar."""
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if type(c) is LaurentPoly:
+        cv = c.constant_value()
+        return c if cv is None else cv
+    return c
+
+
 def _check_same_ring(x: "QSeries", y: "QSeries"):
     if x.ring is not y.ring:
         raise RingMismatchError(
@@ -190,7 +201,7 @@ def _mul_windows(x: "QSeries", y: "QSeries", out_len: int):
     return den, cols
 
 
-def _col_to_coeff(col: dict, den: int, symbolic: bool):
+def _col_to_coeff(col: dict, den: int):
     if not col:
         return 0
     if den == 1:
@@ -233,6 +244,12 @@ class QSeries:
                 f"coefficients, got {len(coeffs)}"
             )
         coeffs = [ring.coerce(c) for c in coeffs]
+        return cls._raw(ring, offset, coeffs, order)
+
+    @classmethod
+    def _raw(cls, ring: CoeffRing, offset: int, coeffs: list, order: int) -> "QSeries":
+        # Internal: caller guarantees a matching window of canonical
+        # coefficients of the ring; only leading zeros are trimmed.
         k = 0
         while k < len(coeffs) and not coeffs[k]:
             k += 1
@@ -294,15 +311,19 @@ class QSeries:
         if lo > order:
             return QSeries.zero(self.ring, order)
         out = [0] * (order - lo + 1)
-        for src in (self, other):
-            for i, c in enumerate(src.coeffs):
-                e = src.offset + i
-                if e > order:
-                    break
-                if c:
-                    prev = out[e - lo]
-                    out[e - lo] = c if prev == 0 else prev + c
-        return QSeries.make(self.ring, lo, out, order)
+        n = order - self.offset + 1
+        if n > 0:
+            out[self.offset - lo : self.offset - lo + n] = self.coeffs[:n]
+        n = order - other.offset + 1
+        for i, c in enumerate(other.coeffs[: max(n, 0)], other.offset - lo):
+            if c:
+                prev = out[i]
+                if prev:
+                    c = prev + c
+                    if type(c) is not int:
+                        c = _canon(c)
+                out[i] = c
+        return QSeries._raw(self.ring, lo, out, order)
 
     def __neg__(self):
         return QSeries(self.ring, self.offset, [-c for c in self.coeffs], self.order)
@@ -342,11 +363,11 @@ class QSeries:
                         prev = out[i + j]
                         t = ci * cj
                         out[i + j] = t if isinstance(prev, int) and prev == 0 else prev + t
-            return QSeries.make(self.ring, out_offset, out, order)
+            out = [c if type(c) is int else _canon(c) for c in out]
+            return QSeries._raw(self.ring, out_offset, out, order)
         den, cols = _mul_windows(self, other, out_len)
-        symbolic = self.ring.symbolic
-        coeffs = [_col_to_coeff(col, den, symbolic) for col in cols]
-        return QSeries.make(self.ring, out_offset, coeffs, order)
+        coeffs = [_col_to_coeff(col, den) for col in cols]
+        return QSeries._raw(self.ring, out_offset, coeffs, order)
 
     __rmul__ = __mul__
 

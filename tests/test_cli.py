@@ -291,6 +291,43 @@ def test_cli_expand_unbound_parameter_is_exit_2(capsys):
     assert "not bound" in err
 
 
+@pytest.mark.parametrize("expr", ["0^-1", "chilam(1, 3)", "glam(1, q, 0, 1, 3, 0)"])
+def test_cli_expand_arithmetic_and_argument_errors_are_exit_2(capsys, expr):
+    code, out, err = run_cli(capsys, "expand", expr, "--order", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "phi()", "--order", "-1"),
+        ("verify", "1.3", "--base", "7", "--spec", "a=-q^1,b=-q^2,c=-q^4", "--order", "-1"),
+        ("verify", "1.3", "--base", "7", "--spec", "a=-q^1,b=-q^2,c=-q^4", "--order", "-1", "--json"),
+        ("verify-all", "--order", "-3", "--trials", "1"),
+    ],
+)
+def test_cli_negative_order_is_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--order must be at least 0" in err
+
+
+def test_glam_argument_order_is_m_x_u_v_s_r0():
+    # glam(M, x, u, v, s, r0): weight W(r) = u*r + v, denominator power s
+    order = 30
+    got = eval_expr(parse_expr("glam(1, q, 2, 0, 1, 0)"), ParamAssignment(1, {}), order)
+    # sum over r >= 0 of 2r q^(r+1) / (1 - q^(r+1))
+    want = {
+        n: sum(2 * (d - 1) for d in range(2, n + 1) if n % d == 0)
+        for n in range(order + 1)
+    }
+    assert got.order == order
+    assert {n: got.coeff(n) for n in range(order + 1)} == want
+
+
 def test_cli_verify_fixed_spec_passes(capsys):
     code, out, _ = run_cli(
         capsys,

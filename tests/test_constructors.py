@@ -569,6 +569,32 @@ def test_phi_identity_cross_multiplied():
         assert ok, (m, bad)
 
 
+def test_poch_inf_cache_is_bounded_and_its_series_stay_intact():
+    from qidx.constructors import _poch_inf_cached
+
+    assert _poch_inf_cached.cache_info().maxsize is not None
+    x = sm(-1, 1)
+    p = poch_inf(x, 3, 40)
+    snapshot = list(p.coeffs)
+    other = theta_sum(sm(1, 1), 3, 40)
+    derived = [
+        p + other,
+        other + p,
+        p - other,
+        p * other,
+        other * p,
+        p * p,
+        one_minus(sm(1, 2), RATIONAL, 40) * p,
+        p.shifted(2) + p,
+        p.truncate(10) + other,
+        p.scale(Fraction(1, 2)) + p,
+    ]
+    assert all(not qs.is_zero() for qs in derived)
+    assert p.coeffs == snapshot
+    assert poch_inf(x, 3, 40) is p
+    assert _poch_inf_cached.__wrapped__(x, 3, 40, False).coeffs == snapshot
+
+
 # ---------------------------------------------------------------------------
 # window stability
 # ---------------------------------------------------------------------------
