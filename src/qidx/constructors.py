@@ -12,7 +12,9 @@ Every reciprocal 1/(1-v)^s goes through one three-case expansion:
 Bilateral sums enumerate a finite window of indices; the first excluded term
 on each side provably exceeds the truncation order.  Every such constructor
 takes a ``pad`` argument adding extra window terms, so tests can double the
-window and check the result does not move.
+window and check the result does not move.  One generator (``_window``)
+walks every window, and every term writes its expansion straight into one
+per-exponent accumulator (``_Acc``), so a sum builds its series once.
 """
 
 from __future__ import annotations

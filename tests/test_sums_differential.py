@@ -58,10 +58,10 @@ def check_same(new_fn, naive_fn, *args, **kwargs):
 
 
 @st.composite
-def units(draw, symbolic=True):
-    """A sign, or (when allowed) a signed symbolic unit."""
+def units(draw):
+    """A sign or a signed symbolic unit, as a function of the q-order."""
     sign = draw(st.sampled_from([1, -1]))
-    if symbolic and draw(st.booleans()):
+    if draw(st.booleans()):
         var = draw(st.integers(0, 3))
         return lambda e: SpecMonomial.symbolic(var, e, sign)
     return lambda e: SpecMonomial.signed(sign, e)
