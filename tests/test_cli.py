@@ -478,6 +478,13 @@ def test_cli_list_contains_registry(capsys):
     assert any(row["identity"] == "3.1" and row["base"] == 7 for row in rows)
 
 
+def test_cli_list_json_golden(capsys):
+    code, out, _ = run_cli(capsys, "list", "--json")
+    assert code == 0
+    with open(os.path.join(GOLDEN, "list.json")) as handle:
+        assert out == handle.read()
+
+
 def test_cli_verify_all_reduced_is_deterministic(capsys):
     args = ("verify-all", "--order", "25", "--trials", "2", "--seed", "42", "--json")
     code1, out1, _ = run_cli(capsys, *args)
