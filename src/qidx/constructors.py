@@ -67,9 +67,6 @@ class Unit:
     def is_plus_one(self) -> bool:
         return self.sign == 1 and self.mono == MONO_ONE
 
-    def is_minus_one(self) -> bool:
-        return self.sign == -1 and self.mono == MONO_ONE
-
     def mul(self, other: "Unit") -> "Unit":
         return Unit(self.sign * other.sign, mono_mul(self.mono, other.mono))
 

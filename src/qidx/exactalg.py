@@ -289,26 +289,3 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
-
-def lp_add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def lp_mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
-def lp_neg(p: LaurentPoly) -> LaurentPoly:
-    return -p
-
-
-def lp_euler(p: LaurentPoly, var: int) -> LaurentPoly:
-    return p.euler(var)
-
-
-def lp_subst_unit(p: LaurentPoly, var: int, sign: int) -> LaurentPoly:
-    return p.subst_unit(var, sign)
-
-
-def lp_is_unit(p: LaurentPoly):
-    return p.as_unit()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .constructors import (
     AffineWeight,
@@ -35,13 +35,13 @@ from .constructors import (
 from .errors import (
     ArityError,
     ExprSyntaxError,
+    NonUnitLeadingError,
     UnboundParameterError,
     UnknownFunctionError,
 )
+from .identities import _PARAM_VARS, symbolic_param
 from .numtheory import CHI1, CHI2, CHI3
 from .qring import QSeries
-
-_PARAM_VARS = {"a": 0, "b": 1, "c": 2, "d": 3, "z": 0}
 
 FUNCTIONS = (
     "poch",
@@ -387,16 +387,16 @@ def _eval(node: Node, ctx: _Ctx):
         kind, val = _eval(node.base, ctx)
         k = node.exp
         if kind == _NUM:
+            if val == 0 and k < 0:
+                raise NonUnitLeadingError(
+                    f"0 raised to the negative power {k} at offset {node.pos + 1}"
+                )
             return _NUM, val**k
         if kind == _MONO:
             return _MONO, val.pow(k)
         if k == 0:
             return _NUM, Fraction(1)
-        base = val if k > 0 else val.inv()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out * base
-        return _SER, out
+        return _SER, val**k
     if isinstance(node, Call):
         return _SER, _eval_call(node, ctx)
     raise TypeError(f"not an expression node: {node!r}")
@@ -552,7 +552,7 @@ def parse_spec_string(text: str) -> Dict[str, SpecMonomial]:
             num = take("NUMBER")
             e = -int(num.text) if neg else int(num.text)
         if symbolic:
-            params[name] = SpecMonomial.symbolic(_PARAM_VARS[name], e)
+            params[name] = symbolic_param(name, e)
         else:
             params[name] = SpecMonomial.signed(sign, e)
         if peek().kind == "EOF":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +44,7 @@ from .errors import (
     DivergentTailError,
     EmptyConstraintSetError,
     NegativeOrderArgumentError,
+    OrderExceededError,
     PoleError,
     SymbolicNonUnitError,
 )
@@ -160,21 +162,15 @@ class IdentityDescriptor:
     ident: str
     params: Tuple[str, ...]
     build: Builder
-    validate: Validator
-    region: Optional[Region]
-    note: str
+    validate: Optional[Validator] = None
+    region: Optional[Region] = None
+    note: Optional[str] = None  # defaults to "fixed base N"
     fixed_base: Optional[int] = None  # corollaries pin their own base
-    symbolic_ok: bool = True
     symbolic_trials: int = 5
 
-
-_REGISTRY: Dict[str, IdentityDescriptor] = {}
-_ORDER: List[str] = []
-
-
-def _register(desc: IdentityDescriptor) -> None:
-    _REGISTRY[desc.ident] = desc
-    _ORDER.append(desc.ident)
+    def __post_init__(self):
+        if self.note is None:
+            self.note = f"fixed base {self.fixed_base}"
 
 
 def get_descriptor(ident: str) -> IdentityDescriptor:
@@ -186,18 +182,15 @@ def get_descriptor(ident: str) -> IdentityDescriptor:
 
 def list_identities() -> List[dict]:
     """Stable-order summaries of every registered identity."""
-    out = []
-    for ident in _ORDER:
-        d = _REGISTRY[ident]
-        out.append(
-            {
-                "identity": ident,
-                "params": list(d.params),
-                "base": d.fixed_base,
-                "constraints": d.note,
-            }
-        )
-    return out
+    return [
+        {
+            "identity": d.ident,
+            "params": list(d.params),
+            "base": d.fixed_base,
+            "constraints": d.note,
+        }
+        for d in _REGISTRY.values()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -643,58 +636,31 @@ def _build_3_3(params, m, ring, order):
     return lhs, rhs
 
 
-def _alt_brace_5(signs: Sequence[int], ring, order) -> QSeries:
-    s = None
-    for j, sgn in zip((1, 2, 3, 4), signs):
-        g = _g_sum(j, 1, 5, ring, order).scale(sgn)
-        s = g if s is None else s + g
-    return s
-
-
 def _q5(j: int) -> SpecMonomial:
     return SpecMonomial.signed(1, j)
 
 
-def _build_3_4(params, m, ring, order):
+def _build_3_4_5(k, params, m, ring, order):
+    """3.4 (k = 1) and 3.5 (k = 2): one identity under the residue map
+    j -> k*j mod 5, which acts on the brace signs and on every q^j of the
+    right side."""
     del params
-    brace = _alt_brace_5((1, -1, 1, -1), ring, order)
+    brace = None
+    for j, sgn in ((1, 1), (2, -1), (3, 1), (4, -1)):
+        g = _g_sum(k * j % 5, 1, 5, ring, order).scale(sgn)
+        brace = g if brace is None else brace + g
     lhs = brace * brace
-    rhs = _lam2(_q5(2), 0, 5, ring, order) + _lam2(_q5(3), 0, 5, ring, order)
-    rhs = rhs + generalized_lambert(
-        SpecMonomial.one(), _q5(1), 1, AffineWeight(2, 0), 1, 5, order, ring=ring
-    )
-    rhs = rhs - generalized_lambert(
-        SpecMonomial.one(), _q5(2), 1, AffineWeight(1, 0), 1, 5, order, ring=ring
-    )
-    rhs = rhs + generalized_lambert(
-        SpecMonomial.one(), _q5(4), 1, AffineWeight(2, 2), 0, 5, order, ring=ring
-    )
-    rhs = rhs - generalized_lambert(
-        SpecMonomial.one(), _q5(3), 1, AffineWeight(1, 1), 0, 5, order, ring=ring
-    )
-    rhs = rhs - generalized_lambert(
-        SpecMonomial.one(), SpecMonomial.one(), 1, W_ONE, 1, 5, order, ring=ring
-    ).scale(2)
-    return lhs, rhs
-
-
-def _build_3_5(params, m, ring, order):
-    del params
-    brace = _alt_brace_5((1, 1, -1, -1), ring, order)
-    lhs = brace * brace
-    rhs = _lam2(_q5(1), 0, 5, ring, order) + _lam2(_q5(4), 0, 5, ring, order)
-    rhs = rhs + generalized_lambert(
-        SpecMonomial.one(), _q5(2), 1, AffineWeight(2, 0), 1, 5, order, ring=ring
-    )
-    rhs = rhs - generalized_lambert(
-        SpecMonomial.one(), _q5(4), 1, AffineWeight(1, 0), 1, 5, order, ring=ring
-    )
-    rhs = rhs + generalized_lambert(
-        SpecMonomial.one(), _q5(3), 1, AffineWeight(2, 2), 0, 5, order, ring=ring
-    )
-    rhs = rhs - generalized_lambert(
-        SpecMonomial.one(), _q5(1), 1, AffineWeight(1, 1), 0, 5, order, ring=ring
-    )
+    rhs = _lam2(_q5(2 * k % 5), 0, 5, ring, order) + _lam2(_q5(3 * k % 5), 0, 5, ring, order)
+    for j, weight, r0, sgn in (
+        (1, AffineWeight(2, 0), 1, 1),
+        (2, AffineWeight(1, 0), 1, -1),
+        (4, AffineWeight(2, 2), 0, 1),
+        (3, AffineWeight(1, 1), 0, -1),
+    ):
+        g = generalized_lambert(
+            SpecMonomial.one(), _q5(k * j % 5), 1, weight, r0, 5, order, ring=ring
+        )
+        rhs = rhs + g.scale(sgn)
     rhs = rhs - generalized_lambert(
         SpecMonomial.one(), SpecMonomial.one(), 1, W_ONE, 1, 5, order, ring=ring
     ).scale(2)
@@ -776,10 +742,6 @@ def _build_phi(params, m, ring, order):
     return lhs, rhs
 
 
-def _validate_none(params, m):
-    del params, m
-
-
 # ---------------------------------------------------------------------------
 # sampling regions
 
@@ -825,284 +787,68 @@ def _region_abcd(m: int) -> List[Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # registry
 
-_register(
-    IdentityDescriptor(
-        "1.1",
-        ("z",),
-        _build_1_1,
-        _validate_1_1,
-        _region_theta,
-        "0 <= ord(z) <= base (symbolic z at q^0)",
-        symbolic_trials=1,
-    )
+# constraint families: a validator, its sampling region and the note `list` shows
+_THETA_Z = (_validate_1_1, _region_theta, "0 <= ord(z) <= base (symbolic z at q^0)")
+_THETA_Z_POLE = (
+    _validate_1_2,
+    _region_theta,
+    "0 <= ord(z) <= base; at ord 0 mod base the unit must be -1",
 )
-_register(
-    IdentityDescriptor(
-        "1.2",
-        ("z",),
-        _build_1_2,
-        _validate_1_2,
-        _region_theta,
-        "0 <= ord(z) <= base; at ord 0 mod base the unit must be -1",
-        symbolic_trials=1,
-    )
+_ABC_PRODUCT = (
+    _validate_1_3,
+    _region_abc,
+    "ord(a), ord(b), ord(c) > 0 with sum < base (= base allowed when abc has unit -1)",
 )
-_register(
-    IdentityDescriptor(
-        "1.3",
-        ("a", "b", "c"),
-        _build_1_3,
-        _validate_1_3,
-        _region_abc,
-        "ord(a), ord(b), ord(c) > 0 with sum < base "
-        "(= base allowed when abc has unit -1)",
-    )
+_BC = (_validate_bc, _region_pair_sum, "ord(b), ord(c) > 0 with ord(b) + ord(c) < base")
+_AB = (_validate_ab_interior, _region_open2, "0 < ord(a), ord(b) < base")
+_AB_PRODUCT = (
+    _validate_product_pair,
+    _region_pair_sum,
+    "ord(a), ord(b) > 0 with sum < base (= base allowed unless ab has unit +1)",
 )
-_register(
-    IdentityDescriptor(
-        "1.4",
-        ("b", "c"),
-        _build_1_4,
-        _validate_bc,
-        _region_pair_sum,
-        "ord(b), ord(c) > 0 with ord(b) + ord(c) < base",
-    )
+_ABC = (
+    _validate_abc_strict,
+    _region_abc,
+    "0 < ord(a) < base; ord(b), ord(c) > 0; sum of orders < base",
 )
-_register(
-    IdentityDescriptor(
-        "1.5",
-        ("b", "c"),
-        _build_1_5,
-        _validate_bc,
-        _region_pair_sum,
-        "ord(b), ord(c) > 0 with ord(b) + ord(c) < base",
-    )
+_B_INTERIOR = (_validate_2_12, _region_open1, "0 < ord(b) < base")
+_ABCD = (
+    _validate_3_8,
+    _region_abcd,
+    "all orders > 0; ord(a) + ord(b) < base; ord(c) + ord(d) < base",
 )
-_register(
-    IdentityDescriptor(
-        "2.1",
-        ("a", "b"),
-        _build_2_1,
-        _validate_ab_interior,
-        _region_open2,
-        "0 < ord(a), ord(b) < base",
+
+_REGISTRY: Dict[str, IdentityDescriptor] = {
+    d.ident: d
+    for d in (
+        IdentityDescriptor("1.1", ("z",), _build_1_1, *_THETA_Z, symbolic_trials=1),
+        IdentityDescriptor("1.2", ("z",), _build_1_2, *_THETA_Z_POLE, symbolic_trials=1),
+        IdentityDescriptor("1.3", ("a", "b", "c"), _build_1_3, *_ABC_PRODUCT),
+        IdentityDescriptor("1.4", ("b", "c"), _build_1_4, *_BC),
+        IdentityDescriptor("1.5", ("b", "c"), _build_1_5, *_BC),
+        IdentityDescriptor("2.1", ("a", "b"), _build_2_1, *_AB),
+        IdentityDescriptor("2.2", ("a", "b"), _build_2_2, *_AB),
+        IdentityDescriptor("2.3", ("a", "b"), _build_2_3, *_AB),
+        IdentityDescriptor("2.5", ("a", "b"), _build_2_5, *_AB),
+        IdentityDescriptor("2.6", ("a", "b"), _build_2_6, *_AB),
+        IdentityDescriptor("2.7", ("a", "b"), _build_2_7, *_AB_PRODUCT),
+        IdentityDescriptor("2.8", ("a", "b"), _build_2_8, *_AB_PRODUCT),
+        IdentityDescriptor("2.9", ("a", "b", "c"), _build_2_9, *_ABC),
+        IdentityDescriptor("2.10", ("a", "b", "c"), _build_2_10, *_ABC),
+        IdentityDescriptor("2.11", ("b", "c"), _build_2_11, *_BC),
+        IdentityDescriptor("2.12", ("b",), _build_2_12, *_B_INTERIOR),
+        IdentityDescriptor("2.13", ("b", "c"), _build_1_5, *_BC),
+        IdentityDescriptor("3.1", (), _build_3_1, fixed_base=7),
+        IdentityDescriptor("3.3", (), _build_3_3, fixed_base=9),
+        IdentityDescriptor("3.4", (), partial(_build_3_4_5, 1), fixed_base=5),
+        IdentityDescriptor("3.5", (), partial(_build_3_4_5, 2), fixed_base=5),
+        IdentityDescriptor("3.6", (), _build_3_6, fixed_base=5),
+        IdentityDescriptor("3.7", (), _build_3_7, fixed_base=7),
+        IdentityDescriptor("3.8", ("a", "b", "c", "d"), _build_3_8, *_ABCD),
+        IdentityDescriptor("3.9", (), _build_3_9, fixed_base=13),
+        IdentityDescriptor("phi", (), _build_phi, note="any base >= 1"),
     )
-)
-_register(
-    IdentityDescriptor(
-        "2.2",
-        ("a", "b"),
-        _build_2_2,
-        _validate_ab_interior,
-        _region_open2,
-        "0 < ord(a), ord(b) < base",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "2.3",
-        ("a", "b"),
-        _build_2_3,
-        _validate_ab_interior,
-        _region_open2,
-        "0 < ord(a), ord(b) < base",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "2.5",
-        ("a", "b"),
-        _build_2_5,
-        _validate_ab_interior,
-        _region_open2,
-        "0 < ord(a), ord(b) < base",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "2.6",
-        ("a", "b"),
-        _build_2_6,
-        _validate_ab_interior,
-        _region_open2,
-        "0 < ord(a), ord(b) < base",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "2.7",
-        ("a", "b"),
-        _build_2_7,
-        _validate_product_pair,
-        _region_pair_sum,
-        "ord(a), ord(b) > 0 with sum < base (= base allowed unless ab has unit +1)",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "2.8",
-        ("a", "b"),
-        _build_2_8,
-        _validate_product_pair,
-        _region_pair_sum,
-        "ord(a), ord(b) > 0 with sum < base (= base allowed unless ab has unit +1)",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "2.9",
-        ("a", "b", "c"),
-        _build_2_9,
-        _validate_abc_strict,
-        _region_abc,
-        "0 < ord(a) < base; ord(b), ord(c) > 0; sum of orders < base",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "2.10",
-        ("a", "b", "c"),
-        _build_2_10,
-        _validate_abc_strict,
-        _region_abc,
-        "0 < ord(a) < base; ord(b), ord(c) > 0; sum of orders < base",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "2.11",
-        ("b", "c"),
-        _build_2_11,
-        _validate_bc,
-        _region_pair_sum,
-        "ord(b), ord(c) > 0 with ord(b) + ord(c) < base",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "2.12",
-        ("b",),
-        _build_2_12,
-        _validate_2_12,
-        _region_open1,
-        "0 < ord(b) < base",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "2.13",
-        ("b", "c"),
-        _build_1_5,
-        _validate_bc,
-        _region_pair_sum,
-        "ord(b), ord(c) > 0 with ord(b) + ord(c) < base",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "3.1",
-        (),
-        _build_3_1,
-        _validate_none,
-        None,
-        "fixed base 7",
-        fixed_base=7,
-        symbolic_ok=False,
-    )
-)
-_register(
-    IdentityDescriptor(
-        "3.3",
-        (),
-        _build_3_3,
-        _validate_none,
-        None,
-        "fixed base 9",
-        fixed_base=9,
-        symbolic_ok=False,
-    )
-)
-_register(
-    IdentityDescriptor(
-        "3.4",
-        (),
-        _build_3_4,
-        _validate_none,
-        None,
-        "fixed base 5",
-        fixed_base=5,
-        symbolic_ok=False,
-    )
-)
-_register(
-    IdentityDescriptor(
-        "3.5",
-        (),
-        _build_3_5,
-        _validate_none,
-        None,
-        "fixed base 5",
-        fixed_base=5,
-        symbolic_ok=False,
-    )
-)
-_register(
-    IdentityDescriptor(
-        "3.6",
-        (),
-        _build_3_6,
-        _validate_none,
-        None,
-        "fixed base 5",
-        fixed_base=5,
-        symbolic_ok=False,
-    )
-)
-_register(
-    IdentityDescriptor(
-        "3.7",
-        (),
-        _build_3_7,
-        _validate_none,
-        None,
-        "fixed base 7",
-        fixed_base=7,
-        symbolic_ok=False,
-    )
-)
-_register(
-    IdentityDescriptor(
-        "3.8",
-        ("a", "b", "c", "d"),
-        _build_3_8,
-        _validate_3_8,
-        _region_abcd,
-        "all orders > 0; ord(a) + ord(b) < base; ord(c) + ord(d) < base",
-    )
-)
-_register(
-    IdentityDescriptor(
-        "3.9",
-        (),
-        _build_3_9,
-        _validate_none,
-        None,
-        "fixed base 13",
-        fixed_base=13,
-        symbolic_ok=False,
-    )
-)
-_register(
-    IdentityDescriptor(
-        "phi",
-        (),
-        _build_phi,
-        _validate_none,
-        None,
-        "any base >= 1",
-        symbolic_ok=False,
-    )
-)
+}
 
 
 # ---------------------------------------------------------------------------
@@ -1112,25 +858,29 @@ _register(
 def build_sides(
     ident: str, assign: ParamAssignment, order: int
 ) -> Tuple[QSeries, QSeries]:
-    """Build both sides to at least the requested order, re-running with a
-    padded target when truncation-window arithmetic falls short."""
+    """Build both sides, each known through at least the requested order."""
     desc = get_descriptor(ident)
     if desc.fixed_base is not None and assign.base != desc.fixed_base:
         raise ConstraintViolationError(
             f"identity {ident} is pinned to base {desc.fixed_base}, "
             f"got base {assign.base}"
         )
-    desc.validate(assign.params, assign.base)
-    ring = assign.ring()
-    target = order
-    lhs = rhs = None
-    for _ in range(4):
-        lhs, rhs = desc.build(assign.params, assign.base, ring, target)
-        got = min(lhs.order, rhs.order)
-        if got >= order:
-            break
-        target += max(order - got, assign.base)
+    if desc.validate is not None:
+        desc.validate(assign.params, assign.base)
+    lhs, rhs = desc.build(assign.params, assign.base, assign.ring(), order)
+    known = min(lhs.order, rhs.order)
+    if known < order:
+        raise OrderExceededError(
+            f"identity {ident} built its sides only through q^{known}, asked for q^{order}"
+        )
     return lhs, rhs
+
+
+def _first_mismatch(lhs: QSeries, rhs: QSeries, order: int):
+    """None if the two series agree through q^order, else the first differing
+    exponent with both coefficients as strings."""
+    equal, where = lhs.eq_upto(rhs, order)
+    return None if equal else (where[0], str(where[1]), str(where[2]))
 
 
 def check_identity(
@@ -1139,8 +889,8 @@ def check_identity(
     order: int,
     seed: Optional[str] = None,
 ) -> CheckReport:
-    """Build both sides and compare coefficients through the requested order
-    (or as far as the windows allow), reporting the first mismatch if any."""
+    """Build both sides and compare coefficients through the requested order,
+    reporting the first mismatch if any."""
     t0 = time.perf_counter()
     spec_str = assign.spec_string()
     try:
@@ -1159,21 +909,14 @@ def check_identity(
             seed=seed,
             detail=str(exc),
         )
-    compared = min(order, lhs.order, rhs.order)
-    diff = lhs - rhs
-    mismatch = None
-    for e in range(diff.offset, compared + 1):
-        cv = diff.coeff(e)
-        if cv != 0:
-            mismatch = (e, str(lhs.coeff(e)), str(rhs.coeff(e)))
-            break
+    mismatch = _first_mismatch(lhs, rhs, order)
     ms = (time.perf_counter() - t0) * 1000.0
     return CheckReport(
         identity=ident,
         base=assign.base,
         spec=spec_str,
         order_requested=order,
-        order_compared=compared,
+        order_compared=order,
         status="equal" if mismatch is None else "mismatch",
         first_mismatch=mismatch,
         runtime_ms=ms,
@@ -1184,18 +927,9 @@ def check_identity(
 # ---------------------------------------------------------------------------
 # randomized specs
 
-_FEASIBLE_CACHE: Dict[Tuple[str, int], List[Tuple[int, ...]]] = {}
-
-
-def _feasible(ident: str, base: int) -> List[Tuple[int, ...]]:
-    key = (ident, base)
-    if key not in _FEASIBLE_CACHE:
-        desc = get_descriptor(ident)
-        if desc.region is None:
-            _FEASIBLE_CACHE[key] = []
-        else:
-            _FEASIBLE_CACHE[key] = desc.region(base)
-    return _FEASIBLE_CACHE[key]
+@lru_cache(maxsize=256)
+def _feasible(ident: str, base: int) -> Tuple[Tuple[int, ...], ...]:
+    return tuple(get_descriptor(ident).region(base))
 
 
 def random_spec(
@@ -1225,7 +959,7 @@ def random_spec(
     params: Dict[str, SpecMonomial] = {}
     for name, e in zip(desc.params, expos):
         if symbolic:
-            params[name] = SpecMonomial.symbolic(_PARAM_VARS[name], e)
+            params[name] = symbolic_param(name, e)
         else:
             params[name] = SpecMonomial.signed(rng.choice((1, -1)), e)
     assign = ParamAssignment(base=base, params=params)
@@ -1244,10 +978,7 @@ def random_spec(
 def _symbolic_tuple_ok(
     desc: IdentityDescriptor, base: int, expos: Tuple[int, ...]
 ) -> bool:
-    trial = {
-        name: SpecMonomial.symbolic(_PARAM_VARS[name], e)
-        for name, e in zip(desc.params, expos)
-    }
+    trial = {name: symbolic_param(name, e) for name, e in zip(desc.params, expos)}
     try:
         desc.validate(trial, base)
     except ConstraintViolationError:
@@ -1258,51 +989,18 @@ def _symbolic_tuple_ok(
 # ---------------------------------------------------------------------------
 # corollary derivations
 
+def _signed_spec(sign: int, **qexps: int) -> Dict[str, SpecMonomial]:
+    return {name: SpecMonomial.signed(sign, e) for name, e in qexps.items()}
+
+
 # printed corollary -> (parent id, base, substitution)
 COROLLARY_PARENTS: Dict[str, Tuple[str, int, Dict[str, SpecMonomial]]] = {
-    "3.1": (
-        "1.3",
-        7,
-        {
-            "a": SpecMonomial.signed(-1, 1),
-            "b": SpecMonomial.signed(-1, 2),
-            "c": SpecMonomial.signed(-1, 4),
-        },
-    ),
-    "3.3": (
-        "1.3",
-        9,
-        {
-            "a": SpecMonomial.signed(1, 1),
-            "b": SpecMonomial.signed(1, 2),
-            "c": SpecMonomial.signed(1, 3),
-        },
-    ),
-    "3.4": (
-        "1.4",
-        5,
-        {"b": SpecMonomial.signed(1, 1), "c": SpecMonomial.signed(1, 1)},
-    ),
-    "3.5": (
-        "1.4",
-        5,
-        {"b": SpecMonomial.signed(1, 2), "c": SpecMonomial.signed(1, 2)},
-    ),
-    "3.7": (
-        "1.5",
-        7,
-        {"b": SpecMonomial.signed(1, 1), "c": SpecMonomial.signed(1, 2)},
-    ),
-    "3.9": (
-        "3.8",
-        13,
-        {
-            "a": SpecMonomial.signed(1, 1),
-            "b": SpecMonomial.signed(1, 3),
-            "c": SpecMonomial.signed(1, 2),
-            "d": SpecMonomial.signed(1, 6),
-        },
-    ),
+    "3.1": ("1.3", 7, _signed_spec(-1, a=1, b=2, c=4)),
+    "3.3": ("1.3", 9, _signed_spec(1, a=1, b=2, c=3)),
+    "3.4": ("1.4", 5, _signed_spec(1, b=1, c=1)),
+    "3.5": ("1.4", 5, _signed_spec(1, b=2, c=2)),
+    "3.7": ("1.5", 7, _signed_spec(1, b=1, c=2)),
+    "3.9": ("3.8", 13, _signed_spec(1, a=1, b=3, c=2, d=6)),
 }
 
 
@@ -1314,26 +1012,14 @@ def derived_corollary_reports(ident: str, order: int) -> List[CheckReport]:
     reports: List[CheckReport] = []
     if ident == "3.6":
         t0 = time.perf_counter()
-        sub1 = ParamAssignment(
-            5, {"b": SpecMonomial.signed(1, 1), "c": SpecMonomial.signed(1, 1)}
-        )
-        sub2 = ParamAssignment(
-            5, {"b": SpecMonomial.signed(1, 2), "c": SpecMonomial.signed(1, 2)}
-        )
-        l1, r1 = build_sides("1.4", sub1, order)
-        l2, r2 = build_sides("1.4", sub2, order)
+        l1, r1 = build_sides("1.4", ParamAssignment(5, COROLLARY_PARENTS["3.4"][2]), order)
+        l2, r2 = build_sides("1.4", ParamAssignment(5, COROLLARY_PARENTS["3.5"][2]), order)
         lp, rp = build_sides("3.6", ParamAssignment(5, {}), order)
         quarter = Fraction(-1, 4)
         dl = (l1 - l2).scale(quarter)
         dr = (r1 - r2).scale(quarter)
         for tag, printed, derived in (("lhs", lp, dl), ("rhs", rp, dr)):
-            compared = min(order, printed.order, derived.order)
-            diff = printed - derived
-            mismatch = None
-            for e in range(diff.offset, compared + 1):
-                if diff.coeff(e) != 0:
-                    mismatch = (e, str(printed.coeff(e)), str(derived.coeff(e)))
-                    break
+            mismatch = _first_mismatch(printed, derived, order)
             ms = (time.perf_counter() - t0) * 1000.0
             reports.append(
                 CheckReport(
@@ -1341,7 +1027,7 @@ def derived_corollary_reports(ident: str, order: int) -> List[CheckReport]:
                     base=5,
                     spec=f"derived-{tag}",
                     order_requested=order,
-                    order_compared=compared,
+                    order_compared=order,
                     status="equal" if mismatch is None else "mismatch",
                     first_mismatch=mismatch,
                     runtime_ms=ms,
@@ -1403,30 +1089,24 @@ def run_suite(
     """Run the full verification sweep: randomized signed trials, a symbolic
     tier, the fixed-base corollaries, and the corollary re-derivations."""
     reports: List[CheckReport] = []
-    chosen = list(idents) if idents is not None else list(_ORDER)
-    for ident in chosen:
+    for ident in idents if idents is not None else list(_REGISTRY):
         desc = get_descriptor(ident)
         if desc.params:
-            for t in range(trials):
-                base = bases[t % len(bases)]
-                tag = f"{seed}:{t}"
-                try:
-                    assign = random_spec(ident, base, tag)
-                except EmptyConstraintSetError:
-                    continue
-                reports.append(check_identity(ident, assign, order, seed=tag))
-            if desc.symbolic_ok:
-                for t in range(desc.symbolic_trials):
+            tiers = (
+                (False, trials, order, ""),
+                (True, desc.symbolic_trials, symbolic_order, "sym:"),
+            )
+            for symbolic, count, tier_order, mark in tiers:
+                for t in range(count):
                     base = bases[t % len(bases)]
-                    tag = f"{seed}:sym:{t}"
+                    tag = f"{seed}:{mark}{t}"
                     try:
-                        assign = random_spec(ident, base, tag, symbolic=True)
+                        assign = random_spec(ident, base, tag, symbolic=symbolic)
                     except EmptyConstraintSetError:
                         continue
-                    reports.append(
-                        check_identity(ident, assign, symbolic_order, seed=tag)
-                    )
-        else:
+                    reports.append(check_identity(ident, assign, tier_order, seed=tag))
+        elif ident not in COROLLARY_PARENTS:
+            # a corollary with a parent gets its printed row from the derivation
             base = desc.fixed_base if desc.fixed_base is not None else bases[0]
             rep = check_identity(ident, ParamAssignment(base, {}), order)
             if ident in PRINTED_COROLLARIES:

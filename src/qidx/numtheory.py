@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from .errors import NonIntegerResultError
 from .qring import QSeries

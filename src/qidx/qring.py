@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import (
     NonUnitLeadingError,
@@ -391,14 +391,15 @@ class QSeries:
             return NotImplemented
         if n < 0:
             return self.inv() ** (-n)
-        result = QSeries.const(self.ring, 1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+        if n == 0:
+            return QSeries.const(self.ring, 1, self.order)
+        # square-and-multiply from the base itself: a product with const(1)
+        # would cut the known window of a series whose offset is not 0
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def inv(self) -> "QSeries":

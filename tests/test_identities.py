@@ -1,11 +1,13 @@
 """Registry-level checks: fixed regression specs, sampling, reports, and the
 suite runner's gating semantics."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from qidx.errors import EmptyConstraintSetError
+from qidx import identities
+from qidx.errors import EmptyConstraintSetError, OrderExceededError
 from qidx.identities import (
     COROLLARY_PARENTS,
     ParamAssignment,
@@ -290,6 +292,30 @@ def test_suite_gating():
         )
     )
     assert not suite_ok(poisoned)
+
+
+def test_build_sides_rejects_a_short_builder(monkeypatch):
+    desc = get_descriptor("2.1")
+
+    def short_build(params, m, ring, order):
+        lhs, rhs = desc.build(params, m, ring, order)
+        return lhs, rhs.truncate(order - 1)
+
+    monkeypatch.setitem(
+        identities._REGISTRY, "2.1", dataclasses.replace(desc, build=short_build)
+    )
+    spec = assign(5, a=signed_param(1, 1), b=signed_param(1, 2))
+    with pytest.raises(OrderExceededError, match="only through q\\^19, asked for q\\^20"):
+        build_sides("2.1", spec, 20)
+    with pytest.raises(OrderExceededError):
+        check_identity("2.1", spec, 20)
+
+
+def test_suite_emits_each_printed_row_once():
+    reports = run_suite(order=12, symbolic_order=8, trials=1, seed="once")
+    printed = [(r.identity, r.spec) for r in reports if r.spec == "printed"]
+    assert len(printed) == len(set(printed))
+    assert {ident for ident, _ in printed} == set(COROLLARY_PARENTS) | {"3.6"}
 
 
 def test_suite_deterministic():

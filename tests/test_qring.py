@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from qidx.constructors import SpecMonomial, poch_inf
 from qidx.errors import NonUnitLeadingError, OrderExceededError, RingMismatchError
 from qidx.exactalg import LaurentPoly, VAR_A, VAR_B
 from qidx.qring import QSeries, RATIONAL, SYMBOLIC, format_series
@@ -245,6 +246,22 @@ def test_scale_shift_pow():
     assert sq.coeff(0) == 1 and sq.coeff(1) == 2 and sq.coeff(2) == 1
     neg = x**-1
     assert neg.coeff(0) == 1 and neg.coeff(1) == -1 and neg.coeff(2) == 1
+
+
+def test_pow_keeps_the_window_of_a_shifted_series():
+    # x = q*(q;q)_inf is known through q^17; a power must know as much as the
+    # repeated product does, not stop where a const(1) start would cut it
+    x = QSeries.monomial(RATIONAL, 1, 1, 17) * poch_inf(SpecMonomial.signed(1, 1), 1, 17)
+    assert (x.offset, x.order) == (1, 17)
+    for k in (-3, -2, -1, 1, 2, 3):
+        base = x if k > 0 else x.inv()
+        product = base
+        for _ in range(abs(k) - 1):
+            product = product * base
+        power = x**k
+        assert (power.offset, power.order) == (product.offset, product.order)
+        assert power.coeffs == product.coeffs
+    assert (x**-3).order == 13
 
 
 def test_euler_and_subst_on_series():
