@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qidx import identities
+from qidx.cli import main
 from qidx.errors import EmptyConstraintSetError, OrderExceededError
 from qidx.identities import (
     COROLLARY_PARENTS,
@@ -294,7 +295,7 @@ def test_suite_gating():
     assert not suite_ok(poisoned)
 
 
-def test_build_sides_rejects_a_short_builder(monkeypatch):
+def test_build_sides_rejects_a_short_builder(monkeypatch, capsys):
     desc = get_descriptor("2.1")
 
     def short_build(params, m, ring, order):
@@ -309,6 +310,9 @@ def test_build_sides_rejects_a_short_builder(monkeypatch):
         build_sides("2.1", spec, 20)
     with pytest.raises(OrderExceededError):
         check_identity("2.1", spec, 20)
+    argv = ["verify", "2.1", "--base", "5", "--spec", "a=q^1,b=q^2", "--order", "20"]
+    assert main(argv) == 2
+    assert "built its sides only through q^19" in capsys.readouterr().err
 
 
 def test_suite_emits_each_printed_row_once():
