@@ -63,9 +63,17 @@ def _assignment_for(ident: str, base: Optional[int], spec_text: str) -> ParamAss
     return ParamAssignment(base, params)
 
 
+# Series work grows at least quadratically with the order; far past the
+# orders the suite checks (at most a few hundred), one command would run for
+# hours, so larger orders are refused up front.
+MAX_ORDER = 10_000
+
+
 def _check_order(order: int) -> None:
     if order < 0:
         raise UsageError(f"--order must be at least 0, got {order}")
+    if order > MAX_ORDER:
+        raise UsageError(f"--order must be at most {MAX_ORDER}, got {order}")
 
 
 def _report_line(r: CheckReport) -> str:

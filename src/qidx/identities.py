@@ -928,8 +928,14 @@ def check_identity(
 # randomized specs
 
 @lru_cache(maxsize=256)
-def _feasible(ident: str, base: int) -> Tuple[Tuple[int, ...], ...]:
-    return tuple(get_descriptor(ident).region(base))
+def _feasible(ident: str, base: int, symbolic: bool) -> Tuple[Tuple[int, ...], ...]:
+    """The region's exponent tuples in region order; with ``symbolic``, only
+    those whose symbolic-unit assignment passes the identity's validator."""
+    desc = get_descriptor(ident)
+    region = tuple(desc.region(base))
+    if symbolic:
+        return tuple(t for t in region if _symbolic_tuple_ok(desc, base, t))
+    return region
 
 
 def random_spec(
@@ -946,9 +952,7 @@ def random_spec(
         base = desc.fixed_base
     if not desc.params:
         return ParamAssignment(base=base, params={})
-    feasible = _feasible(ident, base)
-    if symbolic:
-        feasible = [t for t in feasible if _symbolic_tuple_ok(desc, base, t)]
+    feasible = _feasible(ident, base, symbolic)
     if not feasible:
         raise EmptyConstraintSetError(
             f"no valid parameter exponents for identity {ident} at base {base}"

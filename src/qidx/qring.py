@@ -9,16 +9,28 @@ Coefficients live in one of two rings (see ``exactalg``): plain rationals,
 or Laurent polynomials in the four unit symbols.  In both cases scalar
 entries are stored as int/Fraction; symbolic entries as LaurentPoly.
 
-Multiplication uses exact big-integer packing: each coefficient array is
-scaled to a common denominator, packed into one large integer with fixed-
-width signed digits, and multiplied once.  This keeps full products of
-order a few hundred comfortably fast in pure Python.
+Multiplication picks one of three exact kernels from what the operands hold:
+
+  * either operand has a tau-monomial coefficient: a sparse term product.
+    Symbolic windows are sparse (a few hundred nonzero terms spread over
+    about a hundred tau-monomials), so every pair of nonzero terms whose
+    q exponents land inside the window is multiplied once and accumulated
+    under one int key that folds the q exponent and the four tau exponents;
+  * scalar coefficients, one side with at most two nonzero terms: a
+    schoolbook loop over the nonzero terms of the short side;
+  * scalar coefficients otherwise: Kronecker substitution.  Both windows
+    are scaled to a common denominator, packed into one big integer each
+    with byte-aligned signed digits, and multiplied once; packing and
+    unpacking are linear-time byte conversions.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import defaultdict
 from fractions import Fraction
+from operator import mul
 from typing import List, Tuple
 
 from .errors import (
@@ -28,9 +40,10 @@ from .errors import (
 )
 from .exactalg import (
     MONO_ONE,
+    NVARS,
     LaurentPoly,
+    Monomial,
     mono_inv,
-    mono_mul,
     normalize_scalar,
 )
 
@@ -99,123 +112,124 @@ def _check_same_ring(x: "QSeries", y: "QSeries"):
 
 
 # ---------------------------------------------------------------------------
-# packed exact convolution
-# ---------------------------------------------------------------------------
+# product kernels (the module docstring says which one a product uses)
 
 
-def _pack(arr: List[int], width: int) -> int:
-    v = 0
-    shift = 0
-    for a in arr:
-        if a:
-            v += a << shift
-        shift += width
-    return v
+def _lcm_den(values) -> int:
+    return math.lcm(*{c.denominator for c in values if type(c) is Fraction})
 
 
-def _unpack(v: int, count: int, width: int) -> List[int]:
-    mask = (1 << width) - 1
-    half = 1 << (width - 1)
-    out = []
-    for _ in range(count):
-        d = v & mask
-        if d >= half:
-            d -= 1 << width
-        v = (v - d) >> width
-        out.append(d)
-    return out
+def _bias(count: int, nbytes: int) -> int:
+    """The int whose ``count`` base-256**nbytes digits are all 2**(8*nbytes-1)."""
+    return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
 
 
-def _parts_of(qs: "QSeries") -> Tuple[int, dict]:
-    """Split a coefficient window into {monomial: scaled int array}.
+def _pack(arr: List[int], nbytes: int) -> int:
+    """sum(arr[i] * 256**(nbytes*i)) for digits |arr[i]| < 2**(8*nbytes-1).
 
-    Returns (den, parts) where every stored value times 1/den is exact.
-    Rational-mode series always land in the single key MONO_ONE.
+    Each digit is biased to be non-negative, so the digits' bytes join into
+    one int in a single pass; one subtraction takes the bias off again.
     """
-    n = len(qs.coeffs)
-    den = 1
-    for c in qs.coeffs:
-        if isinstance(c, Fraction):
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        elif isinstance(c, LaurentPoly):
-            for cc in c.terms.values():
-                if isinstance(cc, Fraction):
-                    den = den * cc.denominator // math.gcd(den, cc.denominator)
-    parts: dict = {}
-    for i, c in enumerate(qs.coeffs):
+    half = 1 << (8 * nbytes - 1)
+    raw = b"".join((a + half).to_bytes(nbytes, "little") for a in arr)
+    return int.from_bytes(raw, "little") - _bias(len(arr), nbytes)
+
+
+def _unpack(v: int, count: int, nbytes: int) -> List[int]:
+    """The lowest ``count`` signed base-256**nbytes digits of ``v``, each of
+    which must satisfy |digit| < 2**(8*nbytes-1)."""
+    half = 1 << (8 * nbytes - 1)
+    size = nbytes * count
+    raw = ((v + _bias(count, nbytes)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [
+        int.from_bytes(raw[k : k + nbytes], "little") - half
+        for k in range(0, size, nbytes)
+    ]
+
+
+def _packed_product(x: List, y: List, out_len: int) -> List:
+    """The first out_len coefficients of the product of two scalar windows:
+    both are scaled to integers, packed into one int each and multiplied
+    once (Kronecker substitution)."""
+    x, y = x[:out_len], y[:out_len]
+    dx, dy = _lcm_den(x), _lcm_den(y)
+    if dx > 1:
+        x = [int(c * dx) for c in x]
+    if dy > 1:
+        y = [int(c * dy) for c in y]
+    bound = out_len * max(map(abs, x)) * max(map(abs, y))
+    nbytes = (bound.bit_length() + 8) // 8
+    digits = _unpack(_pack(x, nbytes) * _pack(y, nbytes), out_len, nbytes)
+    den = dx * dy
+    if den == 1:
+        return digits
+    return [normalize_scalar(Fraction(d, den)) if d else 0 for d in digits]
+
+
+def _terms(coeffs: List) -> Tuple[List[Tuple[int, Monomial, int]], int]:
+    """Every nonzero (index, tau-monomial, coefficient) of a window, with the
+    coefficients multiplied by their common denominator, and that denominator."""
+    out = []
+    for i, c in enumerate(coeffs):
+        if type(c) is LaurentPoly:
+            out.extend((i, mono, cc) for mono, cc in c.terms.items())
+        elif c:
+            out.append((i, MONO_ONE, c))
+    den = _lcm_den(t[2] for t in out)
+    if den > 1:
+        out = [(i, mono, int(c * den)) for i, mono, c in out]
+    return out, den
+
+
+def _term_product(x: List, y: List, out_len: int) -> List:
+    """The first out_len coefficients of the product of two windows with
+    tau-Laurent coefficients, by sparse term accumulation.
+
+    A term's q index and four tau exponents fold into one int key, a mixed-
+    radix number whose strides come from the spans of the result's
+    exponents, so the key of a product of two terms is the sum of their
+    keys.  Term products accumulate in one dict; each key is decoded once.
+    """
+    (tx, dx), (ty, dy) = _terms(x[:out_len]), _terms(y[:out_len])
+    lows, spans, strides = [], [], []
+    stride = out_len
+    for v in range(NVARS):
+        ex = [mono[v] for _, mono, _ in tx]
+        ey = [mono[v] for _, mono, _ in ty]
+        lows.append(min(ex) + min(ey))
+        spans.append(max(ex) + max(ey) - lows[v] + 1)
+        strides.append(stride)
+        stride *= spans[v]
+    base = sum(map(mul, lows, strides))
+    jy = [j for j, _, _ in ty]
+    ky = [(j + sum(map(mul, mono, strides)), c) for j, mono, c in ty]
+    acc = defaultdict(int)
+    for i, mono, c1 in tx:
+        k1 = i + sum(map(mul, mono, strides))
+        # y terms are in index order: stop where i + j leaves the window
+        for k2, c2 in ky[: bisect_left(jy, out_len - i)]:
+            acc[k1 + k2] += c1 * c2
+    den = dx * dy
+    cols: List = [None] * out_len
+    for k, c in acc.items():
         if not c:
             continue
-        if isinstance(c, LaurentPoly):
-            for mono, cc in c.terms.items():
-                row = parts.get(mono)
-                if row is None:
-                    row = parts[mono] = [0] * n
-                row[i] = cc * den if den > 1 else cc
-        else:
-            row = parts.get(MONO_ONE)
-            if row is None:
-                row = parts[MONO_ONE] = [0] * n
-            row[i] = c * den if den > 1 else c
-    if den > 1:
-        for row in parts.values():
-            for i, v in enumerate(row):
-                if v and not isinstance(v, int):
-                    row[i] = int(v)
-    return den, parts
-
-
-def _mul_windows(x: "QSeries", y: "QSeries", out_len: int):
-    """Multiply two coefficient windows, returning (den, cols) where cols is
-    a list of {monomial: int} dicts of length out_len."""
-    dx, px = _parts_of(x)
-    dy, py = _parts_of(y)
-    den = dx * dy
-    cols: List[dict] = [dict() for _ in range(out_len)]
-    if not px or not py:
-        return den, cols
-    ax = max(max(abs(v) for v in row) for row in px.values())
-    ay = max(max(abs(v) for v in row) for row in py.values())
-    if ax == 0 or ay == 0:
-        return den, cols
-    lmin = min(len(x.coeffs), len(y.coeffs))
-    pairs_per_key = min(len(px), len(py))
-    width = (lmin * ax * ay * pairs_per_key).bit_length() + 2
-    if width < 3:
-        width = 3
-    packed_x = {m: _pack(row, width) for m, row in px.items()}
-    packed_y = {m: _pack(row, width) for m, row in py.items()}
-    acc: dict = {}
-    for m1, v1 in packed_x.items():
-        for m2, v2 in packed_y.items():
-            key = mono_mul(m1, m2)
-            prod = v1 * v2
-            if key in acc:
-                acc[key] += prod
-            else:
-                acc[key] = prod
-    for key, v in acc.items():
-        row = _unpack(v, out_len, width)
-        for i, d in enumerate(row):
-            if d:
-                cols[i][key] = cols[i].get(key, 0) + d
-    return den, cols
-
-
-def _col_to_coeff(col: dict, den: int):
-    if not col:
-        return 0
-    if den == 1:
-        if len(col) == 1 and MONO_ONE in col:
-            return col[MONO_ONE]
-        return LaurentPoly._raw(dict(col))
-    if len(col) == 1 and MONO_ONE in col:
-        return normalize_scalar(Fraction(col[MONO_ONE], den))
-    terms = {}
-    for mono, v in col.items():
-        c = normalize_scalar(Fraction(v, den))
-        if c != 0:
-            terms[mono] = c
-    return LaurentPoly._raw(terms)
+        k, i = divmod(k - base, out_len)
+        mono = []
+        for low, span in zip(lows, spans):
+            k, e = divmod(k, span)
+            mono.append(low + e)
+        if den > 1:
+            c = normalize_scalar(Fraction(c, den))
+        if cols[i] is None:
+            cols[i] = {}
+        cols[i][tuple(mono)] = c
+    return [
+        0 if col is None
+        else col[MONO_ONE] if len(col) == 1 and MONO_ONE in col
+        else LaurentPoly._raw(col)
+        for col in cols
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +362,15 @@ class QSeries:
         out_offset = self.offset + other.offset
         order = min(self.order + other.offset, other.order + self.offset)
         out_len = order - out_offset + 1
-        nnz_self = sum(1 for c in self.coeffs if c)
-        nnz_other = sum(1 for c in other.coeffs if c)
+        x, y = self.coeffs, other.coeffs
+        if self.ring.symbolic and (
+            any(type(c) is LaurentPoly for c in x)
+            or any(type(c) is LaurentPoly for c in y)
+        ):
+            out = _term_product(x, y, out_len)
+            return QSeries._raw(self.ring, out_offset, out, order)
+        nnz_self = sum(1 for c in x if c)
+        nnz_other = sum(1 for c in y if c)
         if min(nnz_self, nnz_other) <= 2:
             sp, dn = (self, other) if nnz_self <= nnz_other else (other, self)
             out = [0] * out_len
@@ -365,9 +386,8 @@ class QSeries:
                         out[i + j] = t if isinstance(prev, int) and prev == 0 else prev + t
             out = [c if type(c) is int else _canon(c) for c in out]
             return QSeries._raw(self.ring, out_offset, out, order)
-        den, cols = _mul_windows(self, other, out_len)
-        coeffs = [_col_to_coeff(col, den) for col in cols]
-        return QSeries._raw(self.ring, out_offset, coeffs, order)
+        out = _packed_product(x, y, out_len)
+        return QSeries._raw(self.ring, out_offset, out, order)
 
     __rmul__ = __mul__
 

@@ -2,11 +2,12 @@
 
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
 
-from qidx.cli import main
+from qidx.cli import MAX_ORDER, main
 from qidx.errors import (
     ArityError,
     ExprSyntaxError,
@@ -320,6 +321,24 @@ def test_cli_negative_order_is_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--order must be at least 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "poch(q)", "--order", "100000000"),
+        ("verify", "1.3", "--base", "7", "--spec", "a=-q^1,b=-q^2,c=-q^4", "--order", "10001"),
+        ("verify-all", "--order", "100000000", "--trials", "1"),
+    ],
+)
+def test_cli_order_above_the_ceiling_is_exit_2(capsys, argv):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    assert out == ""
+    order = argv[argv.index("--order") + 1]
+    assert err == f"error: --order must be at most {MAX_ORDER}, got {order}\n"
 
 
 def test_glam_argument_order_is_m_x_u_v_s_r0():
