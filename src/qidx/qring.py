@@ -113,6 +113,7 @@ def _check_same_ring(x: "QSeries", y: "QSeries"):
 
 # ---------------------------------------------------------------------------
 # product kernels (the module docstring says which one a product uses)
+# ---------------------------------------------------------------------------
 
 
 def _lcm_den(values) -> int:

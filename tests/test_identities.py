@@ -167,6 +167,30 @@ def test_random_spec_symbolic_mode():
     assert rep.status == "equal"
 
 
+def test_symbolic_draws_validate_each_region_tuple_once(monkeypatch):
+    calls = {}
+    original = identities._symbolic_tuple_ok
+
+    def counting(desc, base, expos):
+        calls[expos] = calls.get(expos, 0) + 1
+        return original(desc, base, expos)
+
+    monkeypatch.setattr(identities, "_symbolic_tuple_ok", counting)
+    identities._feasible.cache_clear()
+    try:
+        for t in range(20):
+            random_spec("2.7", 11, f"s{t}", symbolic=True)
+        feasible = identities._feasible("2.7", 11, True)
+    finally:
+        identities._feasible.cache_clear()
+    desc = get_descriptor("2.7")
+    region = list(desc.region(11))
+    assert sorted(calls) == sorted(region)
+    assert set(calls.values()) == {1}
+    # the filter keeps region order, so every seeded draw is unchanged
+    assert list(feasible) == [t for t in region if original(desc, 11, t)]
+
+
 def test_random_spec_symbolic_theta_forces_origin():
     for t in range(10):
         a = random_spec("1.1", 7, f"s{t}", symbolic=True)
