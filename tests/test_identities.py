@@ -2,6 +2,8 @@
 suite runner's gating semantics."""
 
 import dataclasses
+import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -353,3 +355,41 @@ def test_suite_deterministic():
         {k: v for k, v in r.to_json_dict().items() if k != "runtime_ms"} for r in rows
     ]
     assert strip(r1) == strip(r2)
+
+
+# ---------------------------------------------------------------------------
+# pinned side coefficients
+
+SIDES_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "sides.json")
+
+
+def builder_sides():
+    """str() of both sides of every registry id at one seeded spec: signed
+    through q^20 and, for an id with parameters, symbolic through q^16.
+
+    Regenerate with
+    PYTHONPATH=src:tests python -c "import json, test_identities as t;
+    print(json.dumps(t.builder_sides(), indent=1))" > tests/golden/sides.json
+    """
+    out = {}
+    for row in list_identities():
+        ident = row["identity"]
+        tiers = [("signed", False, 20)]
+        if row["params"]:
+            tiers.append(("symbolic", True, 16))
+        for tag, symbolic, order in tiers:
+            spec = random_spec(ident, 7, "golden", symbolic=symbolic)
+            lhs, rhs = build_sides(ident, spec, order)
+            out[f"{ident} {tag}"] = {
+                "spec": spec.spec_string(),
+                "lhs": str(lhs.truncate(order)),
+                "rhs": str(rhs.truncate(order)),
+            }
+    return out
+
+
+def test_builder_sides_match_golden():
+    # both sides are pinned, since a builder mistake made the same way on
+    # both sides still verifies as equal
+    with open(SIDES_GOLDEN) as handle:
+        assert builder_sides() == json.load(handle)
