@@ -15,6 +15,12 @@ takes a ``pad`` argument adding extra window terms, so tests can double the
 window and check the result does not move.  One generator (``_window``)
 walks every window, and every term writes its expansion straight into one
 per-exponent accumulator (``_Acc``), so a sum builds its series once.
+
+One-sided Lambert sums all go through ``lambert_sum``, which takes a list
+of terms (c, M, x, s, W, r0) and writes the window of each into a single
+accumulator: ``generalized_lambert`` is its one-term case, ``l_func`` its
+two-term case, ``char_lambert`` one term per nonzero table entry, and the
+identity builders pass whole linear combinations as one list.
 """
 
 from __future__ import annotations
@@ -161,6 +167,7 @@ def infer_ring(*xs: Optional[SpecMonomial]) -> CoeffRing:
 
 
 _ONE = Unit()
+_Q0 = SpecMonomial.one()
 _BILATERAL = ((0, 1), (-1, -1))
 
 
@@ -300,11 +307,11 @@ def _window(order: int, pad: int, min_order, grows, starts, what: str):
 
 
 def _lambert_window(
-    ring, order, pad, starts, what, v_unit, g0, m, k, s, shift, prefactor
-) -> QSeries:
-    """The sum over the window of c * unit * q^shift(n) * v^k / (1-v)^s with
-    v = v_unit q^(g0 + m n) and (c, unit) = prefactor(n); c = 0 skips n."""
-    acc = _Acc(ring, order)
+    acc, pad, starts, what, v_unit, g0, m, k, s, shift, prefactor
+) -> None:
+    """Add to ``acc`` the sum over the window of c * unit * q^shift(n) * v^k /
+    (1-v)^s with v = v_unit q^(g0 + m n) and (c, unit) = prefactor(n); c = 0
+    skips n."""
 
     def min_order(n: int) -> int:
         return shift(n) + _lead(g0 + m * n, k, s)
@@ -312,11 +319,10 @@ def _lambert_window(
     def grows(n: int, step: int) -> bool:
         return (g0 + m * n) * step > 0
 
-    for n in _window(order, pad, min_order, grows, starts, what):
+    for n in _window(acc.order, pad, min_order, grows, starts, what):
         c, unit = prefactor(n)
         if c:
             acc.add_term(c, unit, shift(n), SpecMonomial(v_unit, g0 + m * n), k, s)
-    return acc.series()
 
 
 def one_minus(x: SpecMonomial, ring: CoeffRing, order: int) -> QSeries:
@@ -540,12 +546,14 @@ def jordan_kronecker(
     """
     _check_f_args(a, m, "first argument")
     _check_pole_guard(b, m, "second argument")
-    return _lambert_window(
-        ring or infer_ring(a, b), order, pad, _BILATERAL, "bilateral window",
+    acc = _Acc(ring or infer_ring(a, b), order)
+    _lambert_window(
+        acc, pad, _BILATERAL, "bilateral window",
         b.unit, b.qexp, m, 0, 1,
         shift=lambda n: a.qexp * n,
         prefactor=lambda n: (1, a.unit.pow(n)),
     )
+    return acc.series()
 
 
 def jk_partial_a(
@@ -559,12 +567,14 @@ def jk_partial_a(
     """The bilateral sum of b^n q^{mn} / (1 - a q^{mn})^2."""
     _check_f_args(a, m, "first argument")
     _check_f_args(b, m, "second argument")
-    return _lambert_window(
-        ring or infer_ring(a, b), order, pad, _BILATERAL, "bilateral window",
+    acc = _Acc(ring or infer_ring(a, b), order)
+    _lambert_window(
+        acc, pad, _BILATERAL, "bilateral window",
         a.unit, a.qexp, m, 0, 2,
         shift=lambda n: (b.qexp + m) * n,
         prefactor=lambda n: (1, b.unit.pow(n)),
     )
+    return acc.series()
 
 
 def n_weighted_sum(
@@ -582,12 +592,61 @@ def n_weighted_sum(
             f"second argument needs positive order, got {x.qexp}"
         )
     _check_pole_guard(x, m, "second argument")
-    return _lambert_window(
-        ring or infer_ring(a, x), order, pad, ((1, 1), (-1, -1)), "bilateral window",
+    acc = _Acc(ring or infer_ring(a, x), order)
+    _lambert_window(
+        acc, pad, ((1, 1), (-1, -1)), "bilateral window",
         x.unit, x.qexp, m, 0, 1,
         shift=lambda n: a.qexp * n,
         prefactor=lambda n: (n, a.unit.pow(n)),
     )
+    return acc.series()
+
+
+def lambert_sum(
+    terms: Sequence[tuple],
+    m: int,
+    order: int,
+    ring: Optional[CoeffRing] = None,
+    pad: int = 2,
+) -> QSeries:
+    """The sum over terms (c, M, x, s, W, r0) of c times the one-sided
+    Lambert sum of W(r) * M^r * x q^{mr} / (1 - x q^{mr})^s over r >= r0.
+
+    Terms are checked in turn, each just before its window is written into
+    the one accumulator every term shares.
+    """
+    if m < 1:
+        raise ConstraintViolationError("base scale must be a positive integer")
+    if ring is None:
+        ring = infer_ring(*(y for t in terms for y in t[1:3]))
+    acc = _Acc(ring, order)
+    for c, M, x, s, W, r0 in terms:
+        if r0 not in (0, 1):
+            raise ConstraintViolationError("lower summation index must be 0 or 1")
+        if s not in (1, 2):
+            raise ConstraintViolationError("denominator power must be 1 or 2")
+        mu, xi = M.qexp, x.qexp
+        if mu + m <= 0:
+            raise DivergentTailError(
+                f"term order slope ord(M) + m = {mu + m} is not positive"
+            )
+        # a pole inside the summation range is an error unless its weight vanishes
+        if xi % m == 0:
+            rstar = -xi // m
+            if rstar >= r0 and W(rstar) != 0:
+                v = SpecMonomial(x.unit, 0)
+                if x.unit.symbolic:
+                    raise SymbolicNonUnitError(
+                        f"Lambert term at r = {rstar} has unit argument {v}"
+                    )
+                if x.unit.sign == 1:
+                    raise PoleError(f"Lambert term at r = {rstar} hits the pole at 1")
+        _lambert_window(
+            acc, pad, ((r0, 1),), "Lambert tail", x.unit, xi, m, 1, s,
+            shift=lambda r: mu * r,
+            prefactor=lambda r: (c * W(r), M.unit.pow(r)),
+        )
+    return acc.series()
 
 
 def generalized_lambert(
@@ -603,34 +662,21 @@ def generalized_lambert(
 ) -> QSeries:
     """The one-sided Lambert sum of W(r) * M^r * x q^{mr} / (1 - x q^{mr})^s
     over r >= r0."""
-    if m < 1:
-        raise ConstraintViolationError("base scale must be a positive integer")
-    if r0 not in (0, 1):
-        raise ConstraintViolationError("lower summation index must be 0 or 1")
-    if s not in (1, 2):
-        raise ConstraintViolationError("denominator power must be 1 or 2")
-    mu, xi = M.qexp, x.qexp
-    if mu + m <= 0:
-        raise DivergentTailError(
-            f"term order slope ord(M) + m = {mu + m} is not positive"
-        )
-    # a pole inside the summation range is an error unless its weight vanishes
-    if xi % m == 0:
-        rstar = -xi // m
-        if rstar >= r0 and W(rstar) != 0:
-            v = SpecMonomial(x.unit, 0)
-            if x.unit.symbolic:
-                raise SymbolicNonUnitError(
-                    f"Lambert term at r = {rstar} has unit argument {v}"
-                )
-            if x.unit.sign == 1:
-                raise PoleError(f"Lambert term at r = {rstar} hits the pole at 1")
-    return _lambert_window(
-        ring or infer_ring(M, x), order, pad, ((r0, 1),), "Lambert tail",
-        x.unit, xi, m, 1, s,
-        shift=lambda r: mu * r,
-        prefactor=lambda r: (W(r), M.unit.pow(r)),
-    )
+    return lambert_sum([(1, M, x, s, W, r0)], m, order, ring, pad)
+
+
+def _l_terms(m: int, weighted) -> list:
+    """The lambert_sum terms of the sum of c * l(b) over (b, c) in
+    ``weighted``, each b checked as ``l_func`` checks its argument."""
+    terms = []
+    for b, c in weighted:
+        if b.qexp <= 0:
+            raise ConstraintViolationError(
+                f"Lambert difference needs positive order, got {b.qexp}"
+            )
+        _check_pole_guard(b, m, "argument")
+        terms += [(c, _Q0, b, 1, W_ONE, 0), (-c, _Q0, b.inv(), 1, W_ONE, 1)]
+    return terms
 
 
 def l_func(
@@ -641,18 +687,7 @@ def l_func(
     pad: int = 2,
 ) -> QSeries:
     """l(b): the difference of the two one-sided Lambert sums of b and 1/b."""
-    if b.qexp <= 0:
-        raise ConstraintViolationError(
-            f"Lambert difference needs positive order, got {b.qexp}"
-        )
-    _check_pole_guard(b, m, "argument")
-    if ring is None:
-        ring = infer_ring(b)
-    pos = generalized_lambert(SpecMonomial.one(), b, 1, W_ONE, 0, m, order, ring, pad)
-    neg = generalized_lambert(
-        SpecMonomial.one(), b.inv(), 1, W_ONE, 1, m, order, ring, pad
-    )
-    return pos - neg
+    return lambert_sum(_l_terms(m, [(b, 1)]), m, order, ring, pad)
 
 
 def char_lambert(
@@ -664,25 +699,12 @@ def char_lambert(
         raise ConstraintViolationError("character table must be non-empty")
     if any(v not in (-1, 0, 1) for v in table):
         raise ConstraintViolationError("character table entries must be -1, 0 or +1")
-    if ring is None:
-        ring = RATIONAL
-    total = QSeries.zero(ring, order)
-    for j in range(1, k + 1):
-        chi = table[j % k]
-        if chi == 0:
-            continue
-        g = generalized_lambert(
-            SpecMonomial.one(),
-            SpecMonomial.signed(1, j),
-            s,
-            W_ONE,
-            0,
-            k,
-            order,
-            ring,
-        )
-        total = total + (g if chi == 1 else -g)
-    return total
+    terms = [
+        (table[j % k], _Q0, SpecMonomial.signed(1, j), s, W_ONE, 0)
+        for j in range(1, k + 1)
+        if table[j % k]
+    ]
+    return lambert_sum(terms, k, order, ring or RATIONAL)
 
 
 def jk_product_form(

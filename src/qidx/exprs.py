@@ -43,20 +43,6 @@ from .identities import _PARAM_VARS, symbolic_param
 from .numtheory import CHI1, CHI2, CHI3
 from .qring import QSeries
 
-FUNCTIONS = (
-    "poch",
-    "pochn",
-    "theta",
-    "pf",
-    "f",
-    "fa",
-    "l",
-    "glam",
-    "chilam",
-    "phi",
-)
-
-
 # ---------------------------------------------------------------------------
 # AST
 
@@ -254,7 +240,7 @@ class _Parser:
                         self.next()
                         args.append(self.parse_expr())
                 self.expect(")")
-                if t.text not in FUNCTIONS:
+                if t.text not in _SIGNATURES:
                     raise UnknownFunctionError(
                         f"unknown function {t.text!r} at offset {t.pos + 1}"
                     )
@@ -402,80 +388,57 @@ def _eval(node: Node, ctx: _Ctx):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _as_table(kind, val, what: str):
+    which = _as_int(kind, val, what)
+    if which not in (1, 2, 3):
+        raise ArityError("chilam table index must be 1, 2, or 3")
+    return (CHI1, CHI2, CHI3)[which - 1]
+
+
+def _glam(M, x, u, v, s, r0, m, order, ring):
+    return generalized_lambert(M, x, s, AffineWeight(u, v), r0, m, order, ring=ring)
+
+
+def _chilam(table, s, m, order, ring):
+    return char_lambert(table, s, order, ring=ring)
+
+
+# name -> (constructor, then one (converter, label) per argument); the
+# constructor gets the converted arguments, then base, order and ring.  It is
+# named, not held, so a rebinding of this module's names (as the benchmark's
+# tracer makes) reaches every call.
+_SIGNATURES = {
+    "poch": ("poch_inf", (_as_mono, "poch argument")),
+    "pochn": ("poch_fin", (_as_mono, "pochn argument"), (_as_int, "pochn count")),
+    "theta": ("theta_sum", (_as_mono, "theta argument")),
+    "pf": ("pf_sum", (_as_mono, "pf argument")),
+    "f": ("jordan_kronecker", (_as_mono, "first f argument"), (_as_mono, "second f argument")),
+    "fa": ("jk_partial_a", (_as_mono, "first fa argument"), (_as_mono, "second fa argument")),
+    "l": ("l_func", (_as_mono, "l argument")),
+    "glam": (
+        "_glam",
+        (_as_mono, "glam numerator monomial"),
+        (_as_mono, "glam denominator monomial"),
+        (_as_int, "glam weight slope"),
+        (_as_int, "glam weight offset"),
+        (_as_int, "glam denominator power"),
+        (_as_int, "glam start index"),
+    ),
+    "chilam": ("_chilam", (_as_table, "chilam table index"), (_as_int, "chilam power")),
+    "phi": ("phi_minus",),
+}
+
+
 def _eval_call(node: Call, ctx: _Ctx) -> QSeries:
     vals = [_eval(a, ctx) for a in node.args]
     name = node.func
-    m, order, ring = ctx.assign.base, ctx.order, ctx.ring
-
-    def need(n: int):
-        if len(vals) != n:
-            raise ArityError(f"{name}() takes {n} argument(s), got {len(vals)}")
-
-    if name == "poch":
-        need(1)
-        return poch_inf(_as_mono(*vals[0], "poch argument"), m, order, ring=ring)
-    if name == "pochn":
-        need(2)
-        return poch_fin(
-            _as_mono(*vals[0], "pochn argument"),
-            _as_int(*vals[1], "pochn count"),
-            m,
-            order,
-            ring=ring,
-        )
-    if name == "theta":
-        need(1)
-        return theta_sum(_as_mono(*vals[0], "theta argument"), m, order, ring=ring)
-    if name == "pf":
-        need(1)
-        return pf_sum(_as_mono(*vals[0], "pf argument"), m, order, ring=ring)
-    if name == "f":
-        need(2)
-        return jordan_kronecker(
-            _as_mono(*vals[0], "first f argument"),
-            _as_mono(*vals[1], "second f argument"),
-            m,
-            order,
-            ring=ring,
-        )
-    if name == "fa":
-        need(2)
-        return jk_partial_a(
-            _as_mono(*vals[0], "first fa argument"),
-            _as_mono(*vals[1], "second fa argument"),
-            m,
-            order,
-            ring=ring,
-        )
-    if name == "l":
-        need(1)
-        return l_func(_as_mono(*vals[0], "l argument"), m, order, ring=ring)
-    if name == "glam":
-        need(6)
-        weight = AffineWeight(
-            _as_int(*vals[2], "glam weight slope"), _as_int(*vals[3], "glam weight offset")
-        )
-        return generalized_lambert(
-            _as_mono(*vals[0], "glam numerator monomial"),
-            _as_mono(*vals[1], "glam denominator monomial"),
-            _as_int(*vals[4], "glam denominator power"),
-            weight,
-            _as_int(*vals[5], "glam start index"),
-            m,
-            order,
-            ring=ring,
-        )
-    if name == "chilam":
-        need(2)
-        which = _as_int(*vals[0], "chilam table index")
-        if which not in (1, 2, 3):
-            raise ArityError("chilam table index must be 1, 2, or 3")
-        table = (CHI1, CHI2, CHI3)[which - 1]
-        return char_lambert(table, _as_int(*vals[1], "chilam power"), order, ring=ring)
-    if name == "phi":
-        need(0)
-        return phi_minus(m, order, ring=ring)
-    raise UnknownFunctionError(f"unknown function {name!r}")
+    if name not in _SIGNATURES:
+        raise UnknownFunctionError(f"unknown function {name!r}")
+    ctor, *params = _SIGNATURES[name]
+    if len(vals) != len(params):
+        raise ArityError(f"{name}() takes {len(params)} argument(s), got {len(vals)}")
+    args = [conv(*val, what) for val, (conv, what) in zip(vals, params)]
+    return globals()[ctor](*args, ctx.assign.base, ctx.order, ring=ctx.ring)
 
 
 def eval_expr(node: Node, assign, order: int) -> QSeries:

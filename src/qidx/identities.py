@@ -8,6 +8,12 @@ Identity ids are short string labels ("1.1", "2.7", "phi", ...) fixed by the
 public interface; parameters are monomial substitutions q^e with a sign or a
 symbolic unit attached, constrained to windows where every constituent series
 is a well-defined unit-leading truncation.
+
+A builder writes each linear combination of one-sided Lambert sums on its
+sides as one list of ``lambert_sum`` terms (c, M, x, s, W, r0), with the
+terms of c * l(b) from ``_l_terms``; constants are added and products taken
+on the finished series.  Term coefficients stay integers: a fractional
+factor scales the combined series once.
 """
 
 from __future__ import annotations
@@ -24,12 +30,13 @@ from .constructors import (
     W_R,
     AffineWeight,
     SpecMonomial,
+    _l_terms,
     char_lambert,
-    generalized_lambert,
     jk_partial_a,
     jk_product_form,
     jordan_kronecker,
     l_func,
+    lambert_sum,
     n_weighted_sum,
     one_minus,
     phi_minus,
@@ -240,52 +247,19 @@ def _const(val, ring: CoeffRing, order: int) -> QSeries:
     return QSeries.const(ring, val, order)
 
 
-def _lam2(x: SpecMonomial, r0: int, m: int, ring: CoeffRing, order: int) -> QSeries:
-    """Sum over r >= r0 of x q^{mr} / (1 - x q^{mr})^2."""
-    return generalized_lambert(SpecMonomial.one(), x, 2, W_ONE, r0, m, order, ring=ring)
+def _q(j: int) -> SpecMonomial:
+    return SpecMonomial.signed(1, j)
 
 
-def _half_brace(params, m, ring, order) -> QSeries:
-    """1/2 + l(b) + l(c) - l(bc) for the squared two-parameter identities."""
-    b, c = params["b"], params["c"]
-    s = _const(Fraction(1, 2), ring, order)
-    s = s + l_func(b, m, order, ring=ring) + l_func(c, m, order, ring=ring)
-    return s - l_func(b.mul(c), m, order, ring=ring)
+_ONE = _q(0)
 
 
-def _square_rhs(params, m, ring, order) -> QSeries:
-    """The Lambert-sum side shared by the squared-brace identities."""
-    b, c = params["b"], params["c"]
+def _cross_terms(b: SpecMonomial, c: SpecMonomial) -> list:
+    """The lambert_sum terms of the sum over n >= 1 of (b^n + b^-n + c^n +
+    c^-n - (bc)^n - (bc)^-n - 2) q^{mn} / (1 - q^{mn})^2."""
     bc = b.mul(c)
-    total = _const(Fraction(1, 4), ring, order)
-    for x in (b, c, bc):
-        total = total + _lam2(x, 0, m, ring, order)
-    for x in (b.inv(), c.inv(), bc.inv()):
-        total = total + _lam2(x, 1, m, ring, order)
-    unit_tail = _lam2(SpecMonomial.one(), 1, m, ring, order)
-    return total - unit_tail.scale(6)
-
-
-def _cross_sums(params, m, ring, order) -> QSeries:
-    """Sum over n >= 1 of (b^n + b^-n + c^n + c^-n - (bc)^n - (bc)^-n - 2)
-    q^{mn} / (1 - q^{mn})^2, assembled from weighted geometric tails."""
-    b, c = params["b"], params["c"]
-    bc = b.mul(c)
-    total = None
-    for x, sgn in (
-        (b, 1),
-        (b.inv(), 1),
-        (c, 1),
-        (c.inv(), 1),
-        (bc, -1),
-        (bc.inv(), -1),
-    ):
-        g = generalized_lambert(x, SpecMonomial.one(), 2, W_ONE, 1, m, order, ring=ring)
-        total = g.scale(sgn) if total is None else total + g.scale(sgn)
-    tail = generalized_lambert(
-        SpecMonomial.one(), SpecMonomial.one(), 2, W_ONE, 1, m, order, ring=ring
-    )
-    return total - tail.scale(2)
+    signed = ((b, 1), (b.inv(), 1), (c, 1), (c.inv(), 1), (bc, -1), (bc.inv(), -1))
+    return [(sgn, x, _ONE, 2, W_ONE, 1) for x, sgn in signed + ((_ONE, -2),)]
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +302,6 @@ def _validate_1_2(params, m):
 # builders: the three-parameter product identity
 
 
-def _brace_1_3(params, m, ring, order) -> QSeries:
-    a, b, c = params["a"], params["b"], params["c"]
-    s = _const(1, ring, order)
-    for x in (a, b, c):
-        s = s + l_func(x, m, order, ring=ring)
-    return s - l_func(a.mul(b).mul(c), m, order, ring=ring)
-
-
 def _build_1_3(params, m, ring, order):
     a, b, c = params["a"], params["b"], params["c"]
     abc = a.mul(b).mul(c)
@@ -343,7 +309,8 @@ def _build_1_3(params, m, ring, order):
     lhs = pq * pq
     for pairarg in (a.mul(b), a.mul(c), b.mul(c)):
         lhs = lhs * _pair(pairarg, m, ring, order)
-    rhs = _brace_1_3(params, m, ring, order)
+    brace = _l_terms(m, [(a, 1), (b, 1), (c, 1), (abc, -1)])
+    rhs = _const(1, ring, order) + lambert_sum(brace, m, order, ring)
     for x in (a, b, c, abc):
         rhs = rhs * _pair(x, m, ring, order)
     return lhs, rhs
@@ -369,18 +336,10 @@ def _validate_1_3(params, m):
 def _build_1_4(params, m, ring, order):
     b, c = params["b"], params["c"]
     bc = b.mul(c)
-    lb = l_func(b, m, order, ring=ring)
-    lc = l_func(c, m, order, ring=ring)
-    lbc = l_func(bc, m, order, ring=ring)
-    lhs = (lb - lbc) * (lc - lbc)
-
-    rhs = term_series(bc, 2, order, ring=ring)
-    for x in (bc, bc.inv()):
-        rhs = rhs + generalized_lambert(
-            x, SpecMonomial.one(), 1, W_R, 1, m, order, ring=ring
-        )
-    rhs = rhs + _cross_sums(params, m, ring, order)
-    return lhs, rhs
+    left, right = (lambert_sum(_l_terms(m, [(x, 1), (bc, -1)]), m, order, ring) for x in (b, c))
+    terms = [(1, x, _ONE, 1, W_R, 1) for x in (bc, bc.inv())] + _cross_terms(b, c)
+    rhs = term_series(bc, 2, order, ring=ring) + lambert_sum(terms, m, order, ring)
+    return left * right, rhs
 
 
 def _validate_bc(params, m):
@@ -395,38 +354,33 @@ def _validate_bc(params, m):
 
 
 def _build_1_5(params, m, ring, order):
-    brace = _half_brace(params, m, ring, order)
-    return brace * brace, _square_rhs(params, m, ring, order)
+    b, c = params["b"], params["c"]
+    bc = b.mul(c)
+    brace = lambert_sum(_l_terms(m, [(b, 1), (c, 1), (bc, -1)]), m, order, ring)
+    brace = _const(Fraction(1, 2), ring, order) + brace
+    terms = [(1, _ONE, x, 2, W_ONE, 0) for x in (b, c, bc)]
+    terms += [(1, _ONE, x.inv(), 2, W_ONE, 1) for x in (b, c, bc)]
+    terms.append((-6, _ONE, _ONE, 2, W_ONE, 1))
+    rhs = _const(Fraction(1, 4), ring, order) + lambert_sum(terms, m, order, ring)
+    return brace * brace, rhs
 
 
 def _build_2_11(params, m, ring, order):
     b, c = params["b"], params["c"]
     bc = b.mul(c)
-    lb = l_func(b, m, order, ring=ring)
-    lc = l_func(c, m, order, ring=ring)
-    lbc = l_func(bc, m, order, ring=ring)
-    lhs = lb * lc
-    rhs = lbc * (lb + lc - lbc)
-    rhs = rhs + _cross_sums(params, m, ring, order)
-    rhs = rhs + _lam2(bc, 0, m, ring, order)
-    rhs = rhs + _lam2(bc.inv(), 1, m, ring, order)
-    return lhs, rhs
+    lb, lc, lbc = (l_func(x, m, order, ring=ring) for x in (b, c, bc))
+    terms = _cross_terms(b, c) + [(1, _ONE, bc, 2, W_ONE, 0), (1, _ONE, bc.inv(), 2, W_ONE, 1)]
+    rhs = lbc * (lb + lc - lbc) + lambert_sum(terms, m, order, ring)
+    return lb * lc, rhs
 
 
 def _build_2_12(params, m, ring, order):
     b = params["b"]
     lb = l_func(b, m, order, ring=ring)
-    lhs = lb * lb
-    euler = _lam2(b, 0, m, ring, order) + _lam2(b.inv(), 1, m, ring, order)
-    rhs = euler - lb
-    for x in (b, b.inv()):
-        rhs = rhs - generalized_lambert(
-            x, SpecMonomial.one(), 2, W_ONE, 1, m, order, ring=ring
-        ).scale(2)
-    rhs = rhs - generalized_lambert(
-        SpecMonomial.one(), SpecMonomial.one(), 2, W_ONE, 1, m, order, ring=ring
-    ).scale(2)
-    return lhs, rhs
+    terms = [(1, _ONE, b, 2, W_ONE, 0), (1, _ONE, b.inv(), 2, W_ONE, 1)]
+    terms += _l_terms(m, [(b, -1)])
+    terms += [(-2, x, _ONE, 2, W_ONE, 1) for x in (b, b.inv(), _ONE)]
+    return lb * lb, lambert_sum(terms, m, order, ring)
 
 
 def _validate_2_12(params, m):
@@ -455,7 +409,7 @@ def _build_2_2(params, m, ring, order):
     inner = jordan_kronecker(
         a.inv().times_qpow(m), b.inv(), m, order + b.qexp, ring=ring
     )
-    rhs = times_spec_monomial(inner, b.inv()).scale(-1)
+    rhs = -times_spec_monomial(inner, b.inv())
     return lhs, rhs
 
 
@@ -465,9 +419,8 @@ def _build_2_3(params, m, ring, order):
     oma = one_minus(a, ring, pad)
     omb = one_minus(b, ring, pad)
     lhs = jordan_kronecker(a, b, m, pad, ring=ring) * oma * omb
-    s1 = generalized_lambert(a, b, 1, W_ONE, 1, m, pad, ring=ring)
-    s2 = generalized_lambert(a.inv(), b.inv(), 1, W_ONE, 1, m, pad, ring=ring)
-    rhs = one_minus(a.mul(b), ring, pad) + oma * omb * (s1 - s2)
+    terms = [(1, a, b, 1, W_ONE, 1), (-1, a.inv(), b.inv(), 1, W_ONE, 1)]
+    rhs = one_minus(a.mul(b), ring, pad) + oma * omb * lambert_sum(terms, m, pad, ring)
     return lhs, rhs
 
 
@@ -520,7 +473,7 @@ def _build_2_9(params, m, ring, order):
     a, b, c = params["a"], params["b"], params["c"]
     bc = b.mul(c)
     lhs = n_weighted_sum(a, bc, m, order, ring=ring)
-    brace = l_func(a, m, order, ring=ring) - l_func(a.mul(bc), m, order, ring=ring)
+    brace = lambert_sum(_l_terms(m, [(a, 1), (a.mul(bc), -1)]), m, order, ring)
     rhs = jordan_kronecker(a, bc, m, order, ring=ring) * brace
     return lhs, rhs
 
@@ -531,10 +484,8 @@ def _build_2_10(params, m, ring, order):
     lhs = jordan_kronecker(a, b, m, order, ring=ring) * jordan_kronecker(
         a, c, m, order, ring=ring
     )
-    brace = _const(1, ring, order)
-    for x in (a, b, c):
-        brace = brace + l_func(x, m, order, ring=ring)
-    brace = brace - l_func(a.mul(bc), m, order, ring=ring)
+    brace = _l_terms(m, [(a, 1), (b, 1), (c, 1), (a.mul(bc), -1)])
+    brace = _const(1, ring, order) + lambert_sum(brace, m, order, ring)
     rhs = jordan_kronecker(a, bc, m, order, ring=ring) * brace
     return lhs, rhs
 
@@ -558,23 +509,15 @@ def _validate_abc_strict(params, m):
 def _build_3_8(params, m, ring, order):
     a, b, c, d = params["a"], params["b"], params["c"], params["d"]
     ab, cd = a.mul(b), c.mul(d)
-    la = l_func(a, m, order, ring=ring)
-    lb = l_func(b, m, order, ring=ring)
-    lc = l_func(c, m, order, ring=ring)
-    ld = l_func(d, m, order, ring=ring)
-    lab = l_func(ab, m, order, ring=ring)
-    lcd = l_func(cd, m, order, ring=ring)
-    first = la + lb - lc - ld - lab + lcd
-    second = _const(1, ring, order) + la + lb + lc + ld - lab - lcd
-    lhs = first * second
-
-    rhs = None
-    for x, sgn in ((a, 1), (b, 1), (ab, 1), (c, -1), (d, -1), (cd, -1)):
-        g = _lam2(x, 0, m, ring, order).scale(sgn)
-        rhs = g if rhs is None else rhs + g
-    for x, sgn in ((a, 1), (b, 1), (ab, 1), (c, -1), (d, -1), (cd, -1)):
-        rhs = rhs + _lam2(x.inv(), 1, m, ring, order).scale(sgn)
-    return lhs, rhs
+    first = _l_terms(m, [(a, 1), (b, 1), (c, -1), (d, -1), (ab, -1), (cd, 1)])
+    second = _l_terms(m, [(a, 1), (b, 1), (c, 1), (d, 1), (ab, -1), (cd, -1)])
+    lhs = lambert_sum(first, m, order, ring) * (
+        _const(1, ring, order) + lambert_sum(second, m, order, ring)
+    )
+    signed = ((a, 1), (b, 1), (ab, 1), (c, -1), (d, -1), (cd, -1))
+    terms = [(sgn, _ONE, x, 2, W_ONE, 0) for x, sgn in signed]
+    terms += [(sgn, _ONE, x.inv(), 2, W_ONE, 1) for x, sgn in signed]
+    return lhs, lambert_sum(terms, m, order, ring)
 
 
 def _validate_3_8(params, m):
@@ -591,41 +534,25 @@ def _validate_3_8(params, m):
 # builders: fixed-base corollaries
 
 
-def _g_sum(j: int, sign: int, m: int, ring, order) -> QSeries:
-    """Sum over r >= 0 of u q^{mr+j} / (1 - u q^{mr+j}) with u = sign."""
-    return generalized_lambert(
-        SpecMonomial.one(),
-        SpecMonomial.signed(sign, j),
-        1,
-        W_ONE,
-        0,
-        m,
-        order,
-        ring=ring,
-    )
-
-
 def _build_3_1(params, m, ring, order):
     del params
-    half = _const(Fraction(1, 2), ring, order)
-    s = half
-    for j in (1, 2, 4):
-        s = s + _g_sum(j, -1, 7, ring, order)
-    for j in (3, 5, 6):
-        s = s - _g_sum(j, -1, 7, ring, order)
+    # 2 * (1/2 + the brace of sums)
+    signed = ((1, 1), (2, 1), (4, 1), (3, -1), (5, -1), (6, -1))
+    terms = [(2 * sgn, _ONE, SpecMonomial.signed(-1, j), 1, W_ONE, 0) for j, sgn in signed]
+    s = _const(1, ring, order) + lambert_sum(terms, 7, order, ring)
     neg7 = poch_inf(SpecMonomial.signed(-1, 7), 7, order, ring=ring)
     neg1 = poch_inf(SpecMonomial.signed(-1, 1), 1, order, ring=ring)
-    lhs = s.scale(2) * neg7 * neg1
+    lhs = s * neg7 * neg1
     rhs = _Pq(7, ring, order) * _Pq(1, ring, order)
     return lhs, rhs
 
 
 def _build_3_3(params, m, ring, order):
     del params
-    s = _const(1, ring, order)
+    terms = []
     for j, w in ((1, 1), (2, 1), (3, 2)):
-        s = s + _g_sum(j, 1, 9, ring, order).scale(w)
-        s = s - _g_sum(9 - j, 1, 9, ring, order).scale(w)
+        terms += [(w, _ONE, _q(j), 1, W_ONE, 0), (-w, _ONE, _q(9 - j), 1, W_ONE, 0)]
+    s = _const(1, ring, order) + lambert_sum(terms, 9, order, ring)
     lhs = s * _Pq(1, ring, order)
     cube = (
         _Pq(9, ring, order)
@@ -636,92 +563,53 @@ def _build_3_3(params, m, ring, order):
     return lhs, rhs
 
 
-def _q5(j: int) -> SpecMonomial:
-    return SpecMonomial.signed(1, j)
-
-
 def _build_3_4_5(k, params, m, ring, order):
     """3.4 (k = 1) and 3.5 (k = 2): one identity under the residue map
     j -> k*j mod 5, which acts on the brace signs and on every q^j of the
     right side."""
     del params
-    brace = None
-    for j, sgn in ((1, 1), (2, -1), (3, 1), (4, -1)):
-        g = _g_sum(k * j % 5, 1, 5, ring, order).scale(sgn)
-        brace = g if brace is None else brace + g
-    lhs = brace * brace
-    rhs = _lam2(_q5(2 * k % 5), 0, 5, ring, order) + _lam2(_q5(3 * k % 5), 0, 5, ring, order)
+    signed = ((1, 1), (2, -1), (3, 1), (4, -1))
+    brace = lambert_sum(
+        [(sgn, _ONE, _q(k * j % 5), 1, W_ONE, 0) for j, sgn in signed], 5, order, ring
+    )
+    terms = [(1, _ONE, _q(k * j % 5), 2, W_ONE, 0) for j in (2, 3)]
     for j, weight, r0, sgn in (
         (1, AffineWeight(2, 0), 1, 1),
         (2, AffineWeight(1, 0), 1, -1),
         (4, AffineWeight(2, 2), 0, 1),
         (3, AffineWeight(1, 1), 0, -1),
     ):
-        g = generalized_lambert(
-            SpecMonomial.one(), _q5(k * j % 5), 1, weight, r0, 5, order, ring=ring
-        )
-        rhs = rhs + g.scale(sgn)
-    rhs = rhs - generalized_lambert(
-        SpecMonomial.one(), SpecMonomial.one(), 1, W_ONE, 1, 5, order, ring=ring
-    ).scale(2)
-    return lhs, rhs
+        terms.append((sgn, _ONE, _q(k * j % 5), 1, weight, r0))
+    terms.append((-2, _ONE, _ONE, 1, W_ONE, 1))
+    return brace * brace, lambert_sum(terms, 5, order, ring)
 
 
 def _build_3_6(params, m, ring, order):
     del params
-    g1 = _g_sum(1, 1, 5, ring, order)
-    g2 = _g_sum(2, 1, 5, ring, order)
-    g3 = _g_sum(3, 1, 5, ring, order)
-    g4 = _g_sum(4, 1, 5, ring, order)
-    lhs = (g1 - g4) * (g2 - g3)
 
-    quarter = Fraction(1, 4)
-    rhs = (
-        _lam2(_q5(1), 0, 5, ring, order)
-        - _lam2(_q5(2), 0, 5, ring, order)
-        - _lam2(_q5(3), 0, 5, ring, order)
-        + _lam2(_q5(4), 0, 5, ring, order)
-    ).scale(quarter)
+    def g(j: int, c: int = 1):
+        return (c, _ONE, _q(j), 1, W_ONE, 0)
 
-    def wsum(j: int) -> QSeries:
-        return generalized_lambert(
-            SpecMonomial.one(), _q5(j), 1, AffineWeight(1, 0), 1, 5, order, ring=ring
-        )
-
-    rhs = rhs + (wsum(2) - wsum(1)).scale(Fraction(3, 4))
-    rhs = rhs + (wsum(3) - wsum(4)).scale(Fraction(3, 4))
-    rhs = rhs - g1.scale(quarter) - g4.scale(Fraction(1, 2)) + g3.scale(Fraction(3, 4))
-    return lhs, rhs
+    lhs = lambert_sum([g(1), g(4, -1)], 5, order, ring) * lambert_sum(
+        [g(2), g(3, -1)], 5, order, ring
+    )
+    # four times the printed right side, kept in integer coefficients
+    terms = [(sgn, _ONE, _q(j), 2, W_ONE, 0) for j, sgn in ((1, 1), (2, -1), (3, -1), (4, 1))]
+    terms += [(3 * sgn, _ONE, _q(j), 1, W_R, 1) for j, sgn in ((2, 1), (1, -1), (3, 1), (4, -1))]
+    terms += [g(1, -1), g(4, -2), g(3, 3)]
+    return lhs, lambert_sum(terms, 5, order, ring).scale(Fraction(1, 4))
 
 
 def _build_3_7(params, m, ring, order):
     del params
-    s = _const(Fraction(1, 2), ring, order)
-    for j, sgn in ((1, 1), (2, 1), (3, -1), (4, 1), (5, -1), (6, -1)):
-        s = s + _g_sum(j, 1, 7, ring, order).scale(sgn)
-    lhs = s * s
+    signed = ((1, 1), (2, 1), (3, -1), (4, 1), (5, -1), (6, -1))
+    s = lambert_sum([(sgn, _ONE, _q(j), 1, W_ONE, 0) for j, sgn in signed], 7, order, ring)
+    s = _const(Fraction(1, 2), ring, order) + s
+    # the two printed sums run in different bases, q and q^7
     rhs = _const(Fraction(1, 4), ring, order)
-    rhs = rhs + generalized_lambert(
-        SpecMonomial.one(),
-        SpecMonomial.one(),
-        1,
-        AffineWeight(1, 0),
-        1,
-        1,
-        order,
-        ring=ring,
-    )
-    rhs = rhs - generalized_lambert(
-        SpecMonomial.one(),
-        SpecMonomial.one(),
-        1,
-        AffineWeight(7, 0),
-        1,
-        7,
-        order,
-        ring=ring,
-    )
-    return lhs, rhs
+    rhs = rhs + lambert_sum([(1, _ONE, _ONE, 1, W_R, 1)], 1, order, ring)
+    rhs = rhs + lambert_sum([(-7, _ONE, _ONE, 1, W_R, 1)], 7, order, ring)
+    return s * s, rhs
 
 
 def _build_3_9(params, m, ring, order):

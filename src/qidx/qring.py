@@ -281,13 +281,13 @@ class QSeries:
     def const(cls, ring: CoeffRing, c, order: int) -> "QSeries":
         if order < 0:
             return cls.zero(ring, order)
-        return cls.make(ring, 0, [c] + [0] * order, order)
+        return cls._raw(ring, 0, [ring.coerce(c)] + [0] * order, order)
 
     @classmethod
     def monomial(cls, ring: CoeffRing, c, exp: int, order: int) -> "QSeries":
         if exp > order:
             return cls.zero(ring, order)
-        return cls.make(ring, exp, [c] + [0] * (order - exp), order)
+        return cls._raw(ring, exp, [ring.coerce(c)] + [0] * (order - exp), order)
 
     # -- inspection ---------------------------------------------------------
 
@@ -399,9 +399,8 @@ class QSeries:
             return QSeries.zero(self.ring, self.order)
         if c == 1:
             return self
-        return QSeries.make(
-            self.ring, self.offset, [c * cc for cc in self.coeffs], self.order
-        )
+        coeffs = [_canon(c * cc) for cc in self.coeffs]
+        return QSeries._raw(self.ring, self.offset, coeffs, self.order)
 
     def shifted(self, k: int) -> "QSeries":
         """Multiply by q^k (shift the window by k)."""
@@ -443,9 +442,8 @@ class QSeries:
             if isinstance(acc, (int, Fraction)) and acc == 0:
                 b.append(0)
             else:
-                c = -acc if u == 1 else -(u * acc)
-                b.append(c if isinstance(c, LaurentPoly) else normalize_scalar(c))
-        return QSeries.make(self.ring, -o, b, self.order - 2 * o)
+                b.append(_canon(-acc if u == 1 else -(u * acc)))
+        return QSeries._raw(self.ring, -o, b, self.order - 2 * o)
 
     # -- comparison ---------------------------------------------------------
 

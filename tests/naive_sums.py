@@ -18,7 +18,12 @@ from qidx.constructors import (
     _check_pole_guard,
     infer_ring,
 )
-from qidx.errors import DivergentTailError, PoleError, SymbolicNonUnitError
+from qidx.errors import (
+    ConstraintViolationError,
+    DivergentTailError,
+    PoleError,
+    SymbolicNonUnitError,
+)
 from qidx.exactalg import MONO_ONE, LaurentPoly, mono_mul
 from qidx.qring import QSeries
 
@@ -219,6 +224,10 @@ def n_weighted_sum(a, x, m, order, ring=None, pad=2):
 
 
 def generalized_lambert(M, x, s, W, r0, m, order, ring=None, pad=2):
+    if m < 1 or r0 not in (0, 1) or s not in (1, 2):
+        raise ConstraintViolationError("argument out of range")
+    if M.qexp + m <= 0:
+        raise DivergentTailError("term orders do not grow")
     if x.qexp % m == 0 and -x.qexp // m >= r0 and W(-x.qexp // m) != 0:
         # the pole inside the summation range, raised before any term
         term_series(SpecMonomial(x.unit, 0), s, 0)

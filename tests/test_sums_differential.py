@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 import naive_sums
 from qidx import constructors as cons
 from qidx.constructors import AffineWeight, SpecMonomial, W_ONE, W_R
-from qidx.errors import ConstraintViolationError, QidxError, RingMismatchError
+from qidx.errors import (
+    ConstraintViolationError,
+    NonUnitLeadingError,
+    PoleError,
+    QidxError,
+    RingMismatchError,
+)
 from qidx.exactalg import LaurentPoly
 from qidx.qring import QSeries, RATIONAL, SYMBOLIC
 
@@ -132,6 +138,52 @@ def test_generalized_lambert_matches_naive(win, um, ux, mu, xi, s, W, r0):
     check_same(cons.generalized_lambert, naive_sums.generalized_lambert, *args)
 
 
+@st.composite
+def lambert_terms(draw):
+    """One lambert_sum term (c, M, x, s, W, r0); about one in six is out of
+    range in s, r0 or the slope ord(M) + m."""
+    c = draw(st.sampled_from([1, 1, -1, 2, -3, 0, Fraction(1, 2), Fraction(-3, 4)]))
+    M = draw(units())(draw(st.sampled_from([-1, 0, 1, 2, 5] * 3 + [-12])))
+    x = draw(units())(draw(st.integers(-12, 12)))
+    s = draw(st.sampled_from([1, 2] * 12 + [3]))
+    r0 = draw(st.sampled_from([0, 1] * 12 + [2]))
+    return c, M, x, s, draw(weights), r0
+
+
+def naive_lambert_sum(terms, m, order, ring, pad):
+    """Each term's naive generalized_lambert times c, added in term order."""
+    if m < 1:
+        raise ConstraintViolationError("base scale must be a positive integer")
+    ring = ring or cons.infer_ring(*(y for t in terms for y in t[1:3]))
+    total = QSeries.zero(ring, order)
+    for c, M, x, s, W, r0 in terms:
+        g = naive_sums.generalized_lambert(M, x, s, W, r0, m, order, ring, pad)
+        total = total + g.scale(c)
+    return total
+
+
+@SETTINGS
+@given(
+    st.integers(1, 9),
+    st.integers(0, 60),
+    st.integers(0, 3),
+    st.sampled_from([None, None, RATIONAL, SYMBOLIC]),
+    st.lists(lambert_terms(), min_size=1, max_size=4),
+)
+def test_lambert_sum_matches_naive_term_sum(m, order, pad, ring, terms):
+    check_same(cons.lambert_sum, naive_lambert_sum, terms, m, order, ring, pad)
+
+
+def test_lambert_sum_reports_the_first_invalid_term():
+    one, x = SpecMonomial.one(), SpecMonomial.signed(1, 1)
+    pole = (1, one, SpecMonomial.signed(1, -5), 1, W_ONE, 0)
+    cube = (1, one, x, 3, W_ONE, 0)
+    good = (2, one, x, 2, W_R, 1)
+    assert outcome(cons.lambert_sum, [good, pole, cube], 5, 20) is PoleError
+    assert outcome(cons.lambert_sum, [good, cube, pole], 5, 20) is ConstraintViolationError
+    assert outcome(cons.lambert_sum, [], 0, 20) is ConstraintViolationError
+
+
 @SETTINGS
 @given(units(), st.integers(-9, 9), st.sampled_from([1, 2]), st.integers(0, 40), st.booleans())
 def test_expansions_match_naive(unit, g, s, order, symbolic_ring):
@@ -196,7 +248,14 @@ def series(draw, symbolic):
 def test_raw_built_ops_are_canonical(symbolic, data):
     x = data.draw(series(symbolic))
     y = data.draw(series(symbolic))
-    for qs in (x + y, x - y, y - x, x + x, x - x, x * y, y * x, x * x):
+    c = data.draw(coefficients(symbolic))
+    built = [x + y, x - y, y - x, x + x, x - x, x * y, y * x, x * x, x.scale(c)]
+    built += [QSeries.const(x.ring, c, x.order), QSeries.monomial(x.ring, c, x.offset, x.order)]
+    try:
+        built.append(x.inv())
+    except NonUnitLeadingError:
+        pass
+    for qs in built:
         assert_canonical(qs)
     # the same values as coefficient-wise arithmetic checked through make
     total = x + y
