@@ -668,6 +668,8 @@ def generalized_lambert(
 def _l_terms(m: int, weighted) -> list:
     """The lambert_sum terms of the sum of c * l(b) over (b, c) in
     ``weighted``, each b checked as ``l_func`` checks its argument."""
+    if m < 1:
+        raise ConstraintViolationError("base scale must be a positive integer")
     terms = []
     for b, c in weighted:
         if b.qexp <= 0:

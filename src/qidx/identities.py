@@ -536,7 +536,7 @@ def _validate_3_8(params, m):
 
 def _build_3_1(params, m, ring, order):
     del params
-    # 2 * (1/2 + the brace of sums)
+    # the printed 2 * (1/2 + the signed sums), with the 2 taken into the terms
     signed = ((1, 1), (2, 1), (4, 1), (3, -1), (5, -1), (6, -1))
     terms = [(2 * sgn, _ONE, SpecMonomial.signed(-1, j), 1, W_ONE, 0) for j, sgn in signed]
     s = _const(1, ring, order) + lambert_sum(terms, 7, order, ring)

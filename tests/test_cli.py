@@ -296,6 +296,10 @@ EXPAND_ERRORS = {
     "0^-1": "error: 0 raised to the negative power -1 at offset 4\n",
     "chilam(1, 3)": "error: denominator power must be 1 or 2\n",
     "glam(1, q, 0, 1, 3, 0)": "error: denominator power must be 1 or 2\n",
+    # two bad arguments: the first in argument order is reported
+    "glam(q + 1, q, q, 0, 1, 0)": (
+        "error: glam numerator monomial must be a signed or symbolic monomial in q\n"
+    ),
 }
 
 
@@ -305,6 +309,14 @@ def test_cli_expand_arithmetic_and_argument_errors_are_exit_2(capsys, expr):
     assert code == 2
     assert out == ""
     assert err == EXPAND_ERRORS[expr]
+
+
+@pytest.mark.parametrize("expr", ["l(q)", "f(q, q^2)", "glam(1, q, 0, 1, 1, 0)"])
+def test_cli_expand_base_below_one_is_exit_2(capsys, expr):
+    code, out, err = run_cli(capsys, "expand", expr, "--base", "0", "--order", "10")
+    assert code == 2
+    assert out == ""
+    assert err == "error: base scale must be a positive integer\n"
 
 
 @pytest.mark.parametrize(
