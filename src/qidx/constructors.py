@@ -116,10 +116,6 @@ class SpecMonomial:
     def one(cls) -> "SpecMonomial":
         return cls(Unit(), 0)
 
-    @property
-    def ord(self) -> int:
-        return self.qexp
-
     def mul(self, other: "SpecMonomial") -> "SpecMonomial":
         return SpecMonomial(self.unit.mul(other.unit), self.qexp + other.qexp)
 
@@ -307,11 +303,11 @@ def _window(order: int, pad: int, min_order, grows, starts, what: str):
 
 
 def _lambert_window(
-    acc, pad, starts, what, v_unit, g0, m, k, s, shift, prefactor
+    acc, pad, starts, what, v_unit, g0, m, k, s, shift, prefactor, c=1
 ) -> None:
-    """Add to ``acc`` the sum over the window of c * unit * q^shift(n) * v^k /
-    (1-v)^s with v = v_unit q^(g0 + m n) and (c, unit) = prefactor(n); c = 0
-    skips n."""
+    """Add to ``acc`` the sum over the window of c * w * unit * q^shift(n) *
+    v^k / (1-v)^s with v = v_unit q^(g0 + m n) and (w, unit) = prefactor(n);
+    w = 0 skips n, but c = 0 still writes (and ring-checks) every term."""
 
     def min_order(n: int) -> int:
         return shift(n) + _lead(g0 + m * n, k, s)
@@ -320,9 +316,9 @@ def _lambert_window(
         return (g0 + m * n) * step > 0
 
     for n in _window(acc.order, pad, min_order, grows, starts, what):
-        c, unit = prefactor(n)
-        if c:
-            acc.add_term(c, unit, shift(n), SpecMonomial(v_unit, g0 + m * n), k, s)
+        w, unit = prefactor(n)
+        if w:
+            acc.add_term(c * w, unit, shift(n), SpecMonomial(v_unit, g0 + m * n), k, s)
 
 
 def one_minus(x: SpecMonomial, ring: CoeffRing, order: int) -> QSeries:
@@ -644,7 +640,8 @@ def lambert_sum(
         _lambert_window(
             acc, pad, ((r0, 1),), "Lambert tail", x.unit, xi, m, 1, s,
             shift=lambda r: mu * r,
-            prefactor=lambda r: (c * W(r), M.unit.pow(r)),
+            prefactor=lambda r: (W(r), M.unit.pow(r)),
+            c=c,
         )
     return acc.series()
 

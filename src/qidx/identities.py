@@ -1,8 +1,10 @@
 """Registry of two-sided series identities and the checking machinery.
 
 Each entry pairs a builder (producing left and right truncated series for a
-parameter assignment) with a validator and a sampling region, so the same
-descriptor drives fixed regression specs, randomized trials, and the CLI.
+parameter assignment) with a ``Constraint``: one datum per family stating the
+parameter window, from which validation, the sampling region and the note
+``qidx list`` shows are all derived.  The same descriptor drives fixed
+regression specs, randomized trials, and the CLI.
 
 Identity ids are short string labels ("1.1", "2.7", "phi", ...) fixed by the
 public interface; parameters are monomial substitutions q^e with a sign or a
@@ -21,7 +23,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
+from operator import itemgetter
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -30,8 +33,10 @@ from .constructors import (
     W_R,
     AffineWeight,
     SpecMonomial,
+    Unit,
     _l_terms,
     char_lambert,
+    infer_ring,
     jk_partial_a,
     jk_product_form,
     jordan_kronecker,
@@ -56,7 +61,7 @@ from .errors import (
     SymbolicNonUnitError,
 )
 from .numtheory import CHI1, CHI2, CHI3
-from .qring import RATIONAL, SYMBOLIC, CoeffRing, QSeries
+from .qring import CoeffRing, QSeries
 
 # ---------------------------------------------------------------------------
 # parameter assignments
@@ -80,9 +85,6 @@ class ParamAssignment:
     base: int
     params: Dict[str, SpecMonomial] = field(default_factory=dict)
 
-    def get(self, name: str) -> SpecMonomial:
-        return self.params[name]
-
     def spec_string(self) -> str:
         parts = []
         for name in sorted(self.params):
@@ -96,19 +98,13 @@ class ParamAssignment:
         return ",".join(parts)
 
     def ring(self) -> CoeffRing:
-        for x in self.params.values():
-            if x.unit.symbolic:
-                return SYMBOLIC
-        return RATIONAL
+        return infer_ring(*self.params.values())
 
 
+@lru_cache(maxsize=512)  # a symbolic region filter asks for each value many times
 def symbolic_param(name: str, qexp: int) -> SpecMonomial:
     """Parameter value tau_name * q^qexp with a fresh commuting unit."""
     return SpecMonomial.symbolic(_PARAM_VARS[name], qexp)
-
-
-def signed_param(sign: int, qexp: int) -> SpecMonomial:
-    return SpecMonomial.signed(sign, qexp)
 
 
 # ---------------------------------------------------------------------------
@@ -157,27 +153,114 @@ class CheckReport:
 
 
 # ---------------------------------------------------------------------------
+# parameter constraints
+
+# order bounds on one parameter
+THETA = "0 <= ord <= base"  # a symbolic value sits at q^0
+INTERIOR = "0 < ord < base"
+POSITIVE = "positive order"
+
+# boundary-unit rules: the unit a sum group's product needs to reach the base
+UNIT_MINUS = "must carry a -1 unit"
+UNIT_NOT_PLUS = "must not carry a +1 unit"
+_BOUNDARY_OK = {
+    UNIT_MINUS: lambda u: u == Unit(-1),
+    UNIT_NOT_PLUS: lambda u: not u.is_plus_one(),
+}
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """The parameter window of one identity family, stated once: validation,
+    the sampling region and the ``list`` note all read it.
+
+    ``names`` spells the parameters one letter each, with one bound per
+    parameter in ``bounds``.  Each group of ``sums`` has orders summing
+    below the base; a ``boundary`` rule lets it reach the base when its
+    product's unit obeys the rule.  ``pole_unit`` asks a signed THETA
+    parameter at order 0 mod base to carry unit -1.
+    """
+
+    names: str
+    bounds: Tuple[str, ...]
+    sums: Tuple[str, ...] = ()
+    boundary: Optional[str] = None
+    pole_unit: bool = False
+    note: str = ""
+
+    def violation(self, params: Dict[str, SpecMonomial], m: int) -> Optional[str]:
+        """The first rule the assignment breaks, as a message, or None."""
+        for name, bound in zip(self.names, self.bounds):
+            x = params[name]
+            e = x.qexp
+            if bound == THETA:
+                if x.unit.symbolic:
+                    if e != 0:
+                        return f"symbolic {name} must sit at q^0, got q^{e}"
+                elif not 0 <= e <= m:
+                    return f"{name} must satisfy {THETA}, got ord {e} at base {m}"
+                elif self.pole_unit and e % m == 0 and x.unit.sign != -1:
+                    return f"{name} at order 0 mod base {UNIT_MINUS}"
+            elif bound == INTERIOR:
+                if not 0 < e < m:
+                    return f"{name} must satisfy {INTERIOR}, got ord {e} at base {m}"
+            elif e < 1:
+                return f"{name} must have {POSITIVE}, got {e}"
+        for group in self.sums:
+            s = sum(params[name].qexp for name in group)
+            if s < m:
+                continue
+            orders = " and ".join(group) if len(group) == 2 else ", ".join(group)
+            if self.boundary is None:
+                return f"orders of {orders} must sum to less than the base; got {s} >= {m}"
+            if s > m:
+                return f"orders of {orders} must sum to at most the base; got {s} > {m}"
+            unit = reduce(Unit.mul, (params[name].unit for name in group))
+            if not _BOUNDARY_OK[self.boundary](unit):
+                return f"at the boundary sum == base, {group} {self.boundary}"
+        return None
+
+    def validate(self, params: Dict[str, SpecMonomial], m: int) -> None:
+        msg = self.violation(params, m)
+        if msg is not None:
+            raise ConstraintViolationError(msg)
+
+    def region(self, m: int) -> List[Tuple[int, ...]]:
+        """Every exponent tuple with strict sums, in lexicographic order; each
+        sum group prunes the tuples as soon as its last parameter is placed."""
+        tuples = [()]
+        for name, bound in zip(self.names, self.bounds):
+            r = range(0, m + 1) if bound == THETA else range(1, m)
+            tuples = [t + (e,) for t in tuples for e in r]
+            for group in (g for g in self.sums if g[-1] == name):
+                orders = itemgetter(*map(self.names.index, group))
+                tuples = [t for t in tuples if sum(orders(t)) < m]
+        return tuples
+
+
+# ---------------------------------------------------------------------------
 # descriptor plumbing
 
 Builder = Callable[[Dict[str, SpecMonomial], int, CoeffRing, int], Tuple[QSeries, QSeries]]
-Validator = Callable[[Dict[str, SpecMonomial], int], None]
-Region = Callable[[int], List[Tuple[int, ...]]]
 
 
 @dataclass
 class IdentityDescriptor:
     ident: str
-    params: Tuple[str, ...]
     build: Builder
-    validate: Optional[Validator] = None
-    region: Optional[Region] = None
-    note: Optional[str] = None  # defaults to "fixed base N"
+    constraint: Optional[Constraint] = None
+    note: Optional[str] = None  # defaults to the constraint's, else "fixed base N"
     fixed_base: Optional[int] = None  # corollaries pin their own base
     symbolic_trials: int = 5
 
     def __post_init__(self):
         if self.note is None:
-            self.note = f"fixed base {self.fixed_base}"
+            c = self.constraint
+            self.note = c.note if c else f"fixed base {self.fixed_base}"
+
+    @property
+    def params(self) -> Tuple[str, ...]:
+        return tuple(self.constraint.names) if self.constraint else ()
 
 
 def get_descriptor(ident: str) -> IdentityDescriptor:
@@ -198,32 +281,6 @@ def list_identities() -> List[dict]:
         }
         for d in _REGISTRY.values()
     ]
-
-
-# ---------------------------------------------------------------------------
-# shared validation helpers
-
-
-def _fail(msg: str) -> None:
-    raise ConstraintViolationError(msg)
-
-
-def _require_interior(name: str, x: SpecMonomial, m: int) -> None:
-    if not 0 < x.qexp < m:
-        _fail(f"{name} must satisfy 0 < ord < base, got ord {x.qexp} at base {m}")
-
-
-def _require_positive(name: str, x: SpecMonomial) -> None:
-    if x.qexp < 1:
-        _fail(f"{name} must have positive order, got {x.qexp}")
-
-
-def _theta_window(name: str, x: SpecMonomial, m: int) -> None:
-    if x.unit.symbolic:
-        if x.qexp != 0:
-            _fail(f"symbolic {name} must sit at q^0, got q^{x.qexp}")
-    elif not 0 <= x.qexp <= m:
-        _fail(f"{name} must satisfy 0 <= ord <= base, got ord {x.qexp} at base {m}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +332,6 @@ def _build_1_1(params, m, ring, order):
     return lhs, rhs
 
 
-def _validate_1_1(params, m):
-    _theta_window("z", params["z"], m)
-
-
 def _build_1_2(params, m, ring, order):
     z = params["z"]
     pq = _Pq(m, ring, order)
@@ -289,13 +342,6 @@ def _build_1_2(params, m, ring, order):
         * _P(z.inv().times_qpow(m), m, ring, order)
     )
     return lhs, rhs
-
-
-def _validate_1_2(params, m):
-    z = params["z"]
-    _theta_window("z", z, m)
-    if not z.unit.symbolic and z.qexp % m == 0 and z.unit.sign != -1:
-        _fail("z at order 0 mod base must carry a -1 unit")
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +362,6 @@ def _build_1_3(params, m, ring, order):
     return lhs, rhs
 
 
-def _validate_1_3(params, m):
-    a, b, c = params["a"], params["b"], params["c"]
-    for name, x in (("a", a), ("b", b), ("c", c)):
-        _require_positive(name, x)
-    s = a.qexp + b.qexp + c.qexp
-    if s > m:
-        _fail(f"orders of a, b, c must sum to at most the base; got {s} > {m}")
-    if s == m:
-        u = a.unit.mul(b.unit).mul(c.unit)
-        if u.symbolic or u.sign != -1:
-            _fail("at the boundary sum == base, abc must carry a -1 unit")
-
-
 # ---------------------------------------------------------------------------
 # builders: two-parameter Lambert product identities
 
@@ -340,17 +373,6 @@ def _build_1_4(params, m, ring, order):
     terms = [(1, x, _ONE, 1, W_R, 1) for x in (bc, bc.inv())] + _cross_terms(b, c)
     rhs = term_series(bc, 2, order, ring=ring) + lambert_sum(terms, m, order, ring)
     return left * right, rhs
-
-
-def _validate_bc(params, m):
-    b, c = params["b"], params["c"]
-    _require_positive("b", b)
-    _require_positive("c", c)
-    if b.qexp + c.qexp >= m:
-        _fail(
-            f"orders of b and c must sum to less than the base; "
-            f"got {b.qexp + c.qexp} >= {m}"
-        )
 
 
 def _build_1_5(params, m, ring, order):
@@ -383,17 +405,8 @@ def _build_2_12(params, m, ring, order):
     return lb * lb, lambert_sum(terms, m, order, ring)
 
 
-def _validate_2_12(params, m):
-    _require_interior("b", params["b"], m)
-
-
 # ---------------------------------------------------------------------------
 # builders: bilateral-series family
-
-
-def _validate_ab_interior(params, m):
-    _require_interior("a", params["a"], m)
-    _require_interior("b", params["b"], m)
 
 
 def _build_2_1(params, m, ring, order):
@@ -449,19 +462,6 @@ def _build_2_7(params, m, ring, order):
     return lhs, rhs
 
 
-def _validate_product_pair(params, m):
-    a, b = params["a"], params["b"]
-    _require_positive("a", a)
-    _require_positive("b", b)
-    s = a.qexp + b.qexp
-    if s > m:
-        _fail(f"orders of a and b must sum to at most the base; got {s} > {m}")
-    if s == m:
-        u = a.unit.mul(b.unit)
-        if u.is_plus_one():
-            _fail("at the boundary sum == base, ab must not carry a +1 unit")
-
-
 def _build_2_8(params, m, ring, order):
     a, b = params["a"], params["b"]
     lhs = jordan_kronecker(a, b, m, order, ring=ring)
@@ -490,18 +490,6 @@ def _build_2_10(params, m, ring, order):
     return lhs, rhs
 
 
-def _validate_abc_strict(params, m):
-    a, b, c = params["a"], params["b"], params["c"]
-    _require_interior("a", a, m)
-    _require_positive("b", b)
-    _require_positive("c", c)
-    if a.qexp + b.qexp + c.qexp >= m:
-        _fail(
-            f"orders of a, b, c must sum to less than the base; "
-            f"got {a.qexp + b.qexp + c.qexp} >= {m}"
-        )
-
-
 # ---------------------------------------------------------------------------
 # builders: four-parameter identity
 
@@ -518,16 +506,6 @@ def _build_3_8(params, m, ring, order):
     terms = [(sgn, _ONE, x, 2, W_ONE, 0) for x, sgn in signed]
     terms += [(sgn, _ONE, x.inv(), 2, W_ONE, 1) for x, sgn in signed]
     return lhs, lambert_sum(terms, m, order, ring)
-
-
-def _validate_3_8(params, m):
-    a, b, c, d = params["a"], params["b"], params["c"], params["d"]
-    for name, x in (("a", a), ("b", b), ("c", c), ("d", d)):
-        _require_positive(name, x)
-    if a.qexp + b.qexp >= m:
-        _fail("orders of a and b must sum to less than the base")
-    if c.qexp + d.qexp >= m:
-        _fail("orders of c and d must sum to less than the base")
 
 
 # ---------------------------------------------------------------------------
@@ -631,110 +609,64 @@ def _build_phi(params, m, ring, order):
 
 
 # ---------------------------------------------------------------------------
-# sampling regions
-
-
-def _region_theta(m: int) -> List[Tuple[int, ...]]:
-    return [(e,) for e in range(0, m + 1)]
-
-
-def _region_open1(m: int) -> List[Tuple[int, ...]]:
-    return [(e,) for e in range(1, m)]
-
-
-def _region_open2(m: int) -> List[Tuple[int, ...]]:
-    return [(i, j) for i in range(1, m) for j in range(1, m)]
-
-
-def _region_pair_sum(m: int) -> List[Tuple[int, ...]]:
-    return [(i, j) for i in range(1, m) for j in range(1, m) if i + j < m]
-
-
-def _region_abc(m: int) -> List[Tuple[int, ...]]:
-    return [
-        (i, j, k)
-        for i in range(1, m)
-        for j in range(1, m)
-        for k in range(1, m)
-        if i + j + k < m
-    ]
-
-
-def _region_abcd(m: int) -> List[Tuple[int, ...]]:
-    return [
-        (i, j, k, l)
-        for i in range(1, m)
-        for j in range(1, m)
-        if i + j < m
-        for k in range(1, m)
-        for l in range(1, m)
-        if k + l < m
-    ]
-
-
-# ---------------------------------------------------------------------------
 # registry
 
-# constraint families: a validator, its sampling region and the note `list` shows
-_THETA_Z = (_validate_1_1, _region_theta, "0 <= ord(z) <= base (symbolic z at q^0)")
-_THETA_Z_POLE = (
-    _validate_1_2,
-    _region_theta,
-    "0 <= ord(z) <= base; at ord 0 mod base the unit must be -1",
+_THETA_Z = Constraint("z", (THETA,), note="0 <= ord(z) <= base (symbolic z at q^0)")
+_THETA_Z_POLE = Constraint(
+    "z", (THETA,), pole_unit=True,
+    note="0 <= ord(z) <= base; at ord 0 mod base the unit must be -1",
 )
-_ABC_PRODUCT = (
-    _validate_1_3,
-    _region_abc,
-    "ord(a), ord(b), ord(c) > 0 with sum < base (= base allowed when abc has unit -1)",
+_ABC_PRODUCT = Constraint(
+    "abc", (POSITIVE,) * 3, ("abc",), UNIT_MINUS,
+    note="ord(a), ord(b), ord(c) > 0 with sum < base (= base allowed when abc has unit -1)",
 )
-_BC = (_validate_bc, _region_pair_sum, "ord(b), ord(c) > 0 with ord(b) + ord(c) < base")
-_AB = (_validate_ab_interior, _region_open2, "0 < ord(a), ord(b) < base")
-_AB_PRODUCT = (
-    _validate_product_pair,
-    _region_pair_sum,
-    "ord(a), ord(b) > 0 with sum < base (= base allowed unless ab has unit +1)",
+_BC = Constraint(
+    "bc", (POSITIVE,) * 2, ("bc",), note="ord(b), ord(c) > 0 with ord(b) + ord(c) < base"
 )
-_ABC = (
-    _validate_abc_strict,
-    _region_abc,
-    "0 < ord(a) < base; ord(b), ord(c) > 0; sum of orders < base",
+_AB = Constraint("ab", (INTERIOR,) * 2, note="0 < ord(a), ord(b) < base")
+_AB_PRODUCT = Constraint(
+    "ab", (POSITIVE,) * 2, ("ab",), UNIT_NOT_PLUS,
+    note="ord(a), ord(b) > 0 with sum < base (= base allowed unless ab has unit +1)",
 )
-_B_INTERIOR = (_validate_2_12, _region_open1, "0 < ord(b) < base")
-_ABCD = (
-    _validate_3_8,
-    _region_abcd,
-    "all orders > 0; ord(a) + ord(b) < base; ord(c) + ord(d) < base",
+_ABC = Constraint(
+    "abc", (INTERIOR, POSITIVE, POSITIVE), ("abc",),
+    note="0 < ord(a) < base; ord(b), ord(c) > 0; sum of orders < base",
+)
+_B_INTERIOR = Constraint("b", (INTERIOR,), note="0 < ord(b) < base")
+_ABCD = Constraint(
+    "abcd", (POSITIVE,) * 4, ("ab", "cd"),
+    note="all orders > 0; ord(a) + ord(b) < base; ord(c) + ord(d) < base",
 )
 
 _REGISTRY: Dict[str, IdentityDescriptor] = {
     d.ident: d
     for d in (
-        IdentityDescriptor("1.1", ("z",), _build_1_1, *_THETA_Z, symbolic_trials=1),
-        IdentityDescriptor("1.2", ("z",), _build_1_2, *_THETA_Z_POLE, symbolic_trials=1),
-        IdentityDescriptor("1.3", ("a", "b", "c"), _build_1_3, *_ABC_PRODUCT),
-        IdentityDescriptor("1.4", ("b", "c"), _build_1_4, *_BC),
-        IdentityDescriptor("1.5", ("b", "c"), _build_1_5, *_BC),
-        IdentityDescriptor("2.1", ("a", "b"), _build_2_1, *_AB),
-        IdentityDescriptor("2.2", ("a", "b"), _build_2_2, *_AB),
-        IdentityDescriptor("2.3", ("a", "b"), _build_2_3, *_AB),
-        IdentityDescriptor("2.5", ("a", "b"), _build_2_5, *_AB),
-        IdentityDescriptor("2.6", ("a", "b"), _build_2_6, *_AB),
-        IdentityDescriptor("2.7", ("a", "b"), _build_2_7, *_AB_PRODUCT),
-        IdentityDescriptor("2.8", ("a", "b"), _build_2_8, *_AB_PRODUCT),
-        IdentityDescriptor("2.9", ("a", "b", "c"), _build_2_9, *_ABC),
-        IdentityDescriptor("2.10", ("a", "b", "c"), _build_2_10, *_ABC),
-        IdentityDescriptor("2.11", ("b", "c"), _build_2_11, *_BC),
-        IdentityDescriptor("2.12", ("b",), _build_2_12, *_B_INTERIOR),
-        IdentityDescriptor("2.13", ("b", "c"), _build_1_5, *_BC),
-        IdentityDescriptor("3.1", (), _build_3_1, fixed_base=7),
-        IdentityDescriptor("3.3", (), _build_3_3, fixed_base=9),
-        IdentityDescriptor("3.4", (), partial(_build_3_4_5, 1), fixed_base=5),
-        IdentityDescriptor("3.5", (), partial(_build_3_4_5, 2), fixed_base=5),
-        IdentityDescriptor("3.6", (), _build_3_6, fixed_base=5),
-        IdentityDescriptor("3.7", (), _build_3_7, fixed_base=7),
-        IdentityDescriptor("3.8", ("a", "b", "c", "d"), _build_3_8, *_ABCD),
-        IdentityDescriptor("3.9", (), _build_3_9, fixed_base=13),
-        IdentityDescriptor("phi", (), _build_phi, note="any base >= 1"),
+        IdentityDescriptor("1.1", _build_1_1, _THETA_Z, symbolic_trials=1),
+        IdentityDescriptor("1.2", _build_1_2, _THETA_Z_POLE, symbolic_trials=1),
+        IdentityDescriptor("1.3", _build_1_3, _ABC_PRODUCT),
+        IdentityDescriptor("1.4", _build_1_4, _BC),
+        IdentityDescriptor("1.5", _build_1_5, _BC),
+        IdentityDescriptor("2.1", _build_2_1, _AB),
+        IdentityDescriptor("2.2", _build_2_2, _AB),
+        IdentityDescriptor("2.3", _build_2_3, _AB),
+        IdentityDescriptor("2.5", _build_2_5, _AB),
+        IdentityDescriptor("2.6", _build_2_6, _AB),
+        IdentityDescriptor("2.7", _build_2_7, _AB_PRODUCT),
+        IdentityDescriptor("2.8", _build_2_8, _AB_PRODUCT),
+        IdentityDescriptor("2.9", _build_2_9, _ABC),
+        IdentityDescriptor("2.10", _build_2_10, _ABC),
+        IdentityDescriptor("2.11", _build_2_11, _BC),
+        IdentityDescriptor("2.12", _build_2_12, _B_INTERIOR),
+        IdentityDescriptor("2.13", _build_1_5, _BC),
+        IdentityDescriptor("3.1", _build_3_1, fixed_base=7),
+        IdentityDescriptor("3.3", _build_3_3, fixed_base=9),
+        IdentityDescriptor("3.4", partial(_build_3_4_5, 1), fixed_base=5),
+        IdentityDescriptor("3.5", partial(_build_3_4_5, 2), fixed_base=5),
+        IdentityDescriptor("3.6", _build_3_6, fixed_base=5),
+        IdentityDescriptor("3.7", _build_3_7, fixed_base=7),
+        IdentityDescriptor("3.8", _build_3_8, _ABCD),
+        IdentityDescriptor("3.9", _build_3_9, fixed_base=13),
+        IdentityDescriptor("phi", _build_phi, note="any base >= 1"),
     )
 }
 
@@ -753,8 +685,8 @@ def build_sides(
             f"identity {ident} is pinned to base {desc.fixed_base}, "
             f"got base {assign.base}"
         )
-    if desc.validate is not None:
-        desc.validate(assign.params, assign.base)
+    if desc.constraint is not None:
+        desc.constraint.validate(assign.params, assign.base)
     lhs, rhs = desc.build(assign.params, assign.base, assign.ring(), order)
     known = min(lhs.order, rhs.order)
     if known < order:
@@ -818,12 +750,16 @@ def check_identity(
 @lru_cache(maxsize=256)
 def _feasible(ident: str, base: int, symbolic: bool) -> Tuple[Tuple[int, ...], ...]:
     """The region's exponent tuples in region order; with ``symbolic``, only
-    those whose symbolic-unit assignment passes the identity's validator."""
-    desc = get_descriptor(ident)
-    region = tuple(desc.region(base))
+    those whose symbolic-unit assignment satisfies the constraint."""
+    c = get_descriptor(ident).constraint
+    region = c.region(base)
     if symbolic:
-        return tuple(t for t in region if _symbolic_tuple_ok(desc, base, t))
-    return region
+        return tuple(t for t in region if c.violation(_symbolic_params(c, t), base) is None)
+    return tuple(region)
+
+
+def _symbolic_params(c: Constraint, expos: Tuple[int, ...]) -> Dict[str, SpecMonomial]:
+    return {name: symbolic_param(name, e) for name, e in zip(c.names, expos)}
 
 
 def random_spec(
@@ -838,7 +774,8 @@ def random_spec(
     desc = get_descriptor(ident)
     if desc.fixed_base is not None:
         base = desc.fixed_base
-    if not desc.params:
+    c = desc.constraint
+    if c is None:
         return ParamAssignment(base=base, params={})
     feasible = _feasible(ident, base, symbolic)
     if not feasible:
@@ -848,34 +785,16 @@ def random_spec(
     tag = "sym" if symbolic else "signed"
     rng = random.Random(f"qidx:{ident}:{base}:{seed}:{tag}")
     expos = rng.choice(feasible)
-    params: Dict[str, SpecMonomial] = {}
-    for name, e in zip(desc.params, expos):
-        if symbolic:
-            params[name] = symbolic_param(name, e)
-        else:
-            params[name] = SpecMonomial.signed(rng.choice((1, -1)), e)
-    assign = ParamAssignment(base=base, params=params)
-    try:
-        desc.validate(assign.params, base)
-    except ConstraintViolationError:
+    if symbolic:
+        return ParamAssignment(base, _symbolic_params(c, expos))
+    params = {
+        name: SpecMonomial.signed(rng.choice((1, -1)), e) for name, e in zip(c.names, expos)
+    }
+    if c.violation(params, base) is not None:
         # sign-sensitive boundary rejected: flip to the safe all-minus choice
-        repaired = {
-            name: SpecMonomial.signed(-1, x.qexp) for name, x in params.items()
-        }
-        assign = ParamAssignment(base=base, params=repaired)
-        desc.validate(assign.params, base)
-    return assign
-
-
-def _symbolic_tuple_ok(
-    desc: IdentityDescriptor, base: int, expos: Tuple[int, ...]
-) -> bool:
-    trial = {name: symbolic_param(name, e) for name, e in zip(desc.params, expos)}
-    try:
-        desc.validate(trial, base)
-    except ConstraintViolationError:
-        return False
-    return True
+        params = {name: SpecMonomial.signed(-1, e) for name, e in zip(c.names, expos)}
+        c.validate(params, base)
+    return ParamAssignment(base, params)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,9 @@ CHI1: Tuple[int, ...] = (0, 1, -1, 1, -1, -1, -1, 1, 1, 1, -1, 1, -1)
 CHI2: Tuple[int, ...] = (0, 1, 1, 1, -1, 1, 1, -1, -1, 1, -1, -1, -1)
 CHI3: Tuple[int, ...] = (0, 1, -1, 1, 1, -1, -1, -1, -1, 1, 1, -1, 1)
 
-_CHI = {1: CHI1, 2: CHI2, 3: CHI3}
-
 # residue classes mod 7 entering the signed divisor sum with weight +1 / -1
 _PLUS_RESIDUES = frozenset({1, 2, 4})
 _MINUS_RESIDUES = frozenset({3, 5, 6})
-
-
-def chi_value(which: int, n: int) -> int:
-    """Look up one of the three mod-13 sign tables."""
-    return _CHI[which][n % 13]
 
 
 def signed_divisor_sum(n: int) -> int:

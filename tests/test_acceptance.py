@@ -28,7 +28,6 @@ from qidx.identities import (
     derived_corollary_reports,
     random_spec,
     run_suite,
-    signed_param,
     suite_ok,
     symbolic_param,
 )
@@ -100,10 +99,10 @@ def test_criterion_03_two_parameter_chain():
 
 def test_criterion_04_three_parameter_product():
     fixed7 = ParamAssignment(
-        7, {"a": signed_param(-1, 1), "b": signed_param(-1, 2), "c": signed_param(-1, 4)}
+        7, {name: SpecMonomial.signed(-1, e) for name, e in zip("abc", (1, 2, 4))}
     )
     fixed9 = ParamAssignment(
-        9, {"a": signed_param(1, 1), "b": signed_param(1, 2), "c": signed_param(1, 3)}
+        9, {name: SpecMonomial.signed(1, e) for name, e in zip("abc", (1, 2, 3))}
     )
     bad = []
     for assign in (fixed7, fixed9):

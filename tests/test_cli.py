@@ -1,5 +1,7 @@
 """Expression-language and command-line behavior tests."""
 
+import contextlib
+import io
 import json
 import os
 import time
@@ -533,6 +535,33 @@ def test_cli_verify_all_reduced_is_deterministic(capsys):
     dump1 = json.dumps(_normalized(out1), sort_keys=True)
     dump2 = json.dumps(_normalized(out2), sort_keys=True)
     assert dump1 == dump2
+
+
+def verify_all_seed0():
+    """`verify-all --seed 0 --json` without runtime_ms: one line of values
+    per row under one shared key list.
+
+    Regenerate with
+    PYTHONPATH=src:tests python -c "import test_cli as t;
+    print(t.verify_all_seed0(), end='')" > tests/golden/verify_all_seed0.json
+    """
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify-all", "--seed", "0", "--json"]) == 0
+    rows = json.loads(out.getvalue())
+    keys = [k for k in rows[0] if k != "runtime_ms"]
+    lines = []
+    for row in rows:
+        assert [k for k in row if k != "runtime_ms"] == keys, row
+        lines.append(json.dumps([row[k] for k in keys]))
+    return '{"keys": %s,\n"rows": [\n%s\n]}\n' % (json.dumps(keys), ",\n".join(lines))
+
+
+def test_cli_verify_all_seed0_golden():
+    # the seeded sweep stays byte-identical up to timings, so no refactor
+    # may move a random_spec draw or a verdict
+    with open(os.path.join(GOLDEN, "verify_all_seed0.json")) as handle:
+        assert verify_all_seed0() == handle.read()
 
 
 def test_cli_verify_all_env_seed_override(capsys, monkeypatch):

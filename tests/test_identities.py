@@ -7,10 +7,14 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 from qidx import identities
 from qidx.cli import main
-from qidx.errors import EmptyConstraintSetError, OrderExceededError
+from qidx.constructors import SpecMonomial
+from qidx.errors import ConstraintViolationError, EmptyConstraintSetError, OrderExceededError
+from qidx.exprs import parse_spec_string
 from qidx.identities import (
     COROLLARY_PARENTS,
     ParamAssignment,
@@ -21,7 +25,6 @@ from qidx.identities import (
     list_identities,
     random_spec,
     run_suite,
-    signed_param,
     suite_ok,
     symbolic_param,
 )
@@ -29,6 +32,9 @@ from qidx.identities import (
 
 def assign(base, **kw):
     return ParamAssignment(base, dict(kw))
+
+
+PARAMETERISED = [row["identity"] for row in list_identities() if row["params"]]
 
 
 # ---------------------------------------------------------------------------
@@ -54,20 +60,20 @@ def test_descriptor_lookup_unknown():
 
 
 def test_1_3_boundary_base7():
-    spec = assign(7, a=signed_param(-1, 1), b=signed_param(-1, 2), c=signed_param(-1, 4))
+    spec = ParamAssignment(7, parse_spec_string("a=-q^1,b=-q^2,c=-q^4"))
     rep = check_identity("1.3", spec, 50)
     assert rep.status == "equal"
     assert rep.order_compared >= 50
 
 
 def test_1_3_interior_base9():
-    spec = assign(9, a=signed_param(1, 1), b=signed_param(1, 2), c=signed_param(1, 3))
+    spec = ParamAssignment(9, parse_spec_string("a=q^1,b=q^2,c=q^3"))
     rep = check_identity("1.3", spec, 50)
     assert rep.status == "equal"
 
 
 def test_2_8_fixed_base7():
-    spec = assign(7, a=signed_param(-1, 1), b=signed_param(-1, 2))
+    spec = assign(7, a=SpecMonomial.signed(-1, 1), b=SpecMonomial.signed(-1, 2))
     rep = check_identity("2.8", spec, 100)
     assert rep.status == "equal"
 
@@ -120,7 +126,8 @@ def test_corollary_parent_map_is_total():
 
 
 def test_constraint_violation_report():
-    rep = check_identity("1.4", assign(5, b=signed_param(1, 6), c=signed_param(1, 1)), 40)
+    spec = assign(5, b=SpecMonomial.signed(1, 6), c=SpecMonomial.signed(1, 1))
+    rep = check_identity("1.4", spec, 40)
     assert rep.status == "constraint-violation"
     assert rep.order_compared is None
     assert rep.first_mismatch is None
@@ -138,10 +145,73 @@ def test_wrong_base_for_pinned_corollary():
 
 def test_1_2_unit_sign_constraint():
     # at ord(z) = 0 mod base the unit must be -1
-    rep = check_identity("1.2", assign(5, z=signed_param(1, 5)), 30)
+    rep = check_identity("1.2", assign(5, z=SpecMonomial.signed(1, 5)), 30)
     assert rep.status == "constraint-violation"
-    rep = check_identity("1.2", assign(5, z=signed_param(-1, 5)), 30)
+    rep = check_identity("1.2", assign(5, z=SpecMonomial.signed(-1, 5)), 30)
     assert rep.status == "equal"
+
+
+THETA_HIGH = "z must satisfy 0 <= ord <= base, got ord 6 at base 5"
+
+# one violating spec per constraint family and rule, at base 5, with the
+# exact message; where a spec breaks two rules the first one checked wins
+CONSTRAINT_MESSAGES = [
+    ("1.1", "z=q^6", THETA_HIGH),
+    ("1.1", "z=-q^-1", "z must satisfy 0 <= ord <= base, got ord -1 at base 5"),
+    ("1.1", "z=~q^2", "symbolic z must sit at q^0, got q^2"),
+    ("1.2", "z=-q^6", THETA_HIGH),
+    ("1.2", "z=~q^1", "symbolic z must sit at q^0, got q^1"),
+    ("1.2", "z=q^5", "z at order 0 mod base must carry a -1 unit"),
+    ("1.2", "z=q^0", "z at order 0 mod base must carry a -1 unit"),
+    ("1.3", "a=q^0,b=q^1,c=q^1", "a must have positive order, got 0"),
+    ("1.3", "a=q^1,b=q^1,c=-q^-2", "c must have positive order, got -2"),
+    ("1.3", "a=q^2,b=q^2,c=q^3", "orders of a, b, c must sum to at most the base; got 7 > 5"),
+    ("1.3", "a=q^0,b=q^9,c=q^9", "a must have positive order, got 0"),
+    ("1.3", "a=-q^1,b=-q^1,c=q^3", "at the boundary sum == base, abc must carry a -1 unit"),
+    ("1.3", "a=~q^1,b=~q^1,c=~q^3", "at the boundary sum == base, abc must carry a -1 unit"),
+    ("1.4", "b=q^0,c=q^1", "b must have positive order, got 0"),
+    ("1.5", "b=q^1,c=q^-1", "c must have positive order, got -1"),
+    ("2.11", "b=q^2,c=q^3", "orders of b and c must sum to less than the base; got 5 >= 5"),
+    ("2.13", "b=~q^4,c=~q^4", "orders of b and c must sum to less than the base; got 8 >= 5"),
+    ("2.1", "a=q^0,b=q^1", "a must satisfy 0 < ord < base, got ord 0 at base 5"),
+    ("2.6", "a=q^1,b=~q^5", "b must satisfy 0 < ord < base, got ord 5 at base 5"),
+    ("2.7", "a=q^0,b=q^1", "a must have positive order, got 0"),
+    ("2.8", "a=q^3,b=q^3", "orders of a and b must sum to at most the base; got 6 > 5"),
+    ("2.7", "a=q^2,b=q^3", "at the boundary sum == base, ab must not carry a +1 unit"),
+    ("2.8", "a=-q^2,b=-q^3", "at the boundary sum == base, ab must not carry a +1 unit"),
+    ("2.9", "a=q^5,b=q^0,c=q^1", "a must satisfy 0 < ord < base, got ord 5 at base 5"),
+    ("2.10", "a=q^1,b=q^1,c=q^0", "c must have positive order, got 0"),
+    ("2.9", "a=q^1,b=q^2,c=q^2", "orders of a, b, c must sum to less than the base; got 5 >= 5"),
+    ("2.12", "b=-q^-3", "b must satisfy 0 < ord < base, got ord -3 at base 5"),
+    ("3.8", "a=q^1,b=q^1,c=q^1,d=q^0", "d must have positive order, got 0"),
+    (
+        "3.8",
+        "a=q^2,b=q^3,c=q^4,d=q^4",
+        "orders of a and b must sum to less than the base; got 5 >= 5",
+    ),
+    (
+        "3.8",
+        "a=q^1,b=q^1,c=~q^1,d=~q^4",
+        "orders of c and d must sum to less than the base; got 5 >= 5",
+    ),
+]
+
+
+@pytest.mark.parametrize("ident,spec,message", CONSTRAINT_MESSAGES)
+def test_constraint_messages(ident, spec, message):
+    with pytest.raises(ConstraintViolationError) as err:
+        build_sides(ident, ParamAssignment(5, parse_spec_string(spec)), 10)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("ident", PARAMETERISED)
+def test_all_minus_region_tuples_validate(ident):
+    # random_spec repairs a rejected signed draw to all -1 units
+    desc = get_descriptor(ident)
+    for base in range(1, 14):
+        for expos in desc.constraint.region(base):
+            params = {name: SpecMonomial.signed(-1, e) for name, e in zip(desc.params, expos)}
+            desc.constraint.validate(params, base)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +229,7 @@ def test_random_spec_respects_constraints():
     for t in range(60):
         a = random_spec("3.8", 7, f"t{t}")
         desc = get_descriptor("3.8")
-        desc.validate(a.params, a.base)  # must not raise
+        desc.constraint.validate(a.params, a.base)  # must not raise
 
 
 def test_random_spec_symbolic_mode():
@@ -171,13 +241,14 @@ def test_random_spec_symbolic_mode():
 
 def test_symbolic_draws_validate_each_region_tuple_once(monkeypatch):
     calls = {}
-    original = identities._symbolic_tuple_ok
+    original = identities.Constraint.violation
 
-    def counting(desc, base, expos):
+    def counting(self, params, base):
+        expos = tuple(x.qexp for x in params.values())
         calls[expos] = calls.get(expos, 0) + 1
-        return original(desc, base, expos)
+        return original(self, params, base)
 
-    monkeypatch.setattr(identities, "_symbolic_tuple_ok", counting)
+    monkeypatch.setattr(identities.Constraint, "violation", counting)
     identities._feasible.cache_clear()
     try:
         for t in range(20):
@@ -185,12 +256,15 @@ def test_symbolic_draws_validate_each_region_tuple_once(monkeypatch):
         feasible = identities._feasible("2.7", 11, True)
     finally:
         identities._feasible.cache_clear()
-    desc = get_descriptor("2.7")
-    region = list(desc.region(11))
+    c = get_descriptor("2.7").constraint
+    region = c.region(11)
     assert sorted(calls) == sorted(region)
     assert set(calls.values()) == {1}
     # the filter keeps region order, so every seeded draw is unchanged
-    assert list(feasible) == [t for t in region if original(desc, 11, t)]
+    symbolic = [dict(zip("ab", map(symbolic_param, "ab", t))) for t in region]
+    assert list(feasible) == [
+        t for t, params in zip(region, symbolic) if original(c, params, 11) is None
+    ]
 
 
 def test_random_spec_symbolic_theta_forces_origin():
@@ -229,8 +303,8 @@ def test_scale_covariance_k2():
         ("2.1", 5, {"a": (1, 1), "b": (-1, 3)}),
     ]
     for ident, m, raw in cases:
-        small = assign(m, **{k: signed_param(s, e) for k, (s, e) in raw.items()})
-        big = assign(2 * m, **{k: signed_param(s, 2 * e) for k, (s, e) in raw.items()})
+        small = assign(m, **{k: SpecMonomial.signed(s, e) for k, (s, e) in raw.items()})
+        big = assign(2 * m, **{k: SpecMonomial.signed(s, 2 * e) for k, (s, e) in raw.items()})
         ls, rs = build_sides(ident, small, 20)
         lb, rb = build_sides(ident, big, 40)
         assert check_identity(ident, big, 40).status == "equal"
@@ -255,7 +329,7 @@ def test_rearrangement_identity_seriewise():
     from qidx.constructors import l_func
     from qidx.qring import RATIONAL
 
-    b, c = signed_param(1, 2), signed_param(-1, 3)
+    b, c = SpecMonomial.signed(1, 2), SpecMonomial.signed(-1, 3)
     m, order = 9, 40
     lb = l_func(b, m, order, ring=RATIONAL)
     lc = l_func(c, m, order, ring=RATIONAL)
@@ -272,7 +346,7 @@ def test_rearrangement_identity_seriewise():
 
 
 def test_report_json_shape():
-    rep = check_identity("1.1", assign(5, z=signed_param(-1, 2)), 30, seed="json")
+    rep = check_identity("1.1", assign(5, z=SpecMonomial.signed(-1, 2)), 30, seed="json")
     d = rep.to_json_dict()
     assert set(d) == {
         "identity",
@@ -331,7 +405,7 @@ def test_build_sides_rejects_a_short_builder(monkeypatch, capsys):
     monkeypatch.setitem(
         identities._REGISTRY, "2.1", dataclasses.replace(desc, build=short_build)
     )
-    spec = assign(5, a=signed_param(1, 1), b=signed_param(1, 2))
+    spec = assign(5, a=SpecMonomial.signed(1, 1), b=SpecMonomial.signed(1, 2))
     with pytest.raises(OrderExceededError, match="only through q\\^19, asked for q\\^20"):
         build_sides("2.1", spec, 20)
     with pytest.raises(OrderExceededError):
@@ -393,3 +467,42 @@ def test_builder_sides_match_golden():
     # both sides still verifies as equal
     with open(SIDES_GOLDEN) as handle:
         assert builder_sides() == json.load(handle)
+
+
+# ---------------------------------------------------------------------------
+# symbolic builds specialize to signed builds
+
+
+@st.composite
+def specializations(draw):
+    """An id, a base, an order <= 24, a symbolic spec from the id's own
+    region and one sign per parameter."""
+    ident = draw(st.sampled_from(PARAMETERISED))
+    bases = [m for m in range(1, 14) if identities._feasible(ident, m, True)]
+    base = draw(st.sampled_from(bases))
+    expos = draw(st.sampled_from(identities._feasible(ident, base, True)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=len(expos), max_size=len(expos)))
+    return ident, base, draw(st.integers(0, 24)), expos, signs
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(specializations())
+def test_symbolic_build_specializes_to_the_signed_build(case):
+    # tau -> +-1 is a ring homomorphism, so substituting each parameter's
+    # sign into the symbolic sides must give the signed sides exactly
+    ident, base, order, expos, signs = case
+    names = get_descriptor(ident).params
+    signed = {n: SpecMonomial.signed(s, e) for n, s, e in zip(names, signs, expos)}
+    try:
+        signed_sides = build_sides(ident, ParamAssignment(base, signed), order)
+    except identities._DOMAIN_ERRORS:
+        reject()
+    symbolic = {n: symbolic_param(n, e) for n, e in zip(names, expos)}
+    symbolic_sides = build_sides(ident, ParamAssignment(base, symbolic), order)
+    for sym, sgn in zip(symbolic_sides, signed_sides):
+        for name, s in zip(names, signs):
+            sym = sym.subst_unit(identities._PARAM_VARS[name], s)
+        sym = sym.to_rational()
+        assert [sym.coeff(n) for n in range(order + 1)] == [
+            sgn.coeff(n) for n in range(order + 1)
+        ], (ident, base, order, signed)

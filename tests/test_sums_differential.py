@@ -6,7 +6,7 @@ the canonical form of every series the trusted ``QSeries._raw`` path builds.
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import naive_sums
@@ -169,6 +169,11 @@ def naive_lambert_sum(terms, m, order, ring, pad):
     st.integers(0, 3),
     st.sampled_from([None, None, RATIONAL, SYMBOLIC]),
     st.lists(lambert_terms(), min_size=1, max_size=4),
+)
+# a zero coefficient must not skip the ring check of its term's window
+@example(
+    m=2, order=1, pad=0, ring=RATIONAL,
+    terms=[(0, SpecMonomial.signed(1, -1), SpecMonomial.symbolic(0, 0), 1, W_ONE, 1)],
 )
 def test_lambert_sum_matches_naive_term_sum(m, order, pad, ring, terms):
     check_same(cons.lambert_sum, naive_lambert_sum, terms, m, order, ring, pad)
