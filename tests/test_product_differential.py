@@ -1,6 +1,7 @@
 """Differential tests: the three ``QSeries.__mul__`` kernels (sparse term
-product, scalar schoolbook loop, packed scalar product) against the naive
-per-coefficient product in ``naive_product``."""
+product, scalar schoolbook loop, packed scalar product) and the Pochhammer
+products against the naive per-coefficient product in ``naive_product``, and
+a check that no series operation mutates its operands."""
 
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from naive_product import naive_mul
-from qidx.constructors import SpecMonomial, poch_inf
+from qidx.constructors import SpecMonomial, poch_fin, poch_inf
 from qidx.exactalg import LaurentPoly
 from qidx.qring import RATIONAL, SYMBOLIC, QSeries, _pack, _unpack
 
@@ -150,3 +151,96 @@ def test_products_leave_cached_pochhammer_series_intact():
         before = snapshot(p)
         p * p * poch_inf(unit, 3, 30, ring)
         assert snapshot(poch_inf(unit, 3, 30, ring)) == before == snapshot(p)
+
+
+# ---------------------------------------------------------------------------
+# Pochhammer products against a factor-by-factor reference
+
+
+def naive_factors(x, m, n, order, ring):
+    """The product of the first n factors (1 - x q^{m i}), each made with
+    ``QSeries.make`` and multiplied in with ``naive_mul``."""
+    one = [1] + [0] * order
+    result = QSeries.make(ring, 0, one, order)
+    for i in range(n):
+        e = x.qexp + m * i
+        if e > order:
+            break
+        coeffs = list(one)
+        coeffs[e] = coeffs[e] - x.unit.value()
+        result = naive_mul(result, QSeries.make(ring, 0, coeffs, order))
+    return result
+
+
+@st.composite
+def poch_arguments(draw):
+    """A ring, an argument u*q^e with e >= 0 (symbolic u only in the
+    symbolic ring), a base 1..13 and an order."""
+    symbolic = draw(st.booleans())
+    sign = draw(st.sampled_from([1, -1]))
+    e = draw(st.integers(0, 8))
+    if symbolic and draw(st.booleans()):
+        x = SpecMonomial.symbolic(draw(st.integers(0, 3)), e, sign)
+    else:
+        x = SpecMonomial.signed(sign, e)
+    ring = SYMBOLIC if symbolic else RATIONAL
+    return x, draw(st.integers(1, 13)), draw(st.integers(0, 40)), ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(poch_arguments(), st.integers(0, 12))
+def test_pochhammer_products_match_factor_by_factor(args, n):
+    x, m, order, ring = args
+    # the factors past q^order are 1 there: order + 1 of them cover every base
+    assert exact(poch_inf(x, m, order, ring)) == exact(naive_factors(x, m, order + 1, order, ring))
+    assert exact(poch_fin(x, n, m, order, ring)) == exact(naive_factors(x, m, n, order, ring))
+
+
+# ---------------------------------------------------------------------------
+# no operation mutates its operands
+
+
+small = st.sampled_from([0, 1, -1, 2, Fraction(-1, 3)])
+
+
+@st.composite
+def unit_leading(draw, symbolic):
+    """A short series whose lowest coefficient is invertible in its ring; its
+    coefficients stay small, since an inverse's coefficients swell."""
+    ring = SYMBOLIC if symbolic else RATIONAL
+    coefficient = small
+    if symbolic:
+        coefficient = st.one_of(small, st.builds(LaurentPoly.monomial, monomials, small))
+        lead = draw(st.builds(LaurentPoly.monomial, monomials, small.filter(bool)))
+    else:
+        lead = draw(small.filter(bool))
+    offset = draw(st.integers(-4, 6))
+    tail = draw(st.lists(coefficient, max_size=8))
+    return QSeries.make(ring, offset, [lead] + tail, offset + len(tail))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans(), st.data())
+def test_series_operations_leave_their_operands_intact(symbolic, data):
+    x = data.draw(series(symbolic))
+    y = data.draw(series(symbolic))
+    u = data.draw(unit_leading(symbolic))
+    c = data.draw(scalars)
+    k = data.draw(st.integers(-6, 30))
+    power = data.draw(st.integers(0, 3))
+    operations = [
+        lambda: x + y,
+        lambda: x - y,
+        lambda: -x,
+        lambda: x.scale(c),
+        lambda: x.shifted(k),
+        lambda: x.truncate(k),
+        lambda: u.inv(),
+        lambda: x ** power,
+        lambda: u ** -power,
+        lambda: x.eq_upto(y, min(x.order, y.order)),
+    ]
+    before = [snapshot(s) for s in (x, y, u)]
+    for op in operations:
+        op()
+        assert [snapshot(s) for s in (x, y, u)] == before

@@ -208,6 +208,21 @@ def test_symbolic_unit_in_rational_ring_is_a_ring_mismatch():
         assert outcome(fn, SpecMonomial.symbolic(1, 30), 1, 20, RATIONAL)[0] == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 13), st.integers(-1, 90), st.sampled_from([None, RATIONAL, SYMBOLIC]))
+def test_phi_minus_matches_a_direct_sum(m, order, ring):
+    # the sum over every integer n of (-1)^n q^{m n^2}, written into a dict
+    want = {}
+    n = 0
+    while m * n * n <= order:
+        for k in {n, -n}:
+            want[m * k * k] = want.get(m * k * k, 0) + (-1 if k % 2 else 1)
+        n += 1
+    coeffs = [want.get(e, 0) for e in range(order + 1)]
+    expected = QSeries.make(ring or RATIONAL, 0, coeffs, order)
+    check_same(cons.phi_minus, lambda *args: expected, m, order, ring)
+
+
 def test_pf_sum_keeps_a_negative_order():
     # The per-term reference loses order here (a vanishing (1 - z) factor
     # multiplies an empty term window); the accumulator keeps the request.
