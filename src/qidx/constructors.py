@@ -16,11 +16,14 @@ window and check the result does not move.  One generator (``_window``)
 walks every window, and every term writes its expansion straight into one
 per-exponent accumulator (``_Acc``), so a sum builds its series once.
 
-One-sided Lambert sums all go through ``lambert_sum``, which takes a list
-of terms (c, M, x, s, W, r0) and writes the window of each into a single
-accumulator: ``generalized_lambert`` is its one-term case, ``l_func`` its
-two-term case, ``char_lambert`` one term per nonzero table entry, and the
-identity builders pass whole linear combinations as one list.
+Each shape of series has one code path.  Sums of W(n) A^n / (1 - x q^{mn})^s
+go through ``_lambert_window``: f(a, b), its a-derivative form and the
+n-weighted sum share ``_bilateral``, ``pf_sum`` writes its terms through it,
+and ``lambert_sum`` sums a list of one-sided terms (c, M, x, s, W, r0) for
+``generalized_lambert``, ``l_func``, ``char_lambert`` and the identity
+builders.  ``phi_minus`` is ``theta_sum`` at z = q^m in base q^{2m}.  Finite
+and infinite Pochhammer products share ``_factors``; ``poch_pair`` is the
+two-sided product (x)(q^m/x).  ``check_base`` is the one base-scale check.
 """
 
 from __future__ import annotations
@@ -165,6 +168,12 @@ def infer_ring(*xs: Optional[SpecMonomial]) -> CoeffRing:
 _ONE = Unit()
 _Q0 = SpecMonomial.one()
 _BILATERAL = ((0, 1), (-1, -1))
+
+
+def check_base(m: int) -> None:
+    """Every sum and product runs in steps of q^m, so m must be at least 1."""
+    if m < 1:
+        raise ConstraintViolationError("base scale must be a positive integer")
 
 
 def _lead(g: int, k: int, s: int) -> int:
@@ -360,56 +369,55 @@ def times_spec_monomial(qs: QSeries, x: SpecMonomial, weight: Scalar = 1) -> QSe
 # ---------------------------------------------------------------------------
 
 
-# Bounded: a full verify-all uses about 230 distinct products.
-@functools.lru_cache(maxsize=512)
-def _poch_inf_cached(x: SpecMonomial, m: int, order: int, symbolic: bool) -> QSeries:
-    ring = SYMBOLIC if symbolic else RATIONAL
+def _factors(x: SpecMonomial, n: int, m: int, order: int, ring: CoeffRing) -> QSeries:
+    """The product of (1 - x*q^{m*i}) for 0 <= i < n through q^order: the
+    factors past q^order are 1 there, and a zero product stays zero."""
     result = QSeries.const(ring, 1, order)
-    e = x.qexp
-    i = 0
-    while e + m * i <= order:
+    for i in range(min(n, (order - x.qexp) // m + 1)):
         result = result * one_minus(x.times_qpow(m * i), ring, order)
         if result.is_zero():
             break
-        i += 1
     return result
+
+
+# Bounded: a full verify-all uses about 230 distinct products.
+@functools.lru_cache(maxsize=512)
+def _poch_inf_cached(x: SpecMonomial, m: int, order: int, symbolic: bool) -> QSeries:
+    # order + 1 factors reach past q^order at every base
+    return _factors(x, order + 1, m, order, SYMBOLIC if symbolic else RATIONAL)
 
 
 def poch_inf(
     x: SpecMonomial, m: int, order: int, ring: Optional[CoeffRing] = None
 ) -> QSeries:
     """The infinite product of (1 - x*q^{m*i}) for i >= 0, truncated."""
-    if m < 1:
-        raise ConstraintViolationError("base scale must be a positive integer")
+    check_base(m)
     if x.qexp < 0:
         raise NegativeOrderArgumentError(
             f"infinite product needs ord(x) >= 0, got ord = {x.qexp}"
         )
-    if ring is None:
-        ring = infer_ring(x)
-    return _poch_inf_cached(x, m, order, ring.symbolic)
+    return _poch_inf_cached(x, m, order, (ring or infer_ring(x)).symbolic)
 
 
 def poch_fin(
     x: SpecMonomial, n: int, m: int, order: int, ring: Optional[CoeffRing] = None
 ) -> QSeries:
     """The finite product of (1 - x*q^{m*i}) for 0 <= i < n."""
-    if m < 1:
-        raise ConstraintViolationError("base scale must be a positive integer")
+    check_base(m)
     if n < 0:
         raise ConstraintViolationError("factor count must be nonnegative")
     if x.qexp < 0:
         raise NegativeOrderArgumentError(
             f"finite product needs ord(x) >= 0, got ord = {x.qexp}"
         )
-    if ring is None:
-        ring = infer_ring(x)
-    result = QSeries.const(ring, 1, order)
-    for i in range(n):
-        if x.qexp + m * i > order:
-            break
-        result = result * one_minus(x.times_qpow(m * i), ring, order)
-    return result
+    return _factors(x, n, m, order, ring or infer_ring(x))
+
+
+def poch_pair(
+    x: SpecMonomial, m: int, order: int, ring: Optional[CoeffRing] = None
+) -> QSeries:
+    """The two-sided product (x; q^m)_inf * (x^-1 q^m; q^m)_inf."""
+    return poch_inf(x, m, order, ring) * poch_inf(x.inv().times_qpow(m), m, order, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +433,7 @@ def theta_sum(
     pad: int = 0,
 ) -> QSeries:
     """The alternating bilateral sum of z^n * q^{m(n^2-n)/2}."""
-    if m < 1:
-        raise ConstraintViolationError("base scale must be a positive integer")
+    check_base(m)
     acc = _Acc(ring or infer_ring(z), order)
     e = z.qexp
 
@@ -443,16 +450,9 @@ def theta_sum(
 
 
 def phi_minus(m: int, order: int, ring: Optional[CoeffRing] = None) -> QSeries:
-    """The bilateral sum of (-1)^n q^{m n^2}."""
-    if m < 1:
-        raise ConstraintViolationError("base scale must be a positive integer")
-    acc = _Acc(ring or RATIONAL, order)
-    acc.add(0, 1)
-    n = 1
-    while m * n * n <= order:
-        acc.add(m * n * n, 2 if n % 2 == 0 else -2)
-        n += 1
-    return acc.series()
+    """The bilateral sum of (-1)^n q^{m n^2}: the theta sum at z = q^m in
+    base q^{2m}."""
+    return theta_sum(SpecMonomial.signed(1, m), 2 * m, order, ring)
 
 
 def pf_sum(
@@ -470,8 +470,7 @@ def pf_sum(
     factor (1-z) and the n = 0 term is the exact constant 1.  With
     ``cleared=False`` the bare sum of reciprocals is returned instead.
     """
-    if m < 1:
-        raise ConstraintViolationError("base scale must be a positive integer")
+    check_base(m)
     if z.unit.symbolic:
         if z.qexp != 0:
             raise ConstraintViolationError(
@@ -482,34 +481,26 @@ def pf_sum(
             f"partial-fraction argument needs ord(z) >= 0, got {z.qexp}"
         )
     acc = _Acc(ring or infer_ring(z), order)
-    if cleared and z.unit.symbolic:
-        acc._need_symbolic()  # the factor (1 - z) itself
     e = z.qexp
-
-    def base(n: int) -> int:
-        return m * (n * n + n) // 2
-
-    def min_order(n: int) -> int:
-        return base(n) + _lead(e + m * n, 0, 1)
-
-    def grows(n: int, step: int) -> bool:
-        return (e + m * n) * step > 0
-
-    for n in _window(order, pad, min_order, grows, _BILATERAL, "partial-fraction window"):
-        if cleared and n == 0:
-            acc.add(0, 1)
-            continue
-        sign = -1 if n % 2 else 1
-        v = SpecMonomial(z.unit, e + m * n)
-        acc.add_term(sign, _ONE, base(n), v, 0, 1)
-        if cleared:
-            acc.add_term(-sign, z.unit, base(n) + e, v, 0, 1)
+    # numerator 1, then -z when cleared; the cleared n = 0 term is exactly 1
+    parts = [(1, _ONE, 0)]
+    if cleared:
+        if z.unit.symbolic:
+            acc._need_symbolic()  # the factor (1 - z) itself
+        parts.append((-1, z.unit, e))
+        acc.add(0, 1)
+    for c, unit, de in parts:
+        _lambert_window(
+            acc, pad, _BILATERAL, "partial-fraction window", z.unit, e, m, 0, 1,
+            shift=lambda n: m * (n * n + n) // 2 + de,
+            prefactor=lambda n: (0 if cleared and n == 0 else (-1) ** (n % 2), unit),
+            c=c,
+        )
     return acc.series()
 
 
 def _check_f_args(a: SpecMonomial, m: int, name: str):
-    if m < 1:
-        raise ConstraintViolationError("base scale must be a positive integer")
+    check_base(m)
     if not 0 < a.qexp < m:
         raise ConstraintViolationError(
             f"{name} needs 0 < ord < m, got ord = {a.qexp} with m = {m}"
@@ -527,6 +518,17 @@ def _check_pole_guard(b: SpecMonomial, m: int, name: str):
             raise PoleError(f"{name} = {b} hits a pole of the sum")
 
 
+def _bilateral(W, A, x, s, m, order, ring, pad) -> QSeries:
+    """The bilateral sum of W(n) * A^n / (1 - x q^{mn})^s."""
+    acc = _Acc(ring or infer_ring(A, x), order)
+    _lambert_window(
+        acc, pad, _BILATERAL, "bilateral window", x.unit, x.qexp, m, 0, s,
+        shift=lambda n: A.qexp * n,
+        prefactor=lambda n: (W(n), A.unit.pow(n)),
+    )
+    return acc.series()
+
+
 def jordan_kronecker(
     a: SpecMonomial,
     b: SpecMonomial,
@@ -542,14 +544,7 @@ def jordan_kronecker(
     """
     _check_f_args(a, m, "first argument")
     _check_pole_guard(b, m, "second argument")
-    acc = _Acc(ring or infer_ring(a, b), order)
-    _lambert_window(
-        acc, pad, _BILATERAL, "bilateral window",
-        b.unit, b.qexp, m, 0, 1,
-        shift=lambda n: a.qexp * n,
-        prefactor=lambda n: (1, a.unit.pow(n)),
-    )
-    return acc.series()
+    return _bilateral(W_ONE, a, b, 1, m, order, ring, pad)
 
 
 def jk_partial_a(
@@ -563,14 +558,7 @@ def jk_partial_a(
     """The bilateral sum of b^n q^{mn} / (1 - a q^{mn})^2."""
     _check_f_args(a, m, "first argument")
     _check_f_args(b, m, "second argument")
-    acc = _Acc(ring or infer_ring(a, b), order)
-    _lambert_window(
-        acc, pad, _BILATERAL, "bilateral window",
-        a.unit, a.qexp, m, 0, 2,
-        shift=lambda n: (b.qexp + m) * n,
-        prefactor=lambda n: (1, b.unit.pow(n)),
-    )
-    return acc.series()
+    return _bilateral(W_ONE, b.times_qpow(m), a, 2, m, order, ring, pad)
 
 
 def n_weighted_sum(
@@ -588,14 +576,7 @@ def n_weighted_sum(
             f"second argument needs positive order, got {x.qexp}"
         )
     _check_pole_guard(x, m, "second argument")
-    acc = _Acc(ring or infer_ring(a, x), order)
-    _lambert_window(
-        acc, pad, ((1, 1), (-1, -1)), "bilateral window",
-        x.unit, x.qexp, m, 0, 1,
-        shift=lambda n: a.qexp * n,
-        prefactor=lambda n: (n, a.unit.pow(n)),
-    )
-    return acc.series()
+    return _bilateral(W_R, a, x, 1, m, order, ring, pad)
 
 
 def lambert_sum(
@@ -611,8 +592,7 @@ def lambert_sum(
     Terms are checked in turn, each just before its window is written into
     the one accumulator every term shares.
     """
-    if m < 1:
-        raise ConstraintViolationError("base scale must be a positive integer")
+    check_base(m)
     if ring is None:
         ring = infer_ring(*(y for t in terms for y in t[1:3]))
     acc = _Acc(ring, order)
@@ -665,8 +645,7 @@ def generalized_lambert(
 def _l_terms(m: int, weighted) -> list:
     """The lambert_sum terms of the sum of c * l(b) over (b, c) in
     ``weighted``, each b checked as ``l_func`` checks its argument."""
-    if m < 1:
-        raise ConstraintViolationError("base scale must be a positive integer")
+    check_base(m)
     terms = []
     for b, c in weighted:
         if b.qexp <= 0:
@@ -726,18 +705,7 @@ def jk_product_form(
         raise ConstraintViolationError(
             "ord(a) + ord(b) = m with unit(ab) = +1 makes the numerator vanish"
         )
-    if ring is None:
-        ring = infer_ring(a, b)
-    qm = SpecMonomial.signed(1, m)
-    num = (
-        poch_inf(qm, m, order, ring) ** 2
-        * poch_inf(ab, m, order, ring)
-        * poch_inf(ab.inv().times_qpow(m), m, order, ring)
-    )
-    den = (
-        poch_inf(a, m, order, ring)
-        * poch_inf(a.inv().times_qpow(m), m, order, ring)
-        * poch_inf(b, m, order, ring)
-        * poch_inf(b.inv().times_qpow(m), m, order, ring)
-    )
+    ring = ring or infer_ring(a, b)
+    num = poch_inf(SpecMonomial.signed(1, m), m, order, ring) ** 2 * poch_pair(ab, m, order, ring)
+    den = poch_pair(a, m, order, ring) * poch_pair(b, m, order, ring)
     return num * den.inv()

@@ -14,8 +14,13 @@ is a well-defined unit-leading truncation.
 A builder writes each linear combination of one-sided Lambert sums on its
 sides as one list of ``lambert_sum`` terms (c, M, x, s, W, r0), with the
 terms of c * l(b) from ``_l_terms``; constants are added and products taken
-on the finished series.  Term coefficients stay integers: a fractional
-factor scales the combined series once.
+on the finished series, the two-sided products (x)(q^m/x) through
+``poch_pair``.  Term coefficients stay integers: a fractional factor scales
+the combined series once.
+
+``_report`` makes and times every ``CheckReport``, for ``check_identity``
+and for the two rows of the 3.6 derivation.  The printed corollaries are the
+fixed-base rows; each parent is checked at its corollary's base.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .constructors import (
     Unit,
     _l_terms,
     char_lambert,
+    check_base,
     infer_ring,
     jk_partial_a,
     jk_product_form,
@@ -47,6 +53,7 @@ from .constructors import (
     phi_minus,
     pf_sum,
     poch_inf,
+    poch_pair,
     term_series,
     theta_sum,
     times_spec_monomial,
@@ -287,21 +294,8 @@ def list_identities() -> List[dict]:
 # builder helpers
 
 
-def _P(x: SpecMonomial, m: int, ring: CoeffRing, order: int) -> QSeries:
-    return poch_inf(x, m, order, ring=ring)
-
-
 def _Pq(m: int, ring: CoeffRing, order: int) -> QSeries:
     return poch_inf(SpecMonomial.signed(1, m), m, order, ring=ring)
-
-
-def _pair(x: SpecMonomial, m: int, ring: CoeffRing, order: int) -> QSeries:
-    """(x)_inf * (x^-1 q^m)_inf, the two-sided product attached to x."""
-    return _P(x, m, ring, order) * _P(x.inv().times_qpow(m), m, ring, order)
-
-
-def _const(val, ring: CoeffRing, order: int) -> QSeries:
-    return QSeries.const(ring, val, order)
 
 
 def _q(j: int) -> SpecMonomial:
@@ -325,9 +319,7 @@ def _cross_terms(b: SpecMonomial, c: SpecMonomial) -> list:
 
 def _build_1_1(params, m, ring, order):
     z = params["z"]
-    lhs = _Pq(m, ring, order) * _P(z, m, ring, order) * _P(
-        z.inv().times_qpow(m), m, ring, order
-    )
+    lhs = _Pq(m, ring, order) * poch_pair(z, m, order, ring)
     rhs = theta_sum(z, m, order, ring=ring)
     return lhs, rhs
 
@@ -338,8 +330,8 @@ def _build_1_2(params, m, ring, order):
     lhs = pq * pq
     rhs = (
         pf_sum(z, m, order, ring=ring)
-        * _P(z.times_qpow(m), m, ring, order)
-        * _P(z.inv().times_qpow(m), m, ring, order)
+        * poch_inf(z.times_qpow(m), m, order, ring)
+        * poch_inf(z.inv().times_qpow(m), m, order, ring)
     )
     return lhs, rhs
 
@@ -354,11 +346,11 @@ def _build_1_3(params, m, ring, order):
     pq = _Pq(m, ring, order)
     lhs = pq * pq
     for pairarg in (a.mul(b), a.mul(c), b.mul(c)):
-        lhs = lhs * _pair(pairarg, m, ring, order)
+        lhs = lhs * poch_pair(pairarg, m, order, ring)
     brace = _l_terms(m, [(a, 1), (b, 1), (c, 1), (abc, -1)])
-    rhs = _const(1, ring, order) + lambert_sum(brace, m, order, ring)
+    rhs = QSeries.const(ring, 1, order) + lambert_sum(brace, m, order, ring)
     for x in (a, b, c, abc):
-        rhs = rhs * _pair(x, m, ring, order)
+        rhs = rhs * poch_pair(x, m, order, ring)
     return lhs, rhs
 
 
@@ -379,11 +371,11 @@ def _build_1_5(params, m, ring, order):
     b, c = params["b"], params["c"]
     bc = b.mul(c)
     brace = lambert_sum(_l_terms(m, [(b, 1), (c, 1), (bc, -1)]), m, order, ring)
-    brace = _const(Fraction(1, 2), ring, order) + brace
+    brace = QSeries.const(ring, Fraction(1, 2), order) + brace
     terms = [(1, _ONE, x, 2, W_ONE, 0) for x in (b, c, bc)]
     terms += [(1, _ONE, x.inv(), 2, W_ONE, 1) for x in (b, c, bc)]
     terms.append((-6, _ONE, _ONE, 2, W_ONE, 1))
-    rhs = _const(Fraction(1, 4), ring, order) + lambert_sum(terms, m, order, ring)
+    rhs = QSeries.const(ring, Fraction(1, 4), order) + lambert_sum(terms, m, order, ring)
     return brace * brace, rhs
 
 
@@ -456,9 +448,9 @@ def _build_2_6(params, m, ring, order):
 def _build_2_7(params, m, ring, order):
     a, b = params["a"], params["b"]
     pq = _Pq(m, ring, order)
-    lhs = pq * _pair(a, m, ring, order) * _pair(b, m, ring, order)
+    lhs = pq * poch_pair(a, m, order, ring) * poch_pair(b, m, order, ring)
     lhs = lhs * jordan_kronecker(a, b, m, order, ring=ring)
-    rhs = pq * pq * pq * _pair(a.mul(b), m, ring, order)
+    rhs = pq * pq * pq * poch_pair(a.mul(b), m, order, ring)
     return lhs, rhs
 
 
@@ -485,7 +477,7 @@ def _build_2_10(params, m, ring, order):
         a, c, m, order, ring=ring
     )
     brace = _l_terms(m, [(a, 1), (b, 1), (c, 1), (a.mul(bc), -1)])
-    brace = _const(1, ring, order) + lambert_sum(brace, m, order, ring)
+    brace = QSeries.const(ring, 1, order) + lambert_sum(brace, m, order, ring)
     rhs = jordan_kronecker(a, bc, m, order, ring=ring) * brace
     return lhs, rhs
 
@@ -500,7 +492,7 @@ def _build_3_8(params, m, ring, order):
     first = _l_terms(m, [(a, 1), (b, 1), (c, -1), (d, -1), (ab, -1), (cd, 1)])
     second = _l_terms(m, [(a, 1), (b, 1), (c, 1), (d, 1), (ab, -1), (cd, -1)])
     lhs = lambert_sum(first, m, order, ring) * (
-        _const(1, ring, order) + lambert_sum(second, m, order, ring)
+        QSeries.const(ring, 1, order) + lambert_sum(second, m, order, ring)
     )
     signed = ((a, 1), (b, 1), (ab, 1), (c, -1), (d, -1), (cd, -1))
     terms = [(sgn, _ONE, x, 2, W_ONE, 0) for x, sgn in signed]
@@ -517,7 +509,7 @@ def _build_3_1(params, m, ring, order):
     # the printed 2 * (1/2 + the signed sums), with the 2 taken into the terms
     signed = ((1, 1), (2, 1), (4, 1), (3, -1), (5, -1), (6, -1))
     terms = [(2 * sgn, _ONE, SpecMonomial.signed(-1, j), 1, W_ONE, 0) for j, sgn in signed]
-    s = _const(1, ring, order) + lambert_sum(terms, 7, order, ring)
+    s = QSeries.const(ring, 1, order) + lambert_sum(terms, 7, order, ring)
     neg7 = poch_inf(SpecMonomial.signed(-1, 7), 7, order, ring=ring)
     neg1 = poch_inf(SpecMonomial.signed(-1, 1), 1, order, ring=ring)
     lhs = s * neg7 * neg1
@@ -530,7 +522,7 @@ def _build_3_3(params, m, ring, order):
     terms = []
     for j, w in ((1, 1), (2, 1), (3, 2)):
         terms += [(w, _ONE, _q(j), 1, W_ONE, 0), (-w, _ONE, _q(9 - j), 1, W_ONE, 0)]
-    s = _const(1, ring, order) + lambert_sum(terms, 9, order, ring)
+    s = QSeries.const(ring, 1, order) + lambert_sum(terms, 9, order, ring)
     lhs = s * _Pq(1, ring, order)
     cube = (
         _Pq(9, ring, order)
@@ -582,9 +574,9 @@ def _build_3_7(params, m, ring, order):
     del params
     signed = ((1, 1), (2, 1), (3, -1), (4, 1), (5, -1), (6, -1))
     s = lambert_sum([(sgn, _ONE, _q(j), 1, W_ONE, 0) for j, sgn in signed], 7, order, ring)
-    s = _const(Fraction(1, 2), ring, order) + s
+    s = QSeries.const(ring, Fraction(1, 2), order) + s
     # the two printed sums run in different bases, q and q^7
-    rhs = _const(Fraction(1, 4), ring, order)
+    rhs = QSeries.const(ring, Fraction(1, 4), order)
     rhs = rhs + lambert_sum([(1, _ONE, _ONE, 1, W_R, 1)], 1, order, ring)
     rhs = rhs + lambert_sum([(-7, _ONE, _ONE, 1, W_R, 1)], 7, order, ring)
     return s * s, rhs
@@ -595,7 +587,7 @@ def _build_3_9(params, m, ring, order):
     s1 = char_lambert(CHI1, 1, order, ring=ring)
     s2 = char_lambert(CHI2, 1, order, ring=ring)
     s3 = char_lambert(CHI3, 2, order, ring=ring)
-    lhs = s1 * (_const(1, ring, order) + s2)
+    lhs = s1 * (QSeries.const(ring, 1, order) + s2)
     return lhs, s3
 
 
@@ -685,6 +677,7 @@ def build_sides(
             f"identity {ident} is pinned to base {desc.fixed_base}, "
             f"got base {assign.base}"
         )
+    check_base(assign.base)
     if desc.constraint is not None:
         desc.constraint.validate(assign.params, assign.base)
     lhs, rhs = desc.build(assign.params, assign.base, assign.ring(), order)
@@ -696,11 +689,19 @@ def build_sides(
     return lhs, rhs
 
 
-def _first_mismatch(lhs: QSeries, rhs: QSeries, order: int):
-    """None if the two series agree through q^order, else the first differing
-    exponent with both coefficients as strings."""
-    equal, where = lhs.eq_upto(rhs, order)
-    return None if equal else (where[0], str(where[1]), str(where[2]))
+def _report(ident, base, spec, order, t0, sides, seed=None) -> CheckReport:
+    """The report of a check started at ``t0``: ``sides`` is the pair of
+    series to compare through q^order, or the domain error that stopped the
+    build.  The runtime runs from ``t0`` to the end of the comparison."""
+    if isinstance(sides, Exception):
+        status, compared, mismatch, detail = "constraint-violation", None, None, str(sides)
+    else:
+        equal, where = sides[0].eq_upto(sides[1], order)
+        mismatch = None if equal else (where[0], str(where[1]), str(where[2]))
+        status = "equal" if equal else "mismatch"
+        compared, detail = order, None
+    ms = (time.perf_counter() - t0) * 1000.0
+    return CheckReport(ident, base, spec, order, compared, status, mismatch, ms, seed, detail)
 
 
 def check_identity(
@@ -712,36 +713,11 @@ def check_identity(
     """Build both sides and compare coefficients through the requested order,
     reporting the first mismatch if any."""
     t0 = time.perf_counter()
-    spec_str = assign.spec_string()
     try:
-        lhs, rhs = build_sides(ident, assign, order)
+        sides = build_sides(ident, assign, order)
     except _DOMAIN_ERRORS as exc:
-        ms = (time.perf_counter() - t0) * 1000.0
-        return CheckReport(
-            identity=ident,
-            base=assign.base,
-            spec=spec_str,
-            order_requested=order,
-            order_compared=None,
-            status="constraint-violation",
-            first_mismatch=None,
-            runtime_ms=ms,
-            seed=seed,
-            detail=str(exc),
-        )
-    mismatch = _first_mismatch(lhs, rhs, order)
-    ms = (time.perf_counter() - t0) * 1000.0
-    return CheckReport(
-        identity=ident,
-        base=assign.base,
-        spec=spec_str,
-        order_requested=order,
-        order_compared=order,
-        status="equal" if mismatch is None else "mismatch",
-        first_mismatch=mismatch,
-        runtime_ms=ms,
-        seed=seed,
-    )
+        sides = exc
+    return _report(ident, assign.base, assign.spec_string(), order, t0, sides, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -804,14 +780,14 @@ def _signed_spec(sign: int, **qexps: int) -> Dict[str, SpecMonomial]:
     return {name: SpecMonomial.signed(sign, e) for name, e in qexps.items()}
 
 
-# printed corollary -> (parent id, base, substitution)
-COROLLARY_PARENTS: Dict[str, Tuple[str, int, Dict[str, SpecMonomial]]] = {
-    "3.1": ("1.3", 7, _signed_spec(-1, a=1, b=2, c=4)),
-    "3.3": ("1.3", 9, _signed_spec(1, a=1, b=2, c=3)),
-    "3.4": ("1.4", 5, _signed_spec(1, b=1, c=1)),
-    "3.5": ("1.4", 5, _signed_spec(1, b=2, c=2)),
-    "3.7": ("1.5", 7, _signed_spec(1, b=1, c=2)),
-    "3.9": ("3.8", 13, _signed_spec(1, a=1, b=3, c=2, d=6)),
+# printed corollary -> (parent id, substitution at the corollary's own base)
+COROLLARY_PARENTS: Dict[str, Tuple[str, Dict[str, SpecMonomial]]] = {
+    "3.1": ("1.3", _signed_spec(-1, a=1, b=2, c=4)),
+    "3.3": ("1.3", _signed_spec(1, a=1, b=2, c=3)),
+    "3.4": ("1.4", _signed_spec(1, b=1, c=1)),
+    "3.5": ("1.4", _signed_spec(1, b=2, c=2)),
+    "3.7": ("1.5", _signed_spec(1, b=1, c=2)),
+    "3.9": ("3.8", _signed_spec(1, a=1, b=3, c=2, d=6)),
 }
 
 
@@ -820,40 +796,24 @@ def derived_corollary_reports(ident: str, order: int) -> List[CheckReport]:
     parent identity at the corollary's substitution, then check the printed
     form itself. "3.6" is instead compared side-by-side against the exact
     combination -1/4 (parent at b=c=q  minus  parent at b=c=q^2)."""
-    reports: List[CheckReport] = []
+    base = get_descriptor(ident).fixed_base
     if ident == "3.6":
         t0 = time.perf_counter()
-        l1, r1 = build_sides("1.4", ParamAssignment(5, COROLLARY_PARENTS["3.4"][2]), order)
-        l2, r2 = build_sides("1.4", ParamAssignment(5, COROLLARY_PARENTS["3.5"][2]), order)
-        lp, rp = build_sides("3.6", ParamAssignment(5, {}), order)
+        l1, r1 = build_sides("1.4", ParamAssignment(base, COROLLARY_PARENTS["3.4"][1]), order)
+        l2, r2 = build_sides("1.4", ParamAssignment(base, COROLLARY_PARENTS["3.5"][1]), order)
+        lp, rp = build_sides(ident, ParamAssignment(base, {}), order)
         quarter = Fraction(-1, 4)
-        dl = (l1 - l2).scale(quarter)
-        dr = (r1 - r2).scale(quarter)
-        for tag, printed, derived in (("lhs", lp, dl), ("rhs", rp, dr)):
-            mismatch = _first_mismatch(printed, derived, order)
-            ms = (time.perf_counter() - t0) * 1000.0
-            reports.append(
-                CheckReport(
-                    identity="3.6",
-                    base=5,
-                    spec=f"derived-{tag}",
-                    order_requested=order,
-                    order_compared=order,
-                    status="equal" if mismatch is None else "mismatch",
-                    first_mismatch=mismatch,
-                    runtime_ms=ms,
-                )
-            )
-        return reports
+        sides = {"lhs": (lp, (l1 - l2).scale(quarter)), "rhs": (rp, (r1 - r2).scale(quarter))}
+        return [
+            _report(ident, base, f"derived-{tag}", order, t0, pair) for tag, pair in sides.items()
+        ]
 
-    parent, base, sub = COROLLARY_PARENTS[ident]
+    parent, sub = COROLLARY_PARENTS[ident]
     rep = check_identity(parent, ParamAssignment(base, dict(sub)), order)
     rep.identity = f"{ident}<-{parent}"
-    reports.append(rep)
     printed = check_identity(ident, ParamAssignment(base, {}), order)
     printed.spec = "printed"
-    reports.append(printed)
-    return reports
+    return [rep, printed]
 
 
 # ---------------------------------------------------------------------------
@@ -861,9 +821,11 @@ def derived_corollary_reports(ident: str, order: int) -> List[CheckReport]:
 
 DEFAULT_BASES: Tuple[int, ...] = (5, 7, 9, 11, 13)
 
-# fixed-base corollaries whose registry entry is a transcription of the
+# the fixed-base corollaries, whose registry entry is a transcription of the
 # printed source text; acceptance rests on their substitution-derived twins
-PRINTED_COROLLARIES = frozenset({"3.1", "3.3", "3.4", "3.5", "3.6", "3.7", "3.9"})
+PRINTED_COROLLARIES = frozenset(
+    d.ident for d in _REGISTRY.values() if d.fixed_base is not None
+)
 
 
 def suite_ok(reports: Sequence[CheckReport]) -> bool:

@@ -321,6 +321,22 @@ def test_cli_expand_base_below_one_is_exit_2(capsys, expr):
     assert err == "error: base scale must be a positive integer\n"
 
 
+@pytest.mark.parametrize("base", ["0", "-1"])
+def test_cli_verify_base_below_one_is_a_constraint_violation(capsys, base):
+    # 1.2's pole-unit rule reduces ord(z) mod the base; the base is checked first
+    argv = ("verify", "1.2", "--base", base, "--spec", "z=-q^0", "--order", "5")
+    message = "base scale must be a positive integer"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.rstrip().endswith(f"constraint-violation: {message}")
+    assert err == f"error: {message}\n"
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    row = json.loads(out)
+    assert (row["base"], row["status"], row["detail"]) == (int(base), "constraint-violation", message)
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
