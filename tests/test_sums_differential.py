@@ -221,6 +221,7 @@ def test_phi_minus_matches_a_direct_sum(m, order, ring):
     coeffs = [want.get(e, 0) for e in range(order + 1)]
     expected = QSeries.make(ring or RATIONAL, 0, coeffs, order)
     check_same(cons.phi_minus, lambda *args: expected, m, order, ring)
+    assert cons.phi_minus(m, order, ring).ring is expected.ring
 
 
 def test_pf_sum_keeps_a_negative_order():
