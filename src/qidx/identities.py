@@ -750,6 +750,7 @@ def random_spec(
     desc = get_descriptor(ident)
     if desc.fixed_base is not None:
         base = desc.fixed_base
+    check_base(base)
     c = desc.constraint
     if c is None:
         return ParamAssignment(base=base, params={})

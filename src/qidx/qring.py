@@ -16,8 +16,11 @@ Multiplication picks one of three exact kernels from what the operands hold:
     about a hundred tau-monomials), so every pair of nonzero terms whose
     q exponents land inside the window is multiplied once and accumulated
     under one int key that folds the q exponent and the four tau exponents;
-  * scalar coefficients, one side with at most two nonzero terms: a
-    schoolbook loop over the nonzero terms of the short side;
+  * scalar coefficients, one side with at most two nonzero terms: each
+    term of the short side adds one shifted, scaled slice of the other
+    side into a fresh output list, a few linear passes through ``map`` and
+    slice assignment; the result is canonicalized only when it holds a
+    Fraction.  A signed Pochhammer factor (1 - u q^d) is such a side;
   * scalar coefficients otherwise: Kronecker substitution.  Both windows
     are scaled to a common denominator, packed into one big integer each
     with byte-aligned signed digits, and multiplied once; packing and
@@ -30,7 +33,8 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
-from operator import mul
+from itertools import compress, repeat
+from operator import add, mul, neg, sub
 from typing import List, Tuple
 
 from .errors import (
@@ -165,6 +169,29 @@ def _packed_product(x: List, y: List, out_len: int) -> List:
     if den == 1:
         return digits
     return [normalize_scalar(Fraction(d, den)) if d else 0 for d in digits]
+
+
+def _short_product(sp: List, dn: List, out_len: int) -> List:
+    """The first out_len coefficients of the product of two scalar windows
+    where ``sp`` has at most two nonzero terms: each term c q^i adds c times
+    ``dn`` shifted by i into a fresh list, one slice pass per term."""
+    out = [0] * out_len
+    for k, i in enumerate(compress(range(min(len(sp), out_len)), sp)):
+        c = sp[i]
+        end = min(out_len, i + len(dn))
+        seg = dn[: end - i]
+        op = add
+        if c == -1:
+            op = sub
+        elif c != 1:
+            seg = map(mul, seg, repeat(c))
+        if k == 0:
+            out[i:end] = seg if op is add else map(neg, seg)
+        else:
+            out[i:end] = map(op, out[i:end], seg)
+    if Fraction in map(type, out):
+        out = [c if type(c) is int else _canon(c) for c in out]
+    return out
 
 
 def _terms(coeffs: List) -> Tuple[List[Tuple[int, Monomial, int]], int]:
@@ -365,27 +392,15 @@ class QSeries:
         out_len = order - out_offset + 1
         x, y = self.coeffs, other.coeffs
         if self.ring.symbolic and (
-            any(type(c) is LaurentPoly for c in x)
-            or any(type(c) is LaurentPoly for c in y)
+            LaurentPoly in map(type, x) or LaurentPoly in map(type, y)
         ):
             out = _term_product(x, y, out_len)
             return QSeries._raw(self.ring, out_offset, out, order)
-        nnz_self = sum(1 for c in x if c)
-        nnz_other = sum(1 for c in y if c)
-        if min(nnz_self, nnz_other) <= 2:
-            sp, dn = (self, other) if nnz_self <= nnz_other else (other, self)
-            out = [0] * out_len
-            for i, ci in enumerate(sp.coeffs):
-                if not ci:
-                    continue
-                top = min(len(dn.coeffs), out_len - i)
-                for j in range(top):
-                    cj = dn.coeffs[j]
-                    if cj:
-                        prev = out[i + j]
-                        t = ci * cj
-                        out[i + j] = t if isinstance(prev, int) and prev == 0 else prev + t
-            out = [c if type(c) is int else _canon(c) for c in out]
+        nnz_x = len(x) - x.count(0)
+        nnz_y = len(y) - y.count(0)
+        if min(nnz_x, nnz_y) <= 2:
+            sp, dn = (x, y) if nnz_x <= nnz_y else (y, x)
+            out = _short_product(sp, dn, out_len)
             return QSeries._raw(self.ring, out_offset, out, order)
         out = _packed_product(x, y, out_len)
         return QSeries._raw(self.ring, out_offset, out, order)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qidx.constructors import (
+    _Acc,
     AffineWeight,
     SpecMonomial,
     Unit,
@@ -31,6 +32,7 @@ from qidx.errors import (
     DivergentTailError,
     NegativeOrderArgumentError,
     PoleError,
+    RingMismatchError,
     SymbolicNonUnitError,
 )
 from qidx.exactalg import LaurentPoly
@@ -129,6 +131,53 @@ def test_recip_series_against_true_inverse():
         om = one_minus(sm(sign, e), RATIONAL, order)
         prod = recip_series(sm(sign, e), s, order) * om ** s
         assert series_dict(prod, order) == {0: 1}
+
+
+def acc_one_minus(x, ring, order):
+    """1 - u*q^e written term by term through the sum accumulator."""
+    acc = _Acc(ring, order)
+    acc.add(0, 1)
+    acc.add(x.qexp, -x.unit.sign, x.unit.mono)
+    return acc.series()
+
+
+def exact_window(qs):
+    return qs.offset, qs.order, [
+        (type(c), list(c.terms.items()) if isinstance(c, LaurentPoly) else c)
+        for c in qs.coeffs
+    ]
+
+
+@pytest.mark.parametrize("order", [-2, 0, 1, 5])
+@pytest.mark.parametrize("e", [-3, -1, 0, 1, 4, 5, 6, 9])
+def test_one_minus_matches_the_accumulator_build(order, e):
+    # e = 0 gives the constants 1 - (+1) = 0 and 1 - (-1) = 2; e > order
+    # leaves the term outside the window
+    units = [Unit(1), Unit(-1), Unit(1, (0, 0, 1, 0)), Unit(-1, (1, 0, 0, 0))]
+    for unit in units:
+        x = SpecMonomial(unit, e)
+        rings = (SYMBOLIC,) if unit.symbolic else (RATIONAL, SYMBOLIC)
+        for ring in rings:
+            # the term dicts are compared in insertion order, too
+            assert exact_window(one_minus(x, ring, order)) == exact_window(
+                acc_one_minus(x, ring, order)
+            )
+
+
+def test_one_minus_constant_terms():
+    assert one_minus(sm(1, 0), RATIONAL, 3).is_zero()
+    assert one_minus(sm(-1, 0), RATIONAL, 3).coeffs == [2, 0, 0, 0]
+    assert one_minus(sm(-1, 5), RATIONAL, 3).coeffs == [1, 0, 0, 0]
+
+
+def test_one_minus_rejects_a_symbolic_unit_in_the_rational_ring():
+    for e in (-2, 0, 3):
+        with pytest.raises(RingMismatchError):
+            one_minus(sym(1, e), RATIONAL, 3)
+        with pytest.raises(RingMismatchError):
+            acc_one_minus(sym(1, e), RATIONAL, 3)
+    # outside the window the unit never enters the series, as before
+    assert one_minus(sym(1, 4), RATIONAL, 3).coeffs == [1, 0, 0, 0]
 
 
 # ---------------------------------------------------------------------------

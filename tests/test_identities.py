@@ -138,6 +138,17 @@ def test_empty_constraint_set():
         random_spec("1.3", 3, "any")
 
 
+@pytest.mark.parametrize("base", [0, -1])
+def test_random_spec_and_run_suite_reject_a_base_below_one(base):
+    # 1.2's pole-unit rule takes e % base, so the base is checked first
+    message = "base scale must be a positive integer"
+    for ident in ("1.2", "1.1", "phi"):
+        with pytest.raises(ConstraintViolationError, match=message):
+            random_spec(ident, base, "seed")
+    with pytest.raises(ConstraintViolationError, match=message):
+        run_suite(order=10, trials=1, bases=(base,), idents=["1.2"])
+
+
 def test_wrong_base_for_pinned_corollary():
     rep = check_identity("3.4", ParamAssignment(7, {}), 30)
     assert rep.status == "constraint-violation"

@@ -1,7 +1,8 @@
 """Differential tests: the three ``QSeries.__mul__`` kernels (sparse term
-product, scalar schoolbook loop, packed scalar product) and the Pochhammer
-products against the naive per-coefficient product in ``naive_product``, and
-a check that no series operation mutates its operands."""
+product, slice passes by a scalar side of one or two terms, packed scalar
+product) and the Pochhammer products against the naive per-coefficient
+product in ``naive_product``, and a check that no series operation mutates
+its operands."""
 
 from fractions import Fraction
 
@@ -104,6 +105,46 @@ def test_symbolic_times_scalar_rows_match_naive(data):
     y = data.draw(series(False))
     y = QSeries.make(SYMBOLIC, y.offset, y.coeffs, y.order)
     check_product(x, y)
+
+
+# halves and thirds, so products with the short side's 2, 3 and 6 and sums
+# of two such products cancel to integers
+fractional = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([2, 3]))
+short_coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, -3, 6, Fraction(3, 2), Fraction(-2, 3)]),
+    st.integers(-(2**70), 2**70).filter(bool),
+    fractional,
+)
+
+
+@st.composite
+def short_and_dense(draw):
+    """A series with exactly one or two nonzero terms at any indices of its
+    window, which may start with zeros, and a dense series whose window is
+    sometimes shorter than the short side's last index."""
+    ring = draw(st.sampled_from([RATIONAL, SYMBOLIC]))
+    length = draw(st.integers(1, 30))
+    coeffs = [0] * length
+    for i in draw(st.sets(st.integers(0, length - 1), min_size=1, max_size=2)):
+        coeffs[i] = draw(short_coefficients)
+    offset = draw(st.integers(-4, 6))
+    # QSeries() keeps leading zeros that QSeries.make would trim
+    short = QSeries(ring, offset, coeffs, offset + length - 1)
+    n = draw(st.one_of(st.integers(1, 8), st.integers(20, 60)))
+    values = st.one_of(scalars, fractional) if draw(st.booleans()) else scalars
+    dense_coeffs = draw(st.lists(values, min_size=n, max_size=n))
+    dense_offset = draw(st.integers(-4, 6))
+    dense = QSeries.make(ring, dense_offset, dense_coeffs, dense_offset + n - 1)
+    return short, dense
+
+
+@SETTINGS
+@given(short_and_dense())
+def test_short_side_product_matches_naive(pair):
+    short, dense = pair
+    check_product(short, dense)
+    product = short * dense
+    assert product.coeffs is not dense.coeffs and product.coeffs is not short.coeffs
 
 
 @settings(max_examples=100, deadline=None)
