@@ -252,10 +252,29 @@ def test_spec_string_forms():
     assert parse_spec_string("b=q^-2")["b"].qexp == -2
 
 
+SPEC_STRING_ERRORS = [
+    ("x=q^2", "unknown parameter 'x' (expected one of a, b, c, d, z)", 1),
+    ("b=q,b=q", "parameter 'b' assigned twice", 5),
+    ("b=r", "expected 'q' in spec value, found 'r'", 3),
+    ("b=2", "expected 'NAME' in spec string, found '2'", 3),
+    ("b=-~q", "expected 'NAME' in spec string, found '~'", 4),
+    ("b=q^", "expected 'NUMBER' in spec string, found 'end of input'", 5),
+    ("b=q^--2", "expected 'NUMBER' in spec string, found '-'", 6),
+    ("b=q^+2", "expected 'NUMBER' in spec string, found '+'", 5),
+    ("b=q,", "expected 'NAME' in spec string, found 'end of input'", 5),
+    (" a = q ^ - 3 , ,", "expected 'NAME' in spec string, found ','", 16),
+    ("b=q^2 c=q", "expected ',' in spec string, found 'c'", 7),
+    ("b=q^2x", "expected ',' in spec string, found 'x'", 6),
+    ("b", "expected '=' in spec string, found 'end of input'", 2),
+    ("b=$", "unexpected character '$'", 3),
+]
+
+
 def test_spec_string_rejects_garbage():
-    for bad in ("x=q^2", "b=q^", "b=2", "b=q,b=q", "b=q^2 c=q", "b"):
-        with pytest.raises(ExprSyntaxError):
-            parse_spec_string(bad)
+    for text, message, offset in SPEC_STRING_ERRORS:
+        with pytest.raises(ExprSyntaxError) as info:
+            parse_spec_string(text)
+        assert (str(info.value), info.value.position) == (message, offset), text
 
 
 def test_spec_string_matches_assignment_printing():
@@ -578,6 +597,53 @@ def test_cli_verify_all_seed0_golden():
     # may move a random_spec draw or a verdict
     with open(os.path.join(GOLDEN, "verify_all_seed0.json")) as handle:
         assert verify_all_seed0() == handle.read()
+
+
+# negative powers of signed, symbolic and fractional series, with nonzero
+# offsets, leads other than +-1 and a lead that is not a unit
+EXPAND_INVERSE = [
+    ("poch(q)^-1", "--order", "200"),
+    ("phi()^-1", "--order", "200"),
+    ("theta(-q^0)^-2", "--order", "120"),
+    ("theta(-q^0)^-3", "--order", "200"),
+    ("(2*q^3 + q^4)^-2", "--order", "30"),
+    ("(2 - q)^-3", "--order", "40"),
+    ("(q^-1 + 1)^-1", "--order", "20"),
+    ("poch(b)^-1", "--base", "3", "--order", "150", "--spec", "b=-q^2"),
+    ("l(b)^-1", "--base", "3", "--order", "100", "--spec", "b=-q^2"),
+    ("pf(b)^-2", "--base", "3", "--order", "60", "--spec", "b=-q^2"),
+    ("f(a, b)^-3", "--base", "5", "--order", "100", "--spec", "a=-q^1,b=-q^2"),
+    ("theta(b)^-2", "--base", "2", "--order", "100", "--spec", "b=q^1"),
+    ("poch(b)^-1", "--base", "3", "--order", "60", "--spec", "b=~q^2"),
+    ("l(b)^-1", "--base", "3", "--order", "30", "--spec", "b=~q^2"),
+    ("theta(b)^-1", "--base", "3", "--order", "40", "--spec", "b=~q^2"),
+    ("(1 - b)^-3", "--order", "40", "--spec", "b=~q^1"),
+    ("(2*b + q^5)^-1", "--order", "40", "--spec", "b=~q^0"),
+    ("(b - 3*q)^-2", "--order", "30", "--spec", "b=~q^0"),
+    ("(poch(a)*theta(b))^-2", "--base", "2", "--order", "30", "--spec", "a=-q^1,b=~q^1"),
+    ("f(a, b)^-1", "--base", "3", "--order", "10", "--spec", "a=~q^1,b=~q^2"),
+]
+
+
+def expand_inverse_outputs():
+    """The exit code and stdout of `qidx expand` for each EXPAND_INVERSE case.
+
+    Regenerate with
+    PYTHONPATH=src:tests python -c "import test_cli as t;
+    print(t.expand_inverse_outputs(), end='')" > tests/golden/expand_inverse.json
+    """
+    rows = []
+    for argv in EXPAND_INVERSE:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["expand", *argv])
+        rows.append({"argv": list(argv), "exit": code, "stdout": out.getvalue()})
+    return json.dumps(rows, indent=1) + "\n"
+
+
+def test_cli_expand_inverse_golden():
+    with open(os.path.join(GOLDEN, "expand_inverse.json")) as handle:
+        assert expand_inverse_outputs() == handle.read()
 
 
 def test_cli_verify_all_env_seed_override(capsys, monkeypatch):
