@@ -9,13 +9,15 @@ Grammar (whitespace-insensitive):
 
 Offsets in diagnostics are 1-based character positions. Parameter values,
 base, and truncation order come from the surrounding command, not the text.
+Spec strings (``a=-q^1,b=~q^2``) are read by the same parser: its tokens,
+its ``expect`` and the exponent grammar of ``factor``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .constructors import (
     AffineWeight,
@@ -152,10 +154,11 @@ def _tokenize(text: str) -> List[_Token]:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, context: str = ""):
         self.toks = _tokenize(text)
         self.i = 0
+        # appended to the kind in "expected ..." messages
+        self.context = context
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -169,13 +172,10 @@ class _Parser:
         t = self.peek()
         if t.kind != kind:
             raise ExprSyntaxError(
-                f"expected {kind!r}, found {t.text or 'end of input'!r}", t.pos + 1
+                f"expected {kind!r}{self.context}, found {t.text or 'end of input'!r}",
+                t.pos + 1,
             )
         return self.next()
-
-    def fail(self, msg: str) -> None:
-        t = self.peek()
-        raise ExprSyntaxError(msg, t.pos + 1)
 
     # -- grammar ------------------------------------------------------------
 
@@ -201,21 +201,26 @@ class _Parser:
             node = Mul(node, self.parse_factor(), op.pos)
         return node
 
+    def parse_exponent(self) -> Optional[Tuple[int, int]]:
+        """An optional '^' ['-'] INT: the exponent and the INT's position."""
+        if self.peek().kind != "^":
+            return None
+        self.next()
+        sign = -1 if self.peek().kind == "-" else 1
+        if sign < 0:
+            self.next()
+        t = self.expect("NUMBER")
+        return sign * int(t.text), t.pos
+
     def parse_factor(self) -> Node:
         node = self.parse_atom()
-        if self.peek().kind == "^":
-            self.next()
-            sign = 1
-            if self.peek().kind == "-":
-                self.next()
-                sign = -1
-            t = self.expect("NUMBER")
-            k = sign * int(t.text)
-            if isinstance(node, QPow):
-                node = QPow(node.exp * k, node.pos)
-            else:
-                node = Pow(node, k, t.pos)
-        return node
+        power = self.parse_exponent()
+        if power is None:
+            return node
+        k, pos = power
+        if isinstance(node, QPow):
+            return QPow(node.exp * k, node.pos)
+        return Pow(node, k, pos)
 
     def parse_atom(self) -> Node:
         t = self.peek()
@@ -246,7 +251,7 @@ class _Parser:
                     )
                 return Call(t.text, tuple(args), t.pos)
             return Ref(t.text, t.pos)
-        self.fail(f"expected a value, found {t.text or 'end of input'!r}")
+        raise ExprSyntaxError(f"expected a value, found {t.text or 'end of input'!r}", t.pos + 1)
 
 
 def parse_expr(text: str) -> Node:
@@ -461,25 +466,9 @@ def parse_spec_string(text: str) -> Dict[str, SpecMonomial]:
     params: Dict[str, SpecMonomial] = {}
     if not text.strip():
         return params
-    toks = _tokenize(text)
-    i = 0
-
-    def peek():
-        return toks[i]
-
-    def take(kind):
-        nonlocal i
-        t = toks[i]
-        if t.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r} in spec string, found {t.text or 'end of input'!r}",
-                t.pos + 1,
-            )
-        i += 1
-        return t
-
+    p = _Parser(text, " in spec string")
     while True:
-        name_tok = take("NAME")
+        name_tok = p.expect("NAME")
         name = name_tok.text
         if name not in _PARAM_VARS:
             raise ExprSyntaxError(
@@ -490,35 +479,20 @@ def parse_spec_string(text: str) -> Dict[str, SpecMonomial]:
             raise ExprSyntaxError(
                 f"parameter {name!r} assigned twice", name_tok.pos + 1
             )
-        take("=")
-        t = peek()
-        symbolic = False
-        sign = 1
-        if t.kind == "~":
-            take("~")
-            symbolic = True
-        elif t.kind in ("+", "-"):
-            take(t.kind)
-            sign = -1 if t.kind == "-" else 1
-        qtok = take("NAME")
+        p.expect("=")
+        mark = p.peek().kind
+        if mark in ("~", "+", "-"):
+            p.next()
+        qtok = p.expect("NAME")
         if qtok.text != "q":
             raise ExprSyntaxError(
                 f"expected 'q' in spec value, found {qtok.text!r}", qtok.pos + 1
             )
-        e = 1
-        if peek().kind == "^":
-            take("^")
-            neg = False
-            if peek().kind == "-":
-                take("-")
-                neg = True
-            num = take("NUMBER")
-            e = -int(num.text) if neg else int(num.text)
-        if symbolic:
+        e, _ = p.parse_exponent() or (1, None)
+        if mark == "~":
             params[name] = symbolic_param(name, e)
         else:
-            params[name] = SpecMonomial.signed(sign, e)
-        if peek().kind == "EOF":
-            break
-        take(",")
-    return params
+            params[name] = SpecMonomial.signed(-1 if mark == "-" else 1, e)
+        if p.peek().kind == "EOF":
+            return params
+        p.expect(",")

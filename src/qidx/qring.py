@@ -25,6 +25,10 @@ Multiplication picks one of three exact kernels from what the operands hold:
     are scaled to a common denominator, packed into one big integer each
     with byte-aligned signed digits, and multiplied once; packing and
     unpacking are linear-time byte conversions.
+
+Inversion is Newton's iteration b <- b*(2 - a*b), which doubles the number
+of known coefficients of 1/a with each step; its products go through the
+same three kernels.
 """
 
 from __future__ import annotations
@@ -440,25 +444,21 @@ class QSeries:
     def inv(self) -> "QSeries":
         """Multiplicative inverse; requires an invertible lowest coefficient."""
         if not self.coeffs:
-            raise NonUnitLeadingError("cannot invert the zero series")
-        o = self.offset
-        rel = self.coeffs
-        u = self.ring.inv_coeff(rel[0])
-        n = len(rel)
-        b = [u]
-        for k in range(1, n):
-            acc = 0
-            for i in range(1, k + 1):
-                ri = rel[i]
-                if ri:
-                    bi = b[k - i]
-                    if bi:
-                        acc = acc + ri * bi
-            if isinstance(acc, (int, Fraction)) and acc == 0:
-                b.append(0)
-            else:
-                b.append(_canon(-acc if u == 1 else -(u * acc)))
-        return QSeries._raw(self.ring, -o, b, self.order - 2 * o)
+            raise NonUnitLeadingError(
+                f"cannot invert a series with no nonzero coefficient through q^{self.order}"
+            )
+        ring, a = self.ring, self.coeffs
+        b = QSeries(ring, 0, [ring.inv_coeff(a[0])], 0)
+        k = 1
+        while k < len(a):
+            # b is 1/a through q^(k-1); with a*b = 1 - r, the step b + b*r
+            # = b*(2 - a*b) leaves an error of r^2, so b's unknown terms
+            # through q^(2k-1) may be taken as zero
+            k = min(2 * k, len(a))
+            b = QSeries(ring, 0, b.coeffs + [0] * (k - len(b.coeffs)), k - 1)
+            r = QSeries.const(ring, 1, k - 1) - QSeries(ring, 0, a[:k], k - 1) * b
+            b = b + b * r
+        return b.shifted(-self.offset)
 
     # -- comparison ---------------------------------------------------------
 

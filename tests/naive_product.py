@@ -1,12 +1,16 @@
-"""Naive reference for the series product.
+"""Naive references for the series product and inverse.
 
 Every coefficient of the product window is the plain sum of
-``x.coeff(i) * y.coeff(n - i)`` over the window, computed with the
-coefficients' own ``*`` and ``+``.  It shares no code with the kernels in
-``qidx.qring``, so the differential tests compare the two.
+``x.coeff(i) * y.coeff(n - i)`` over the window, and every coefficient of
+the inverse comes from the one before it by the convolution recurrence;
+both are computed with ``coeff()`` and the coefficients' own ``*`` and ``+``.
+They share no code with the kernels in ``qidx.qring``, so the differential
+tests compare the two.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from qidx.qring import QSeries
 
@@ -26,3 +30,19 @@ def naive_mul(x: QSeries, y: QSeries) -> QSeries:
             total = total + x.coeff(i) * y.coeff(n - i)
         coeffs.append(total)
     return QSeries.make(x.ring, lo, coeffs, order)
+
+
+def naive_inv(x: QSeries) -> QSeries:
+    """1/x for a series with an invertible lowest coefficient a_0 at q^v:
+    b_0 = 1/a_0 and b_k = -(1/a_0) * sum_{i=1..k} a_i b_{k-i}, over the
+    window [-v, x.order - 2v]."""
+    v = x.offset
+    lead = x.coeff(v)
+    u = Fraction(1) / lead if isinstance(lead, (int, Fraction)) else lead ** -1
+    b = [u]
+    for k in range(1, x.order - v + 1):
+        total = 0
+        for i in range(1, k + 1):
+            total = total + x.coeff(v + i) * b[k - i]
+        b.append(-(u * total))
+    return QSeries.make(x.ring, -v, b, x.order - 2 * v)

@@ -315,6 +315,8 @@ def test_cli_expand_unbound_parameter_is_exit_2(capsys):
 
 EXPAND_ERRORS = {
     "0^-1": "error: 0 raised to the negative power -1 at offset 4\n",
+    # 2q^11 is unknown through q^10, not zero
+    "(2*q^11)^-1": "error: cannot invert a series with no nonzero coefficient through q^10\n",
     "chilam(1, 3)": "error: denominator power must be 1 or 2\n",
     "glam(1, q, 0, 1, 3, 0)": "error: denominator power must be 1 or 2\n",
     # two bad arguments: the first in argument order is reported

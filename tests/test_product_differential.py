@@ -1,8 +1,8 @@
 """Differential tests: the three ``QSeries.__mul__`` kernels (sparse term
 product, slice passes by a scalar side of one or two terms, packed scalar
-product) and the Pochhammer products against the naive per-coefficient
-product in ``naive_product``, and a check that no series operation mutates
-its operands."""
+product), the Pochhammer products and the Newton inverse against the naive
+per-coefficient product and inverse in ``naive_product``, and a check that
+no series operation mutates its operands."""
 
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from naive_product import naive_mul
+from naive_product import naive_inv, naive_mul
 from qidx.constructors import SpecMonomial, poch_fin, poch_inf
 from qidx.exactalg import LaurentPoly
 from qidx.qring import RATIONAL, SYMBOLIC, QSeries, _pack, _unpack
@@ -242,22 +242,51 @@ def test_pochhammer_products_match_factor_by_factor(args, n):
 
 
 small = st.sampled_from([0, 1, -1, 2, Fraction(-1, 3)])
+leads = st.sampled_from([1, -1, 2, Fraction(1, 2), Fraction(-3, 2)])
+# a tau-monomial in one variable, so that the coefficients of the inverse of
+# a long window stay a few dozen terms wide
+one_variable = st.builds(
+    LaurentPoly.monomial, st.sampled_from([(1, 0, 0, 0), (-1, 0, 0, 0)]), small
+)
 
 
 @st.composite
 def unit_leading(draw, symbolic):
-    """A short series whose lowest coefficient is invertible in its ring; its
-    coefficients stay small, since an inverse's coefficients swell."""
+    """A series whose lowest coefficient is invertible in its ring: +-1, 2,
+    1/2, -3/2 or, in the symbolic ring, a +-tau-monomial, then a window of
+    1-8 or 20-60 terms that may start with zeros.  Its coefficients stay
+    small, since an inverse's coefficients swell."""
     ring = SYMBOLIC if symbolic else RATIONAL
+    lead = draw(leads)
+    n = draw(st.one_of(st.integers(1, 8), st.integers(20, 60)))
     coefficient = small
     if symbolic:
-        coefficient = st.one_of(small, st.builds(LaurentPoly.monomial, monomials, small))
-        lead = draw(st.builds(LaurentPoly.monomial, monomials, small.filter(bool)))
-    else:
-        lead = draw(small.filter(bool))
+        if draw(st.booleans()):
+            lead = LaurentPoly.monomial(draw(monomials), draw(st.sampled_from([1, -1])))
+        if n <= 8:
+            coefficient = st.one_of(small, st.builds(LaurentPoly.monomial, monomials, small))
+        else:
+            coefficient = st.one_of(small, small, one_variable)
+    gap = draw(st.integers(0, n - 1))
+    tail = draw(st.lists(coefficient, min_size=n - 1 - gap, max_size=n - 1 - gap))
     offset = draw(st.integers(-4, 6))
-    tail = draw(st.lists(coefficient, max_size=8))
-    return QSeries.make(ring, offset, [lead] + tail, offset + len(tail))
+    return QSeries.make(ring, offset, [lead] + [0] * gap + tail, offset + n - 1)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans(), st.integers(1, 3), st.data())
+def test_inverse_and_negative_powers_match_naive(symbolic, k, data):
+    # Newton's steps reach the short-side kernel (a window of two terms), the
+    # packed kernel and, with tau-monomials, the term product
+    x = data.draw(unit_leading(symbolic))
+    before = snapshot(x)
+    inverse = naive_inv(x)
+    assert exact(x.inv()) == exact(inverse)
+    power = inverse
+    for _ in range(k - 1):
+        power = naive_mul(power, inverse)
+    assert exact(x ** -k) == exact(power)
+    assert snapshot(x) == before
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

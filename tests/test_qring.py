@@ -164,7 +164,7 @@ def test_inv_randomized_contract():
 
 
 def test_inv_errors():
-    with pytest.raises(NonUnitLeadingError):
+    with pytest.raises(NonUnitLeadingError, match=r"no nonzero coefficient through q\^5$"):
         QSeries.zero(RATIONAL, 5).inv()
     # symbolic two-term leading coefficient is not invertible
     lead = LaurentPoly.const(1) - LaurentPoly.var(VAR_B)
