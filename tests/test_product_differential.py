@@ -11,8 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from naive_product import naive_inv, naive_mul
-from qidx.constructors import SpecMonomial, poch_fin, poch_inf
-from qidx.exactalg import LaurentPoly
+from qidx.constructors import SpecMonomial, Unit, poch_fin, poch_inf
+from qidx.errors import RingMismatchError
+from qidx.exactalg import MONO_ONE, LaurentPoly
 from qidx.qring import RATIONAL, SYMBOLIC, QSeries, _pack, _unpack
 
 SETTINGS = settings(
@@ -213,19 +214,26 @@ def naive_factors(x, m, n, order, ring):
     return result
 
 
+# tau-units as the registry builds them: one symbol, its inverse (the second
+# factor of poch_pair) or a product of two symbols, such as a*b
+tau_monomials = st.one_of(
+    st.builds(lambda v, k: tuple(k if i == v else 0 for i in range(4)),
+              st.integers(0, 3), st.sampled_from([1, -1])),
+    st.tuples(*[st.sampled_from([-1, 0, 1])] * 4).filter(any),
+)
+
+
 @st.composite
 def poch_arguments(draw):
-    """A ring, an argument u*q^e with e >= 0 (symbolic u only in the
-    symbolic ring), a base 1..13 and an order."""
+    """A ring, an argument u*q^e with e >= 0 (a tau-unit u only in the
+    symbolic ring), a base 1..13 and an order, one in six of them 41..120."""
     symbolic = draw(st.booleans())
     sign = draw(st.sampled_from([1, -1]))
     e = draw(st.integers(0, 8))
-    if symbolic and draw(st.booleans()):
-        x = SpecMonomial.symbolic(draw(st.integers(0, 3)), e, sign)
-    else:
-        x = SpecMonomial.signed(sign, e)
+    mono = draw(tau_monomials) if symbolic and draw(st.booleans()) else MONO_ONE
     ring = SYMBOLIC if symbolic else RATIONAL
-    return x, draw(st.integers(1, 13)), draw(st.integers(0, 40)), ring
+    order = draw(st.integers(41, 120) if draw(st.integers(0, 5)) == 5 else st.integers(0, 40))
+    return SpecMonomial(Unit(sign, mono), e), draw(st.integers(1, 13)), order, ring
 
 
 @settings(max_examples=200, deadline=None)
@@ -235,6 +243,23 @@ def test_pochhammer_products_match_factor_by_factor(args, n):
     # the factors past q^order are 1 there: order + 1 of them cover every base
     assert exact(poch_inf(x, m, order, ring)) == exact(naive_factors(x, m, order + 1, order, ring))
     assert exact(poch_fin(x, n, m, order, ring)) == exact(naive_factors(x, m, n, order, ring))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tau_monomials, st.sampled_from([1, -1]), st.integers(0, 8), st.integers(1, 13),
+       st.integers(-2, 20), st.integers(0, 4))
+def test_pochhammer_products_check_a_tau_unit_against_the_ring(mono, sign, e, m, order, n):
+    # a rational-ring product meets its tau-unit only if a factor lies
+    # inside the window; otherwise the product is 1 through q^order
+    x = SpecMonomial(Unit(sign, mono), e)
+    builds = [(lambda: poch_inf(x, m, order, RATIONAL), order + 1),
+              (lambda: poch_fin(x, n, m, order, RATIONAL), n)]
+    for build, count in builds:
+        if e <= order and count >= 1:
+            with pytest.raises(RingMismatchError):
+                build()
+        else:
+            assert exact(build()) == exact(QSeries.const(RATIONAL, 1, order))
 
 
 # ---------------------------------------------------------------------------
