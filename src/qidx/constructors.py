@@ -22,8 +22,9 @@ n-weighted sum share ``_bilateral``, ``pf_sum`` writes its terms through it,
 and ``lambert_sum`` sums a list of one-sided terms (c, M, x, s, W, r0) for
 ``generalized_lambert``, ``l_func``, ``char_lambert`` and the identity
 builders.  ``phi_minus`` is ``theta_sum`` at z = q^m in base q^{2m}.  Finite
-and infinite Pochhammer products share ``_factors``; ``poch_pair`` is the
-two-sided product (x)(q^m/x).  ``check_base`` is the one base-scale check.
+and infinite Pochhammer products share ``_factors``, which applies each
+factor to one coefficient list in place; ``poch_pair`` is the two-sided
+product (x)(q^m/x).  ``check_base`` is the one base-scale check.
 """
 
 from __future__ import annotations
@@ -379,13 +380,24 @@ def times_spec_monomial(qs: QSeries, x: SpecMonomial, weight: Scalar = 1) -> QSe
 
 def _factors(x: SpecMonomial, n: int, m: int, order: int, ring: CoeffRing) -> QSeries:
     """The product of (1 - x*q^{m*i}) for 0 <= i < n through q^order: the
-    factors past q^order are 1 there, and a zero product stays zero."""
-    result = QSeries.const(ring, 1, order)
-    for i in range(min(n, (order - x.qexp) // m + 1)):
-        result = result * one_minus(x.times_qpow(m * i), ring, order)
-        if result.is_zero():
-            break
-    return result
+    factors past q^order are 1 there.  Each factor (1 - u q^d) updates one
+    fresh coefficient list in place, a[k] -= u * a[k - d] for k >= d."""
+    if order < 0:
+        return QSeries.zero(ring, order)
+    a = [1] + [0] * order
+    exps = range(x.qexp, order + 1, m)[:n]
+    if exps:
+        u = ring.coerce(x.unit.value())
+        for d in exps:
+            if u == 1:
+                a[d:] = map(operator.sub, a[d:], a[: order + 1 - d])
+            elif u == -1:
+                a[d:] = map(operator.add, a[d:], a[: order + 1 - d])
+            else:
+                a[d:] = [c - u * b if b else c for c, b in zip(a[d:], a)]
+        if type(u) is LaurentPoly:
+            a = [ring.coerce(c) for c in a]
+    return QSeries._raw(ring, 0, a, order)
 
 
 # Bounded: a full verify-all uses about 230 distinct products.

@@ -9,26 +9,22 @@ Coefficients live in one of two rings (see ``exactalg``): plain rationals,
 or Laurent polynomials in the four unit symbols.  In both cases scalar
 entries are stored as int/Fraction; symbolic entries as LaurentPoly.
 
-Multiplication picks one of three exact kernels from what the operands hold:
+Multiplication picks one of two exact kernels from what the operands hold:
 
   * either operand has a tau-monomial coefficient: a sparse term product.
     Symbolic windows are sparse (a few hundred nonzero terms spread over
     about a hundred tau-monomials), so every pair of nonzero terms whose
     q exponents land inside the window is multiplied once and accumulated
     under one int key that folds the q exponent and the four tau exponents;
-  * scalar coefficients, one side with at most two nonzero terms: each
-    term of the short side adds one shifted, scaled slice of the other
-    side into a fresh output list, a few linear passes through ``map`` and
-    slice assignment; the result is canonicalized only when it holds a
-    Fraction.  A signed Pochhammer factor (1 - u q^d) is such a side;
-  * scalar coefficients otherwise: Kronecker substitution.  Both windows
-    are scaled to a common denominator, packed into one big integer each
-    with byte-aligned signed digits, and multiplied once; packing and
-    unpacking are linear-time byte conversions.
+  * scalar coefficients: Kronecker substitution.  Both windows are scaled
+    to a common denominator, packed into one big integer each with
+    byte-aligned signed digits, and multiplied once; packing and unpacking
+    are linear-time byte conversions.
 
 Inversion is Newton's iteration b <- b*(2 - a*b), which doubles the number
 of known coefficients of 1/a with each step; its products go through the
-same three kernels.
+same two kernels.  Pochhammer factors (1 - u q^d) do not come here: the
+constructors apply them to one coefficient list in place.
 """
 
 from __future__ import annotations
@@ -37,8 +33,7 @@ import math
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import add, mul, neg, sub
+from operator import mul
 from typing import List, Tuple
 
 from .errors import (
@@ -128,6 +123,15 @@ def _lcm_den(values) -> int:
     return math.lcm(*{c.denominator for c in values if type(c) is Fraction})
 
 
+def _integral(x: List) -> Tuple[List[int], int]:
+    """A scalar window scaled to ints by its common denominator, and that
+    denominator; any Fraction, even an integral one, is converted."""
+    if Fraction not in map(type, x):
+        return x, 1
+    den = _lcm_den(x)
+    return [int(c * den) for c in x], den
+
+
 def _bias(count: int, nbytes: int) -> int:
     """The int whose ``count`` base-256**nbytes digits are all 2**(8*nbytes-1)."""
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
@@ -160,42 +164,16 @@ def _packed_product(x: List, y: List, out_len: int) -> List:
     """The first out_len coefficients of the product of two scalar windows:
     both are scaled to integers, packed into one int each and multiplied
     once (Kronecker substitution)."""
-    x, y = x[:out_len], y[:out_len]
-    dx, dy = _lcm_den(x), _lcm_den(y)
-    if dx > 1:
-        x = [int(c * dx) for c in x]
-    if dy > 1:
-        y = [int(c * dy) for c in y]
-    bound = out_len * max(map(abs, x)) * max(map(abs, y))
+    (x, dx), (y, dy) = _integral(x[:out_len]), _integral(y[:out_len])
+    mx, my = max(map(abs, x)), max(map(abs, y))
+    # each digit of the inputs and of the product must fit its width
+    bound = max(out_len * mx * my, mx, my)
     nbytes = (bound.bit_length() + 8) // 8
     digits = _unpack(_pack(x, nbytes) * _pack(y, nbytes), out_len, nbytes)
     den = dx * dy
     if den == 1:
         return digits
     return [normalize_scalar(Fraction(d, den)) if d else 0 for d in digits]
-
-
-def _short_product(sp: List, dn: List, out_len: int) -> List:
-    """The first out_len coefficients of the product of two scalar windows
-    where ``sp`` has at most two nonzero terms: each term c q^i adds c times
-    ``dn`` shifted by i into a fresh list, one slice pass per term."""
-    out = [0] * out_len
-    for k, i in enumerate(compress(range(min(len(sp), out_len)), sp)):
-        c = sp[i]
-        end = min(out_len, i + len(dn))
-        seg = dn[: end - i]
-        op = add
-        if c == -1:
-            op = sub
-        elif c != 1:
-            seg = map(mul, seg, repeat(c))
-        if k == 0:
-            out[i:end] = seg if op is add else map(neg, seg)
-        else:
-            out[i:end] = map(op, out[i:end], seg)
-    if Fraction in map(type, out):
-        out = [c if type(c) is int else _canon(c) for c in out]
-    return out
 
 
 def _terms(coeffs: List) -> Tuple[List[Tuple[int, Monomial, int]], int]:
@@ -399,14 +377,8 @@ class QSeries:
             LaurentPoly in map(type, x) or LaurentPoly in map(type, y)
         ):
             out = _term_product(x, y, out_len)
-            return QSeries._raw(self.ring, out_offset, out, order)
-        nnz_x = len(x) - x.count(0)
-        nnz_y = len(y) - y.count(0)
-        if min(nnz_x, nnz_y) <= 2:
-            sp, dn = (x, y) if nnz_x <= nnz_y else (y, x)
-            out = _short_product(sp, dn, out_len)
-            return QSeries._raw(self.ring, out_offset, out, order)
-        out = _packed_product(x, y, out_len)
+        else:
+            out = _packed_product(x, y, out_len)
         return QSeries._raw(self.ring, out_offset, out, order)
 
     __rmul__ = __mul__

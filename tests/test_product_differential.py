@@ -1,8 +1,8 @@
-"""Differential tests: the three ``QSeries.__mul__`` kernels (sparse term
-product, slice passes by a scalar side of one or two terms, packed scalar
-product), the Pochhammer products and the Newton inverse against the naive
-per-coefficient product and inverse in ``naive_product``, and a check that
-no series operation mutates its operands."""
+"""Differential tests: the two ``QSeries.__mul__`` kernels (sparse term
+product, packed scalar product), the Pochhammer products and the Newton
+inverse against the naive per-coefficient product and inverse in
+``naive_product``, and a check that no series operation mutates its
+operands."""
 
 from fractions import Fraction
 
@@ -171,6 +171,16 @@ def test_packed_product_digit_at_the_width_edge(n, m, sign):
     check_product(x, y)
 
 
+def test_packed_product_accepts_every_qseries_window():
+    # the part of x inside the product window is all zero, so the width must
+    # come from y's digits as well as from the product's
+    x = QSeries(RATIONAL, 0, [0, 0, 0, 1, 1, 1], 5)
+    check_product(x, QSeries.make(RATIONAL, 0, [128, 1, 1], 2))
+    # an integral Fraction is not an int digit: it must be scaled too
+    x = QSeries(RATIONAL, 0, [Fraction(2, 2), 3, 1], 2)
+    check_product(x, QSeries.make(RATIONAL, 0, [5, 7, 1, 2], 3))
+
+
 def test_full_cancellation_in_a_column():
     ta = LaurentPoly.var(0)
     # scalar, packed: (1 + q + q^2 + ...)(1 - q + q^5) cancels at q^1..q^4
@@ -301,8 +311,8 @@ def unit_leading(draw, symbolic):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(st.booleans(), st.integers(1, 3), st.data())
 def test_inverse_and_negative_powers_match_naive(symbolic, k, data):
-    # Newton's steps reach the short-side kernel (a window of two terms), the
-    # packed kernel and, with tau-monomials, the term product
+    # Newton's steps reach the packed kernel and, with tau-monomials, the
+    # term product
     x = data.draw(unit_leading(symbolic))
     before = snapshot(x)
     inverse = naive_inv(x)
