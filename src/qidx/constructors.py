@@ -381,7 +381,7 @@ def times_spec_monomial(qs: QSeries, x: SpecMonomial, weight: Scalar = 1) -> QSe
 def _factors(x: SpecMonomial, n: int, m: int, order: int, ring: CoeffRing) -> QSeries:
     """The product of (1 - x*q^{m*i}) for 0 <= i < n through q^order: the
     factors past q^order are 1 there.  Each factor (1 - u q^d) updates one
-    fresh coefficient list in place, a[k] -= u * a[k - d] for k >= d."""
+    fresh list in place: a[k] -= u * a[k - d] for k >= d, from old values."""
     if order < 0:
         return QSeries.zero(ring, order)
     a = [1] + [0] * order

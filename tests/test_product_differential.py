@@ -225,7 +225,7 @@ def naive_factors(x, m, n, order, ring):
 
 
 # tau-units as the registry builds them: one symbol, its inverse (the second
-# factor of poch_pair) or a product of two symbols, such as a*b
+# factor of poch_pair) or a product of several, such as a*b
 tau_monomials = st.one_of(
     st.builds(lambda v, k: tuple(k if i == v else 0 for i in range(4)),
               st.integers(0, 3), st.sampled_from([1, -1])),
