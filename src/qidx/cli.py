@@ -19,7 +19,7 @@ import sys
 from typing import List, Optional
 
 from .errors import ExprSyntaxError, QidxError
-from .exprs import eval_expr, parse_expr, parse_spec_string
+from .exprs import MAX_ORDER, eval_expr, parse_expr, parse_spec_string
 from .identities import (
     CheckReport,
     ParamAssignment,
@@ -37,7 +37,6 @@ class UsageError(Exception):
 
 
 def _assignment_for(ident: str, base: Optional[int], spec_text: str) -> ParamAssignment:
-    desc = None
     try:
         desc = get_descriptor(ident)
     except KeyError:
@@ -63,17 +62,11 @@ def _assignment_for(ident: str, base: Optional[int], spec_text: str) -> ParamAss
     return ParamAssignment(base, params)
 
 
-# Series work grows at least quadratically with the order; far past the
-# orders the suite checks (at most a few hundred), one command would run for
-# hours, so larger orders are refused up front.
-MAX_ORDER = 10_000
-
-
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise UsageError(f"--order must be at least 0, got {order}")
-    if order > MAX_ORDER:
-        raise UsageError(f"--order must be at most {MAX_ORDER}, got {order}")
+def _check_range(flag: str, value: int, lo: int, hi: Optional[int] = MAX_ORDER) -> None:
+    if value < lo:
+        raise UsageError(f"{flag} must be at least {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise UsageError(f"{flag} must be at most {hi}, got {value}")
 
 
 def _report_line(r: CheckReport) -> str:
@@ -104,7 +97,7 @@ def _print_reports(reports: List[CheckReport], as_json: bool) -> None:
 
 
 def _cmd_expand(args) -> int:
-    _check_order(args.order)
+    _check_range("--order", args.order, 0)
     assign = ParamAssignment(args.base, parse_spec_string(args.spec))
     ast = parse_expr(args.expr)
     series = eval_expr(ast, assign, args.order)
@@ -113,7 +106,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_order(args.order)
+    _check_range("--order", args.order, 0)
     assign = _assignment_for(args.identity, args.base, args.spec)
     report = check_identity(args.identity, assign, args.order)
     if args.json:
@@ -129,7 +122,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    _check_order(args.order)
+    _check_range("--order", args.order, 0)
+    _check_range("--trials", args.trials, 0, None)
     seed = os.environ.get("QIDX_SEED", args.seed)
     reports = run_suite(order=args.order, trials=args.trials, seed=seed)
     ok = suite_ok(reports)
@@ -146,8 +140,7 @@ def _cmd_verify_all(args) -> int:
 
 
 def _cmd_count_reps(args) -> int:
-    if args.max < 1:
-        raise UsageError("--max must be at least 1")
+    _check_range("--max", args.max, 1)
     rows = []
     for n in range(1, args.max + 1):
         reps = rep_count(n)

@@ -331,22 +331,6 @@ def _lambert_window(
             acc.add_term(c * w, unit, shift(n), SpecMonomial(v_unit, g0 + m * n), k, s)
 
 
-def one_minus(x: SpecMonomial, ring: CoeffRing, order: int) -> QSeries:
-    """The two-term series 1 - u*q^e; a symbolic u inside the window of a
-    rational-ring series raises RingMismatchError."""
-    e = x.qexp
-    lo = min(0, e)
-    if lo > order:
-        return QSeries.zero(ring, order)
-    coeffs = [0] * (order - lo + 1)
-    if order >= 0:
-        coeffs[-lo] = 1
-    if e <= order:
-        # -u and 1 - u are ints or non-constant polynomials: canonical already
-        coeffs[e - lo] -= ring.coerce(x.unit.value())
-    return QSeries._raw(ring, lo, coeffs, order)
-
-
 def term_series(
     v: SpecMonomial, s: int, order: int, ring: Optional[CoeffRing] = None
 ) -> QSeries:

@@ -7,14 +7,22 @@ Grammar (whitespace-insensitive):
     factor := atom ['^' ['-'] INT]
     atom   := NUMBER | 'q' | NAME | NAME '(' args ')' | '(' expr ')'
 
-Offsets in diagnostics are 1-based character positions. Parameter values,
-base, and truncation order come from the surrounding command, not the text.
-Spec strings (``a=-q^1,b=~q^2``) are read by the same parser: its tokens,
-its ``expect`` and the exponent grammar of ``factor``.
+NUMBER and INT are runs of decimal digits (``str.isdecimal``, the digits
+``int`` reads).  Offsets in diagnostics are 1-based character positions.
+Parameter values, base, and truncation order come from the surrounding
+command, not the text.  Spec strings (``a=-q^1,b=~q^2``) are read by the same
+parser: its tokens, its ``expect`` and the exponent grammar of ``factor``.
+
+A value is an exact ``Fraction``, a ``SpecMonomial`` u*q^e or a ``QSeries``:
+numbers and monomials stay exact while the arithmetic keeps them so.  Series
+work grows at least quadratically with the window: far past the orders the
+suite checks (a few hundred), one command would run for hours.  So no series
+may start below q^-MAX_ORDER, and the commands refuse orders above it.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -22,7 +30,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from .constructors import (
     AffineWeight,
     SpecMonomial,
-    Unit,
     char_lambert,
     generalized_lambert,
     jk_partial_a,
@@ -36,6 +43,7 @@ from .constructors import (
 )
 from .errors import (
     ArityError,
+    ConstraintViolationError,
     ExprSyntaxError,
     NonUnitLeadingError,
     UnboundParameterError,
@@ -130,9 +138,9 @@ def _tokenize(text: str) -> List[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(_Token("NUMBER", text[i:j], i))
             i = j
@@ -181,12 +189,10 @@ class _Parser:
 
     def parse_expr(self) -> Node:
         t = self.peek()
-        negate = False
         if t.kind in ("+", "-"):
             self.next()
-            negate = t.kind == "-"
         node = self.parse_term()
-        if negate:
+        if t.kind == "-":
             node = Neg(node, t.pos)
         while self.peek().kind in ("+", "-"):
             op = self.next()
@@ -278,14 +284,11 @@ def _fmt(node: Node, level: int) -> str:
     if isinstance(node, Call):
         return f"{node.func}({', '.join(_fmt(a, 1) for a in node.args)})"
     if isinstance(node, Neg):
-        inner = _fmt(node.arg, 2)
-        s = f"-{inner}"
+        s = f"-{_fmt(node.arg, 2)}"
         return f"({s})" if level >= 2 else s
-    if isinstance(node, Add):
-        s = f"{_fmt(node.left, 1)} + {_fmt(node.right, 2)}"
-        return f"({s})" if level >= 2 else s
-    if isinstance(node, Sub):
-        s = f"{_fmt(node.left, 1)} - {_fmt(node.right, 2)}"
+    if isinstance(node, (Add, Sub)):
+        op = "+" if isinstance(node, Add) else "-"
+        s = f"{_fmt(node.left, 1)} {op} {_fmt(node.right, 2)}"
         return f"({s})" if level >= 2 else s
     if isinstance(node, Mul):
         s = f"{_fmt(node.left, 2)}*{_fmt(node.right, 3)}"
@@ -302,99 +305,47 @@ def format_expr(node: Node) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-# evaluation values: exact number, monomial specialization, or series
-_NUM, _MONO, _SER = "num", "mono", "series"
+MAX_ORDER = 10_000
 
 
-class _Ctx:
-    def __init__(self, assign, order: int):
-        self.assign = assign
-        self.order = order
-        self.ring = assign.ring()
-
-    def series_of(self, kind, val) -> QSeries:
-        if kind == _SER:
-            return val
-        if kind == _NUM:
-            return QSeries.const(self.ring, val, self.order)
-        if val.qexp > self.order:
-            return QSeries.zero(self.ring, self.order)
-        return QSeries.monomial(self.ring, val.unit.value(), val.qexp, self.order)
+def _check_window(lowest: int) -> None:
+    if lowest < -MAX_ORDER:
+        raise ConstraintViolationError(f"series would start at q^{lowest}, below q^-{MAX_ORDER}")
 
 
-def _as_mono(kind, val, what: str) -> SpecMonomial:
-    if kind == _MONO:
-        return val
-    if kind == _NUM and val in (1, -1):
-        return SpecMonomial.signed(int(val), 0)
-    raise ArityError(f"{what} must be a signed or symbolic monomial in q")
+def _series(v, ring, order: int) -> QSeries:
+    """A value as a series: a number is a constant, a monomial one term."""
+    if isinstance(v, Fraction):
+        return QSeries.const(ring, v, order)
+    if isinstance(v, SpecMonomial):
+        _check_window(v.qexp)
+        return QSeries.monomial(ring, v.unit.value(), v.qexp, order)
+    return v
 
 
-def _as_int(kind, val, what: str) -> int:
-    if kind == _NUM and val == int(val):
-        return int(val)
+def _unit_mono(v) -> Optional[SpecMonomial]:
+    """A monomial as itself, the number +-1 as the monomial +-q^0."""
+    if isinstance(v, SpecMonomial):
+        return v
+    if isinstance(v, Fraction) and v in (1, -1):
+        return SpecMonomial.signed(int(v), 0)
+    return None
+
+
+def _as_mono(v, what: str) -> SpecMonomial:
+    if (mono := _unit_mono(v)) is None:
+        raise ArityError(f"{what} must be a signed or symbolic monomial in q")
+    return mono
+
+
+def _as_int(v, what: str) -> int:
+    if isinstance(v, Fraction) and v.denominator == 1:
+        return int(v)
     raise ArityError(f"{what} must be an integer")
 
 
-def _eval(node: Node, ctx: _Ctx):
-    if isinstance(node, Num):
-        return _NUM, Fraction(node.value)
-    if isinstance(node, QPow):
-        return _MONO, SpecMonomial.signed(1, node.exp)
-    if isinstance(node, Ref):
-        try:
-            return _MONO, ctx.assign.params[node.name]
-        except KeyError:
-            raise UnboundParameterError(
-                f"parameter {node.name!r} is not bound by the spec"
-            ) from None
-    if isinstance(node, Neg):
-        kind, val = _eval(node.arg, ctx)
-        if kind == _NUM:
-            return _NUM, -val
-        if kind == _MONO:
-            return _MONO, SpecMonomial(val.unit.mul(Unit(-1)), val.qexp)
-        return _SER, val.scale(-1)
-    if isinstance(node, (Add, Sub)):
-        lk, lv = _eval(node.left, ctx)
-        rk, rv = _eval(node.right, ctx)
-        if lk == _NUM and rk == _NUM:
-            return _NUM, lv + rv if isinstance(node, Add) else lv - rv
-        ls, rs = ctx.series_of(lk, lv), ctx.series_of(rk, rv)
-        return _SER, ls + rs if isinstance(node, Add) else ls - rs
-    if isinstance(node, Mul):
-        lk, lv = _eval(node.left, ctx)
-        rk, rv = _eval(node.right, ctx)
-        if lk == _NUM and rk == _NUM:
-            return _NUM, lv * rv
-        if lk == _MONO and rk == _MONO:
-            return _MONO, lv.mul(rv)
-        if lk == _NUM and lv in (1, -1) and rk == _MONO:
-            return _MONO, SpecMonomial(rv.unit.mul(Unit(int(lv))), rv.qexp)
-        if rk == _NUM and rv in (1, -1) and lk == _MONO:
-            return _MONO, SpecMonomial(lv.unit.mul(Unit(int(rv))), lv.qexp)
-        return _SER, ctx.series_of(lk, lv) * ctx.series_of(rk, rv)
-    if isinstance(node, Pow):
-        kind, val = _eval(node.base, ctx)
-        k = node.exp
-        if kind == _NUM:
-            if val == 0 and k < 0:
-                raise NonUnitLeadingError(
-                    f"0 raised to the negative power {k} at offset {node.pos + 1}"
-                )
-            return _NUM, val**k
-        if kind == _MONO:
-            return _MONO, val.pow(k)
-        if k == 0:
-            return _NUM, Fraction(1)
-        return _SER, val**k
-    if isinstance(node, Call):
-        return _SER, _eval_call(node, ctx)
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def _as_table(kind, val, what: str):
-    which = _as_int(kind, val, what)
+def _as_table(v, what: str):
+    which = _as_int(v, what)
     if which not in (1, 2, 3):
         raise ArityError("chilam table index must be 1, 2, or 3")
     return (CHI1, CHI2, CHI3)[which - 1]
@@ -434,23 +385,64 @@ _SIGNATURES = {
 }
 
 
-def _eval_call(node: Call, ctx: _Ctx) -> QSeries:
-    vals = [_eval(a, ctx) for a in node.args]
-    name = node.func
-    if name not in _SIGNATURES:
-        raise UnknownFunctionError(f"unknown function {name!r}")
-    ctor, *params = _SIGNATURES[name]
-    if len(vals) != len(params):
-        raise ArityError(f"{name}() takes {len(params)} argument(s), got {len(vals)}")
-    args = [conv(*val, what) for val, (conv, what) in zip(vals, params)]
-    return globals()[ctor](*args, ctx.assign.base, ctx.order, ring=ctx.ring)
+_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
+
+def _eval(node: Node, assign, ring, order: int):
+    """The value of ``node``: a Fraction or a SpecMonomial while the
+    arithmetic keeps it one, otherwise a QSeries through ``order``."""
+    if isinstance(node, Num):
+        return Fraction(node.value)
+    if isinstance(node, QPow):
+        return SpecMonomial.signed(1, node.exp)
+    if isinstance(node, Ref):
+        if node.name not in assign.params:
+            raise UnboundParameterError(f"parameter {node.name!r} is not bound by the spec")
+        return assign.params[node.name]
+    if isinstance(node, Call):
+        vals = [_eval(a, assign, ring, order) for a in node.args]
+        if node.func not in _SIGNATURES:
+            raise UnknownFunctionError(f"unknown function {node.func!r}")
+        ctor, *params = _SIGNATURES[node.func]
+        if len(vals) != len(params):
+            raise ArityError(f"{node.func}() takes {len(params)} argument(s), got {len(vals)}")
+        args = [conv(v, what) for v, (conv, what) in zip(vals, params)]
+        return globals()[ctor](*args, assign.base, order, ring=ring)
+    if isinstance(node, Neg):
+        v = _eval(node.arg, assign, ring, order)
+        return v.mul(SpecMonomial.signed(-1, 0)) if isinstance(v, SpecMonomial) else -v
+    if isinstance(node, Pow):
+        v, k = _eval(node.base, assign, ring, order), node.exp
+        if isinstance(v, SpecMonomial):
+            return v.pow(k)
+        if isinstance(v, QSeries):
+            if v.coeffs:
+                _check_window(k * v.offset)
+            return v**k if k else Fraction(1)
+        if v == 0 and k < 0:
+            raise NonUnitLeadingError(
+                f"0 raised to the negative power {k} at offset {node.pos + 1}"
+            )
+        return v**k
+    if type(node) not in _ARITH:
+        raise TypeError(f"not an expression node: {node!r}")
+    op = _ARITH[type(node)]
+    left, right = (_eval(n, assign, ring, order) for n in (node.left, node.right))
+    if isinstance(left, Fraction) and isinstance(right, Fraction):
+        return op(left, right)
+    monos = [_unit_mono(v) for v in (left, right)]
+    if op is operator.mul and None not in monos:
+        return monos[0].mul(monos[1])
+    left, right = _series(left, ring, order), _series(right, ring, order)
+    if op is operator.mul:
+        _check_window(left.offset + right.offset)
+    return op(left, right)
 
 
 def eval_expr(node: Node, assign, order: int) -> QSeries:
     """Evaluate a parsed expression to an exact truncated series."""
-    ctx = _Ctx(assign, order)
-    kind, val = _eval(node, ctx)
-    return ctx.series_of(kind, val)
+    ring = assign.ring()
+    return _series(_eval(node, assign, ring, order), ring, order)
 
 
 # ---------------------------------------------------------------------------

@@ -49,9 +49,9 @@ from .constructors import (
     l_func,
     lambert_sum,
     n_weighted_sum,
-    one_minus,
     phi_minus,
     pf_sum,
+    poch_fin,
     poch_inf,
     poch_pair,
     term_series,
@@ -421,11 +421,11 @@ def _build_2_2(params, m, ring, order):
 def _build_2_3(params, m, ring, order):
     a, b = params["a"], params["b"]
     pad = order + m
-    oma = one_minus(a, ring, pad)
-    omb = one_minus(b, ring, pad)
+    oma = poch_fin(a, 1, m, pad, ring)
+    omb = poch_fin(b, 1, m, pad, ring)
     lhs = jordan_kronecker(a, b, m, pad, ring=ring) * oma * omb
     terms = [(1, a, b, 1, W_ONE, 1), (-1, a.inv(), b.inv(), 1, W_ONE, 1)]
-    rhs = one_minus(a.mul(b), ring, pad) + oma * omb * lambert_sum(terms, m, pad, ring)
+    rhs = poch_fin(a.mul(b), 1, m, pad, ring) + oma * omb * lambert_sum(terms, m, pad, ring)
     return lhs, rhs
 
 

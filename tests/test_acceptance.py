@@ -15,8 +15,8 @@ from qidx.constructors import (
     W_ONE,
     generalized_lambert,
     l_func,
-    one_minus,
     pf_sum,
+    poch_fin,
     poch_inf,
 )
 from qidx.exactalg import VAR_B, LaurentPoly
@@ -266,7 +266,7 @@ def test_criterion_09_randomized_property_suites():
         m = rng.randrange(1, 9)
         x = SpecMonomial.signed(rng.choice((1, -1)), rng.randrange(0, 7))
         whole = poch_inf(x, m, 20)
-        shifted = one_minus(x, RATIONAL, 20) * poch_inf(x.times_qpow(m), m, 20)
+        shifted = poch_fin(x, 1, m, 20) * poch_inf(x.times_qpow(m), m, 20)
         ok, first = whole.eq_upto(shifted, 20)
         assert ok, first
 

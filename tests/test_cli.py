@@ -16,6 +16,7 @@ from qidx.errors import (
     UnboundParameterError,
     UnknownFunctionError,
 )
+from qidx import exprs
 from qidx.exprs import (
     Add,
     Call,
@@ -65,6 +66,12 @@ def test_parse_precedence_and_power():
     assert parse_expr("-q^2") == Neg(QPow(2))
 
 
+def test_parse_decimal_digits_of_any_script():
+    # str.isdecimal accepts exactly the digits int() reads
+    assert parse_expr("q^\u0663") == QPow(3)
+    assert parse_expr("\u0661\u0662") == Num(12)
+
+
 def test_parse_parenthesized_power():
     ast = parse_expr("(1-q)^2")
     assert ast == Pow(Sub(Num(1), QPow(1)), 2)
@@ -84,6 +91,7 @@ def test_syntax_error_positions():
         ("q @ 2", 3),  # bad character
         ("", 1),  # empty input
         ("poch(q,)", 8),  # dangling comma
+        ("q^\u00b2", 3),  # a superscript digit is not a decimal digit
     ]
     for text, pos in cases:
         with pytest.raises(ExprSyntaxError) as info:
@@ -267,6 +275,7 @@ SPEC_STRING_ERRORS = [
     ("b=q^2x", "expected ',' in spec string, found 'x'", 6),
     ("b", "expected '=' in spec string, found 'end of input'", 2),
     ("b=$", "unexpected character '$'", 3),
+    ("a=-q^\u00b9,b=-q^2,c=-q^4", "unexpected character '\u00b9'", 6),
 ]
 
 
@@ -390,6 +399,55 @@ def test_cli_order_above_the_ceiling_is_exit_2(capsys, argv):
     assert out == ""
     order = argv[argv.index("--order") + 1]
     assert err == f"error: --order must be at most {MAX_ORDER}, got {order}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify-all", "--trials", "-1"), "--trials must be at least 0, got -1"),
+        (("count-reps", "--max", "0"), "--max must be at least 1, got 0"),
+        (
+            ("count-reps", "--max", str(MAX_ORDER + 1)),
+            f"--max must be at most {MAX_ORDER}, got {MAX_ORDER + 1}",
+        ),
+    ],
+)
+def test_cli_counts_out_of_range_are_exit_2(capsys, argv, message):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_cli_order_ceiling_is_the_expression_window_bound():
+    assert MAX_ORDER is exprs.MAX_ORDER
+
+
+@pytest.mark.parametrize(
+    "expr, lowest",
+    [
+        ("q^-99999999999", -99999999999),  # a monomial becoming a series
+        ("q^-6000*q^-6000", -12000),
+        ("(1 + q^-5000)*(1 + q^-5001)", -10001),  # a series product
+        ("(1 + q^-2)^99999999", -199999998),  # a series power
+        ("(q + q^2)^-99999999", -99999999),
+    ],
+)
+def test_cli_expand_window_below_the_bound_is_exit_2(capsys, expr, lowest):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", expr, "--order", "5")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 2
+    assert out == ""
+    assert err == f"error: series would start at q^{lowest}, below q^-{MAX_ORDER}\n"
+
+
+def test_cli_expand_window_at_the_bound(capsys):
+    half = f"q^-{MAX_ORDER // 2}"
+    code, out, _ = run_cli(capsys, "expand", f"{half}*{half}", "--order", "0")
+    assert (code, out) == (0, f"q^-{MAX_ORDER} + O(q^1)\n")
 
 
 def test_glam_argument_order_is_m_x_u_v_s_r0():
