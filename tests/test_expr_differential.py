@@ -15,13 +15,15 @@ q^-1 * q as a series loses one, so it alone may find a window with no
 nonzero coefficient to invert; any other error must be raised by both.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qidx.constructors import SpecMonomial, Unit, l_func, poch_inf
 from qidx.errors import ArityError, NonUnitLeadingError, QidxError
 from qidx.exactalg import MONO_ONE, LaurentPoly
-from qidx.exprs import Add, Call, Mul, Neg, Num, Pow, QPow, Ref, Sub, eval_expr, format_expr
+from qidx.exprs import (
+    Add, Call, Mul, Neg, Num, Pow, QPow, Ref, Sub, eval_expr, format_expr, parse_expr,
+)
 from qidx.identities import ParamAssignment, symbolic_param
 from qidx.qring import QSeries
 
@@ -135,8 +137,15 @@ def outcome(fn):
         return None, exc
 
 
+# one signed and one symbolic parameter, for the pinned shortcut cases
+PINNED = ParamAssignment(3, {"a": SpecMonomial.signed(-1, 1), "b": symbolic_param("b", 2)})
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(expressions, assignments(), st.integers(6, 16))
+@example(parse_expr("(-1)*a + b*(-1) - (a*b)^-2"), PINNED, 8)
+@example(parse_expr("(1 + q)^0*q^-1 - (q - q)^0 + (-q^-2)^3"), PINNED, 8)
+@example(parse_expr("2^-1*3 - 0^0 + l((-1)*b)*poch(a*(-1))"), PINNED, 8)
 def test_eval_expr_shortcuts_match_a_series_only_evaluation(node, assign, order):
     text = format_expr(node)
     fast, fast_err = outcome(lambda: eval_expr(node, assign, order))
