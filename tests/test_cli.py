@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from qidx import exprs
 from qidx.cli import MAX_ORDER, main
 from qidx.errors import (
     ArityError,
@@ -16,7 +17,6 @@ from qidx.errors import (
     UnboundParameterError,
     UnknownFunctionError,
 )
-from qidx import exprs
 from qidx.exprs import (
     Add,
     Call,
