@@ -13,7 +13,6 @@ overrides --seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -84,9 +83,15 @@ def _report_line(r: CheckReport) -> str:
     return f"[ -- ] {head}  constraint-violation{detail}"
 
 
+def _print_json(obj) -> None:
+    import json  # only the --json branches need it
+
+    print(json.dumps(obj, indent=2))
+
+
 def _print_reports(reports: List[CheckReport], as_json: bool) -> None:
     if as_json:
-        print(json.dumps([r.to_json_dict() for r in reports], indent=2))
+        _print_json([r.to_json_dict() for r in reports])
         return
     for r in reports:
         print(_report_line(r))
@@ -110,7 +115,7 @@ def _cmd_verify(args) -> int:
     assign = _assignment_for(args.identity, args.base, args.spec)
     report = check_identity(args.identity, assign, args.order)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        _print_json(report.to_json_dict())
     else:
         print(_report_line(report))
     if report.status == "equal":
@@ -155,7 +160,7 @@ def _cmd_count_reps(args) -> int:
             }
         )
     if args.json:
-        print(json.dumps(rows, indent=2))
+        _print_json(rows)
     else:
         print(f"{'N':>5} {'reps':>6} {'divsum':>7} {'predicted':>10} match")
         for row in rows:
@@ -169,7 +174,7 @@ def _cmd_count_reps(args) -> int:
 def _cmd_list(args) -> int:
     rows = list_identities()
     if args.json:
-        print(json.dumps(rows, indent=2))
+        _print_json(rows)
         return 0
     for row in rows:
         params = ",".join(row["params"]) if row["params"] else "-"

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -57,18 +56,30 @@ from .exactalg import (
 from .qring import QSeries, RATIONAL, SYMBOLIC, CoeffRing
 
 _LOOP_LIMIT = 200_000
+MAX_ORDER = 10_000  # no series may start below q^-MAX_ORDER (see ``qidx.exprs``)
 
 
-@dataclass(frozen=True)
+def _check_window(lowest: int) -> None:
+    if lowest < -MAX_ORDER:
+        raise ConstraintViolationError(f"series would start at q^{lowest}, below q^-{MAX_ORDER}")
+
+
 class Unit:
-    """An invertible coefficient: sign times a symbolic unit monomial."""
+    """An invertible coefficient: sign times a symbolic unit monomial.
+    Equal and hashed by value."""
 
-    sign: int = 1
-    mono: Monomial = MONO_ONE
+    __slots__ = ("sign", "mono")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int = 1, mono: Monomial = MONO_ONE):
+        if sign not in (1, -1):
             raise ValueError("unit sign must be +1 or -1")
+        self.sign, self.mono = sign, mono
+
+    def __eq__(self, other):
+        return type(other) is Unit and self.sign == other.sign and self.mono == other.mono
+
+    def __hash__(self):
+        return hash((self.sign, self.mono))
 
     @property
     def symbolic(self) -> bool:
@@ -100,12 +111,20 @@ class Unit:
         return body if self.sign == 1 else "-" + body
 
 
-@dataclass(frozen=True)
 class SpecMonomial:
-    """A parameter specialization u * q^e."""
+    """A parameter specialization u * q^e, equal and hashed by value (it keys
+    the ``poch_inf`` cache)."""
 
-    unit: Unit
-    qexp: int
+    __slots__ = ("unit", "qexp")
+
+    def __init__(self, unit: Unit, qexp: int):
+        self.unit, self.qexp = unit, qexp
+
+    def __eq__(self, other):
+        return type(other) is SpecMonomial and self.qexp == other.qexp and self.unit == other.unit
+
+    def __hash__(self):
+        return hash((self.unit, self.qexp))
 
     @classmethod
     def signed(cls, sign: int, e: int) -> "SpecMonomial":
@@ -144,12 +163,13 @@ class SpecMonomial:
         return f"{u}*{q}"
 
 
-@dataclass(frozen=True)
 class AffineWeight:
     """Term weight W(r) = u*r + v with exact rational u, v."""
 
-    u: Scalar = 0
-    v: Scalar = 1
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: Scalar = 0, v: Scalar = 1):
+        self.u, self.v = u, v
 
     def __call__(self, r: int) -> Scalar:
         return self.u * r + self.v
@@ -438,11 +458,15 @@ def theta_sum(
 ) -> QSeries:
     """The alternating bilateral sum of z^n * q^{m(n^2-n)/2}."""
     check_base(m)
-    acc = _Acc(ring or infer_ring(z), order)
     e = z.qexp
 
     def expo(n):
         return m * (n * n - n) // 2 + n * e
+
+    # the lowest term sits at an integer next to the vertex n = 1/2 - e/m
+    vertex = (m - 2 * e) // (2 * m)
+    _check_window(min(expo(vertex), expo(vertex + 1)))
+    acc = _Acc(ring or infer_ring(z), order)
 
     def past_vertex(n, step):
         return n != 0 and expo(n) >= expo(n - step)

@@ -17,19 +17,22 @@ A value is an exact ``Fraction``, a ``SpecMonomial`` u*q^e or a ``QSeries``:
 numbers and monomials stay exact while the arithmetic keeps them so.  Series
 work grows at least quadratically with the window: far past the orders the
 suite checks (a few hundred), one command would run for hours.  So no series
-may start below q^-MAX_ORDER, and the commands refuse orders above it.
+may start below q^-MAX_ORDER, and the commands refuse orders above it.  A
+number is refused, unbuilt where it can be, once it has more digits than
+``MAX_DIGITS``, past which CPython will not print it.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
 
 from .constructors import (
+    MAX_ORDER,
     AffineWeight,
     SpecMonomial,
+    _check_window,
     char_lambert,
     generalized_lambert,
     jk_partial_a,
@@ -57,63 +60,84 @@ from .qring import QSeries
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
-    value: int
-    pos: int = field(default=0, compare=False)
+class _Node:
+    """An AST node: equal to a node of its own type with equal fields, and
+    hashed alike; the source offset ``pos``, always the last slot, is not
+    compared."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return (type(self),) + tuple(getattr(self, name) for name in self.__slots__[:-1])
+
+    def __eq__(self, other):
+        return isinstance(other, _Node) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class QPow:
-    exp: int
-    pos: int = field(default=0, compare=False)
+class Num(_Node):
+    __slots__ = ("value", "pos")
+
+    def __init__(self, value: int, pos: int = 0):
+        self.value, self.pos = value, pos
 
 
-@dataclass(frozen=True)
-class Ref:
-    name: str
-    pos: int = field(default=0, compare=False)
+class QPow(_Node):
+    __slots__ = ("exp", "pos")
+
+    def __init__(self, exp: int, pos: int = 0):
+        self.exp, self.pos = exp, pos
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    args: Tuple["Node", ...]
-    pos: int = field(default=0, compare=False)
+class Ref(_Node):
+    __slots__ = ("name", "pos")
+
+    def __init__(self, name: str, pos: int = 0):
+        self.name, self.pos = name, pos
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-    pos: int = field(default=0, compare=False)
+class Call(_Node):
+    __slots__ = ("func", "args", "pos")
+
+    def __init__(self, func: str, args: Tuple[Node, ...], pos: int = 0):
+        self.func, self.args, self.pos = func, args, pos
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-    pos: int = field(default=0, compare=False)
+class Neg(_Node):
+    __slots__ = ("arg", "pos")
+
+    def __init__(self, arg: Node, pos: int = 0):
+        self.arg, self.pos = arg, pos
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-    pos: int = field(default=0, compare=False)
+class Add(_Node):
+    __slots__ = ("left", "right", "pos")
+
+    def __init__(self, left: Node, right: Node, pos: int = 0):
+        self.left, self.right, self.pos = left, right, pos
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-    pos: int = field(default=0, compare=False)
+class Sub(_Node):
+    __slots__ = ("left", "right", "pos")
+
+    def __init__(self, left: Node, right: Node, pos: int = 0):
+        self.left, self.right, self.pos = left, right, pos
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exp: int
-    pos: int = field(default=0, compare=False)
+class Mul(_Node):
+    __slots__ = ("left", "right", "pos")
+
+    def __init__(self, left: Node, right: Node, pos: int = 0):
+        self.left, self.right, self.pos = left, right, pos
+
+
+class Pow(_Node):
+    __slots__ = ("base", "exp", "pos")
+
+    def __init__(self, base: Node, exp: int, pos: int = 0):
+        self.base, self.exp, self.pos = base, exp, pos
 
 
 Node = Union[Num, QPow, Ref, Call, Neg, Add, Sub, Mul, Pow]
@@ -123,11 +147,12 @@ Node = Union[Num, QPow, Ref, Call, Neg, Add, Sub, Mul, Pow]
 # tokenizer
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str  # NUMBER | NAME | op character | EOF
-    text: str
-    pos: int  # 0-based
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        # kind is NUMBER, NAME, an operator character or EOF; pos is 0-based
+        self.kind, self.text, self.pos = kind, text, pos
 
 
 def _tokenize(text: str) -> List[_Token]:
@@ -142,6 +167,8 @@ def _tokenize(text: str) -> List[_Token]:
             j = i
             while j < n and text[j].isdecimal():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ExprSyntaxError(f"number longer than {MAX_DIGITS} digits", i + 1)
             out.append(_Token("NUMBER", text[i:j], i))
             i = j
             continue
@@ -305,12 +332,15 @@ def format_expr(node: Node) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-MAX_ORDER = 10_000
+MAX_DIGITS = 4300  # CPython's default limit on printing an int
+_TOO_BIG = 10**MAX_DIGITS
+_TOO_LONG = "the number at offset {} would have more than %d digits" % MAX_DIGITS
 
 
-def _check_window(lowest: int) -> None:
-    if lowest < -MAX_ORDER:
-        raise ConstraintViolationError(f"series would start at q^{lowest}, below q^-{MAX_ORDER}")
+def _check_digits(x: Fraction, pos: int) -> Fraction:
+    if max(abs(x.numerator), x.denominator) >= _TOO_BIG:
+        raise ConstraintViolationError(_TOO_LONG.format(pos))
+    return x
 
 
 def _series(v, ring, order: int) -> QSeries:
@@ -423,13 +453,18 @@ def _eval(node: Node, assign, ring, order: int):
             raise NonUnitLeadingError(
                 f"0 raised to the negative power {k} at offset {node.pos + 1}"
             )
-        return v**k
+        # v^k's numerator or denominator is at least 2^(|k| * (bits - 1)), so
+        # a power too large to print is refused before it is built
+        big = max(abs(v.numerator), v.denominator)
+        if abs(k) * (big.bit_length() - 1) >= _TOO_BIG.bit_length():
+            raise ConstraintViolationError(_TOO_LONG.format(node.pos + 1))
+        return _check_digits(v**k, node.pos + 1)
     if type(node) not in _ARITH:
         raise TypeError(f"not an expression node: {node!r}")
     op = _ARITH[type(node)]
     left, right = (_eval(n, assign, ring, order) for n in (node.left, node.right))
     if isinstance(left, Fraction) and isinstance(right, Fraction):
-        return op(left, right)
+        return _check_digits(op(left, right), node.pos + 1)
     monos = [_unit_mono(v) for v in (left, right)]
     if op is operator.mul and None not in monos:
         return monos[0].mul(monos[1])

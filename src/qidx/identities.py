@@ -25,9 +25,7 @@ fixed-base rows; each parent is checked at its corollary's base.
 
 from __future__ import annotations
 
-import random
 import time
-from dataclasses import dataclass, field
 from functools import lru_cache, partial, reduce
 from operator import itemgetter
 from fractions import Fraction
@@ -85,12 +83,14 @@ _DOMAIN_ERRORS = (
 )
 
 
-@dataclass
 class ParamAssignment:
     """A base q -> q^m together with monomial values for named parameters."""
 
-    base: int
-    params: Dict[str, SpecMonomial] = field(default_factory=dict)
+    __slots__ = ("base", "params")
+
+    def __init__(self, base: int, params: Optional[Dict[str, SpecMonomial]] = None):
+        self.base = base
+        self.params = {} if params is None else params
 
     def spec_string(self) -> str:
         parts = []
@@ -118,44 +118,38 @@ def symbolic_param(name: str, qexp: int) -> SpecMonomial:
 # check reports
 
 
-@dataclass
 class CheckReport:
-    identity: str
-    base: int
-    spec: str
-    order_requested: int
-    order_compared: Optional[int]
-    status: str  # "equal" | "mismatch" | "constraint-violation"
-    first_mismatch: Optional[Tuple[int, str, str]]
-    runtime_ms: float
-    seed: Optional[str] = None
-    detail: Optional[str] = None
+    """One check's outcome; ``status`` is "equal", "mismatch" or
+    "constraint-violation", and ``first_mismatch`` (exponent, lhs, rhs)."""
+
+    __slots__ = (
+        "identity", "base", "spec", "order_requested", "order_compared", "status",
+        "first_mismatch", "runtime_ms", "seed", "detail",
+    )
+
+    def __init__(
+        self, identity: str, base: int, spec: str, order_requested: int,
+        order_compared: Optional[int], status: str,
+        first_mismatch: Optional[Tuple[int, str, str]], runtime_ms: float,
+        seed: Optional[str] = None, detail: Optional[str] = None,
+    ):
+        self.identity, self.base, self.spec = identity, base, spec
+        self.order_requested, self.order_compared = order_requested, order_compared
+        self.status, self.first_mismatch, self.runtime_ms = status, first_mismatch, runtime_ms
+        self.seed, self.detail = seed, detail
 
     @property
     def ok(self) -> bool:
         return self.status == "equal"
 
     def to_json_dict(self) -> dict:
-        fm = None
-        if self.first_mismatch is not None:
-            fm = {
-                "exponent": self.first_mismatch[0],
-                "lhs": self.first_mismatch[1],
-                "rhs": self.first_mismatch[2],
-            }
-        out = {
-            "identity": self.identity,
-            "base": self.base,
-            "spec": self.spec,
-            "order_requested": self.order_requested,
-            "order_compared": self.order_compared,
-            "status": self.status,
-            "first_mismatch": fm,
-            "runtime_ms": round(self.runtime_ms, 3),
-            "seed": self.seed,
-        }
-        if self.detail is not None:
-            out["detail"] = self.detail
+        """The fields in slot order, ``detail`` only when set."""
+        out = {name: getattr(self, name) for name in self.__slots__}
+        if (fm := self.first_mismatch) is not None:
+            out["first_mismatch"] = {"exponent": fm[0], "lhs": fm[1], "rhs": fm[2]}
+        out["runtime_ms"] = round(self.runtime_ms, 3)
+        if self.detail is None:
+            del out["detail"]
         return out
 
 
@@ -176,7 +170,6 @@ _BOUNDARY_OK = {
 }
 
 
-@dataclass(frozen=True)
 class Constraint:
     """The parameter window of one identity family, stated once: validation,
     the sampling region and the ``list`` note all read it.
@@ -188,12 +181,14 @@ class Constraint:
     parameter at order 0 mod base to carry unit -1.
     """
 
-    names: str
-    bounds: Tuple[str, ...]
-    sums: Tuple[str, ...] = ()
-    boundary: Optional[str] = None
-    pole_unit: bool = False
-    note: str = ""
+    __slots__ = ("names", "bounds", "sums", "boundary", "pole_unit", "note")
+
+    def __init__(
+        self, names: str, bounds: Tuple[str, ...], sums: Tuple[str, ...] = (),
+        boundary: Optional[str] = None, pole_unit: bool = False, note: str = "",
+    ):
+        self.names, self.bounds, self.sums = names, bounds, sums
+        self.boundary, self.pole_unit, self.note = boundary, pole_unit, note
 
     def violation(self, params: Dict[str, SpecMonomial], m: int) -> Optional[str]:
         """The first rule the assignment breaks, as a message, or None."""
@@ -251,19 +246,19 @@ class Constraint:
 Builder = Callable[[Dict[str, SpecMonomial], int, CoeffRing, int], Tuple[QSeries, QSeries]]
 
 
-@dataclass
 class IdentityDescriptor:
-    ident: str
-    build: Builder
-    constraint: Optional[Constraint] = None
-    note: Optional[str] = None  # defaults to the constraint's, else "fixed base N"
-    fixed_base: Optional[int] = None  # corollaries pin their own base
-    symbolic_trials: int = 5
+    __slots__ = ("ident", "build", "constraint", "note", "fixed_base", "symbolic_trials")
 
-    def __post_init__(self):
-        if self.note is None:
-            c = self.constraint
-            self.note = c.note if c else f"fixed base {self.fixed_base}"
+    def __init__(
+        self, ident: str, build: Builder, constraint: Optional[Constraint] = None,
+        note: Optional[str] = None,  # defaults to the constraint's, else "fixed base N"
+        fixed_base: Optional[int] = None,  # corollaries pin their own base
+        symbolic_trials: int = 5,
+    ):
+        self.ident, self.build, self.constraint = ident, build, constraint
+        if note is None:
+            note = constraint.note if constraint else f"fixed base {fixed_base}"
+        self.note, self.fixed_base, self.symbolic_trials = note, fixed_base, symbolic_trials
 
     @property
     def params(self) -> Tuple[str, ...]:
@@ -759,6 +754,8 @@ def random_spec(
         raise EmptyConstraintSetError(
             f"no valid parameter exponents for identity {ident} at base {base}"
         )
+    import random  # here, not at module level: the other commands never need it
+
     tag = "sym" if symbolic else "signed"
     rng = random.Random(f"qidx:{ident}:{base}:{seed}:{tag}")
     expos = rng.choice(feasible)

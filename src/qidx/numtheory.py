@@ -7,7 +7,6 @@ series machinery so the two sides can be cross-checked against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
 from typing import List, Tuple
 
@@ -100,13 +99,15 @@ def lattice_rep_sum(n: int) -> int:
     return total
 
 
-@dataclass
 class RangeReport:
     """Outcome of checking the representation-count formula over 1..n_max."""
 
-    n_max: int
-    mismatches: List[int] = field(default_factory=list)
-    theta_mismatches: List[int] = field(default_factory=list)
+    __slots__ = ("n_max", "mismatches", "theta_mismatches")
+
+    def __init__(self, n_max: int):
+        self.n_max = n_max
+        self.mismatches: List[int] = []
+        self.theta_mismatches: List[int] = []
 
     @property
     def ok(self) -> bool:

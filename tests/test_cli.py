@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -421,6 +423,23 @@ def test_cli_counts_out_of_range_are_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_cli_import_leaves_out_the_modules_only_some_commands_need():
+    """Every qidx call is a fresh process, so ``import qidx.cli`` should load
+    neither ``dataclasses`` (with ``inspect``) nor ``json`` and ``random``,
+    which only ``--json`` and the randomized suite use.  ``-S`` skips the
+    ``site`` module: ``.pth`` files of installed packages (certifi's, for
+    one) may import ``random`` and others before qidx is imported."""
+    src = os.path.dirname(os.path.dirname(exprs.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import qidx.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json', 'random'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
+
+
 def test_cli_order_ceiling_is_the_expression_window_bound():
     assert MAX_ORDER is exprs.MAX_ORDER
 
@@ -448,6 +467,59 @@ def test_cli_expand_window_at_the_bound(capsys):
     half = f"q^-{MAX_ORDER // 2}"
     code, out, _ = run_cli(capsys, "expand", f"{half}*{half}", "--order", "0")
     assert (code, out) == (0, f"q^-{MAX_ORDER} + O(q^1)\n")
+
+
+@pytest.mark.parametrize(
+    "expr, base, lowest",
+    [
+        ("theta(q^-99999999)", "5", -1000000030000000),
+        ("theta(q^99999999)", "5", -999999930000001),  # its n = -1 term
+        ("theta(q^202)", "2", -10100),  # lowest term at n = -100
+    ],
+)
+def test_cli_expand_theta_window_below_the_bound_is_exit_2(capsys, expr, base, lowest):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", expr, "--base", base, "--order", "5")
+    assert time.perf_counter() - t0 < 5.0
+    assert (code, out) == (2, "")
+    assert err == f"error: series would start at q^{lowest}, below q^-{MAX_ORDER}\n"
+
+
+def test_cli_expand_theta_window_at_the_bound(capsys):
+    # at base 2, theta(q^201) has q^(n^2 + 200n): least, -10000, at n = -100
+    code, out, _ = run_cli(capsys, "expand", "theta(q^201)", "--base", "2", "--order", "0")
+    assert code == 0
+    assert out.startswith(f"q^-{MAX_ORDER} - 2*q^-9999 + ")
+
+
+@pytest.mark.parametrize(
+    "expr, offset",
+    [
+        ("2^99999999", 3),
+        ("10^99999999", 4),  # refused before the power is built
+        ("2^-99999999", 4),
+        ("10^5000", 4),
+        ("10^4300", 4),
+        ("2^14285", 3),  # 4301 digits
+        ("10^4000*10^4000", 8),  # a product of two printable numbers
+    ],
+)
+def test_cli_expand_number_too_large_to_print_is_exit_2(capsys, expr, offset):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", expr, "--order", "5")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: the number at offset {offset} would have more than 4300 digits\n"
+
+
+def test_cli_expand_numbers_at_the_digit_bound(capsys):
+    for expr, value in (("10^4299", 10**4299), ("2^14284", 2**14284), ("2^-14284", None)):
+        code, out, _ = run_cli(capsys, "expand", expr, "--order", "0")
+        want = f"1/{2**14284}" if value is None else str(value)
+        assert (code, out) == (0, f"{want} + O(q^1)\n")
+    code, out, err = run_cli(capsys, "expand", "1" * 4301)
+    assert (code, out) == (2, "")
+    assert err == "error: syntax error at offset 1: number longer than 4300 digits\n"
 
 
 def test_glam_argument_order_is_m_x_u_v_s_r0():
