@@ -345,6 +345,11 @@ def _lambert_window(
     def grows(n: int, step: int) -> bool:
         return (g0 + m * n) * step > 0
 
+    for n, step in starts:
+        # grows first holds this many steps from n, and _window takes pad
+        # more before it closes: past _LOOP_LIMIT steps the walk would fail
+        if -(g0 + m * n) * step // m + 1 + pad > _LOOP_LIMIT:
+            raise DivergentTailError(f"{what} failed to close")
     for n in _window(acc.order, pad, min_order, grows, starts, what):
         w, unit = prefactor(n)
         if w:

@@ -19,7 +19,8 @@ work grows at least quadratically with the window: far past the orders the
 suite checks (a few hundred), one command would run for hours.  So no series
 may start below q^-MAX_ORDER, and the commands refuse orders above it.  A
 number is refused, unbuilt where it can be, once it has more digits than
-``MAX_DIGITS``, past which CPython will not print it.
+``MAX_DIGITS``, past which CPython will not print it, and so is a result
+series with such a coefficient.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .errors import (
     UnboundParameterError,
     UnknownFunctionError,
 )
+from .exactalg import LaurentPoly
 from .identities import _PARAM_VARS, symbolic_param
 from .numtheory import CHI1, CHI2, CHI3
 from .qring import QSeries
@@ -335,12 +337,22 @@ def format_expr(node: Node) -> str:
 MAX_DIGITS = 4300  # CPython's default limit on printing an int
 _TOO_BIG = 10**MAX_DIGITS
 _TOO_LONG = "the number at offset {} would have more than %d digits" % MAX_DIGITS
+_COEFF_TOO_LONG = "the coefficient of q^{} has more than %d digits" % MAX_DIGITS
 
 
 def _check_digits(x: Fraction, pos: int) -> Fraction:
     if max(abs(x.numerator), x.denominator) >= _TOO_BIG:
         raise ConstraintViolationError(_TOO_LONG.format(pos))
     return x
+
+
+def _printable(c) -> bool:
+    """Whether every number in a coefficient has at most MAX_DIGITS digits."""
+    if type(c) is int:
+        return -_TOO_BIG < c < _TOO_BIG
+    if type(c) is LaurentPoly:
+        return all(map(_printable, c.terms.values()))
+    return _printable(c.numerator) and c.denominator < _TOO_BIG
 
 
 def _series(v, ring, order: int) -> QSeries:
@@ -475,9 +487,14 @@ def _eval(node: Node, assign, ring, order: int):
 
 
 def eval_expr(node: Node, assign, order: int) -> QSeries:
-    """Evaluate a parsed expression to an exact truncated series."""
+    """Evaluate a parsed expression to an exact truncated series, every
+    coefficient of which has at most MAX_DIGITS digits."""
     ring = assign.ring()
-    return _series(_eval(node, assign, ring, order), ring, order)
+    series = _series(_eval(node, assign, ring, order), ring, order)
+    for e, c in enumerate(series.coeffs, series.offset):
+        if not _printable(c):
+            raise ConstraintViolationError(_COEFF_TOO_LONG.format(e))
+    return series
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,11 @@ Multiplication picks one of two exact kernels from what the operands hold:
     under one int key that folds the q exponent and the four tau exponents;
   * scalar coefficients: Kronecker substitution.  Both windows are scaled
     to a common denominator, packed into one big integer each with
-    byte-aligned signed digits, and multiplied once; packing and unpacking
-    are linear-time byte conversions.
+    byte-aligned signed digits, and multiplied once; a window multiplied by
+    itself is packed once and squared.  Packing and unpacking are
+    linear-time byte conversions, which for digits of up to 8 bytes run in
+    C: an ``array`` of int64 words, strided slice copies and byte tables,
+    with no digit touched in Python.
 
 Inversion is Newton's iteration b <- b*(2 - a*b), which doubles the number
 of known coefficients of 1/a with each step; its products go through the
@@ -30,6 +33,7 @@ constructors apply them to one coefficient list in place.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
@@ -137,39 +141,89 @@ def _bias(count: int, nbytes: int) -> int:
     return int.from_bytes((bytes(nbytes - 1) + b"\x80") * count, "little")
 
 
+# per byte value: that byte with its top bit flipped, and the sign-fill byte
+# (0x00 or 0xff) of a two's-complement top byte
+_FLIP = bytes(range(128, 256)) + bytes(range(128))
+_SIGN_FILL = bytes(128) + b"\xff" * 128
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
 def _pack(arr: List[int], nbytes: int) -> int:
     """sum(arr[i] * 256**(nbytes*i)) for digits |arr[i]| < 2**(8*nbytes-1).
 
-    Each digit is biased to be non-negative, so the digits' bytes join into
-    one int in a single pass; one subtraction takes the bias off again.
+    Each digit is biased by 2**(8*nbytes-1) to be non-negative, so the
+    digits' bytes join into one int; one subtraction takes the bias off
+    again.  Up to 8 bytes no digit is touched in Python: an int64 ``array``
+    gives every digit's two's-complement bytes, strided slice copies cut
+    each 8-byte word to ``nbytes`` bytes, and one ``translate`` flips the
+    top bit of each digit's top byte, which adds the bias.  Wider digits
+    are converted one at a time.
     """
-    half = 1 << (8 * nbytes - 1)
-    raw = b"".join((a + half).to_bytes(nbytes, "little") for a in arr)
+    if nbytes > 8:
+        half = 1 << (8 * nbytes - 1)
+        raw = b"".join((a + half).to_bytes(nbytes, "little") for a in arr)
+    else:
+        from array import array  # loaded on first use, not at start-up
+
+        words = array("q", arr)
+        if _BIG_ENDIAN:
+            words.byteswap()
+        words = words.tobytes()
+        raw = bytearray(nbytes * len(arr))
+        for k in range(nbytes - 1):
+            raw[k::nbytes] = words[k::8]
+        raw[nbytes - 1 :: nbytes] = words[nbytes - 1 :: 8].translate(_FLIP)
     return int.from_bytes(raw, "little") - _bias(len(arr), nbytes)
 
 
 def _unpack(v: int, count: int, nbytes: int) -> List[int]:
     """The lowest ``count`` signed base-256**nbytes digits of ``v``, each of
-    which must satisfy |digit| < 2**(8*nbytes-1)."""
-    half = 1 << (8 * nbytes - 1)
+    which must satisfy |digit| < 2**(8*nbytes-1).
+
+    The biased digits' bytes come out of one conversion.  Up to 8 bytes
+    they are undone as ``_pack`` made them: each digit's top bit is
+    flipped back, its bytes are copied into an int64 word and sign-filled
+    from a byte table, and the ``array`` of words becomes the list.
+    """
     size = nbytes * count
     raw = ((v + _bias(count, nbytes)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    return [
-        int.from_bytes(raw[k : k + nbytes], "little") - half
-        for k in range(0, size, nbytes)
-    ]
+    if nbytes > 8:
+        half = 1 << (8 * nbytes - 1)
+        return [
+            int.from_bytes(raw[k : k + nbytes], "little") - half
+            for k in range(0, size, nbytes)
+        ]
+    from array import array
+
+    words = bytearray(8 * count)
+    for k in range(nbytes - 1):
+        words[k::8] = raw[k::nbytes]
+    top = raw[nbytes - 1 :: nbytes].translate(_FLIP)
+    words[nbytes - 1 :: 8] = top
+    fill = top.translate(_SIGN_FILL)
+    for k in range(nbytes, 8):
+        words[k::8] = fill
+    digits = array("q", words)
+    if _BIG_ENDIAN:
+        digits.byteswap()
+    return digits.tolist()
 
 
 def _packed_product(x: List, y: List, out_len: int) -> List:
     """The first out_len coefficients of the product of two scalar windows:
     both are scaled to integers, packed into one int each and multiplied
-    once (Kronecker substitution)."""
-    (x, dx), (y, dy) = _integral(x[:out_len]), _integral(y[:out_len])
-    mx, my = max(map(abs, x)), max(map(abs, y))
+    once (Kronecker substitution).  When x is y the window is packed once
+    and the int squared, which CPython does faster than a product."""
+    square = x is y
+    x, dx = _integral(x[:out_len])
+    y, dy = (x, dx) if square else _integral(y[:out_len])
+    mx = max(map(abs, x))
+    my = mx if square else max(map(abs, y))
     # each digit of the inputs and of the product must fit its width
     bound = max(out_len * mx * my, mx, my)
     nbytes = (bound.bit_length() + 8) // 8
-    digits = _unpack(_pack(x, nbytes) * _pack(y, nbytes), out_len, nbytes)
+    px = _pack(x, nbytes)
+    digits = _unpack(px * px if square else px * _pack(y, nbytes), out_len, nbytes)
     den = dx * dy
     if den == 1:
         return digits
@@ -201,6 +255,9 @@ def _term_product(x: List, y: List, out_len: int) -> List:
     keys.  Term products accumulate in one dict; each key is decoded once.
     """
     (tx, dx), (ty, dy) = _terms(x[:out_len]), _terms(y[:out_len])
+    if not tx or not ty:
+        # a window whose leading zeros fill the product window
+        return [0] * out_len
     lows, spans, strides = [], [], []
     stride = out_len
     for v in range(NVARS):

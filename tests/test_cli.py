@@ -522,6 +522,44 @@ def test_cli_expand_numbers_at_the_digit_bound(capsys):
     assert err == "error: syntax error at offset 1: number longer than 4300 digits\n"
 
 
+@pytest.mark.parametrize(
+    "expr, spec",
+    [
+        ("(1 + 10^4000*q)^2", ""),
+        ("(1 + 10^2150*q)^2", ""),  # 10^4300 at q^2: 4301 digits
+        ("(1 - 2^-8000*q)^-1", ""),  # a denominator
+        ("a*(1 + 10^2150*q)^2", "a=~q^0"),  # a tau-polynomial coefficient
+    ],
+)
+def test_cli_expand_coefficient_too_large_to_print_is_exit_2(capsys, expr, spec):
+    code, out, err = run_cli(capsys, "expand", expr, "--spec", spec, "--order", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: the coefficient of q^2 has more than 4300 digits\n"
+
+
+def test_cli_expand_coefficient_at_the_digit_bound(capsys):
+    code, out, _ = run_cli(capsys, "expand", "(1 + 10^2149*q)^2", "--order", "2")
+    assert (code, out) == (0, f"1 + {2 * 10**2149}*q + {10**4298}*q^2 + O(q^3)\n")
+
+
+@pytest.mark.parametrize(
+    "expr, what",
+    [
+        ("l(q^99999999)", "Lambert tail"),
+        # l(b) turns 199,999 steps out and takes 2 more past that
+        ("l(q^999999)", "Lambert tail"),
+        ("pf(q^99999999)", "partial-fraction window"),
+        ("f(q, q^-99999999)", "bilateral window"),
+    ],
+)
+def test_cli_expand_window_that_cannot_close_fails_before_walking(capsys, expr, what):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", expr, "--base", "5", "--order", "5")
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out) == (2, "")
+    assert err == f"error: {what} failed to close\n"
+
+
 def test_glam_argument_order_is_m_x_u_v_s_r0():
     # glam(M, x, u, v, s, r0): weight W(r) = u*r + v, denominator power s
     order = 30

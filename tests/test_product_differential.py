@@ -49,8 +49,8 @@ def check_product(x, y):
 # ---------------------------------------------------------------------------
 # strategies
 
-# digits at the edge of one, two and three packed bytes, and big values
-_EDGES = [2**7 - 1, 2**15 - 1, 2**23 - 1, 2**64 + 1]
+# digits at the edge of one, two, three and eight packed bytes, and big values
+_EDGES = [2**7 - 1, 2**15 - 1, 2**23 - 1, 2**63 - 1, 2**64 + 1]
 
 scalars = st.one_of(
     st.sampled_from([1, -1, 2, -3]),
@@ -148,20 +148,27 @@ def test_short_side_product_matches_naive(pair):
     assert product.coeffs is not dense.coeffs and product.coeffs is not short.coeffs
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([*range(1, 11), 16]), st.data())
 def test_pack_round_trips_edge_digits(nbytes, data):
+    # widths up to 8 bytes go through int64 words, wider ones digit by digit
     top = 2 ** (8 * nbytes - 1) - 1
     digit = st.one_of(st.sampled_from([top, -top, 0, 1, -1]), st.integers(-top, top))
     arr = data.draw(st.lists(digit, min_size=1, max_size=40))
-    assert _unpack(_pack(arr, nbytes), len(arr), nbytes) == arr
+    packed = _pack(arr, nbytes)
+    assert packed == sum(a * 256 ** (nbytes * i) for i, a in enumerate(arr))
+    assert _unpack(packed, len(arr), nbytes) == arr
 
 
 @pytest.mark.parametrize(
     "n, m",
     # n*m is 2**(8k-1) - 1, the largest digit k bytes hold, or 2**(8k-1),
-    # the smallest one that needs another byte
-    [(127, 1), (128, 1), (7, 4681), (8, 4096), (47, 178481), (64, 131072)],
+    # the smallest one that needs another byte; k = 7 and 8 meet the edge
+    # between int64 words cut short, whole words and digit-by-digit bytes
+    [
+        (127, 1), (128, 1), (7, 4681), (8, 4096), (47, 178481), (64, 131072),
+        (23, (2**55 - 1) // 23), (32, 2**50), (49, (2**63 - 1) // 49), (64, 2**57),
+    ],
 )
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_product_digit_at_the_width_edge(n, m, sign):
@@ -169,6 +176,27 @@ def test_packed_product_digit_at_the_width_edge(n, m, sign):
     y = QSeries.make(RATIONAL, 0, [1] * n, n - 1)
     assert (x * y).coeffs[-1] == sign * n * m
     check_product(x, y)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans(), st.integers(0, 3), st.integers(2, 5), st.data())
+def test_squares_and_powers_match_naive(symbolic, zeros, k, data):
+    # x * x hands the kernel one coefficient list twice, which the packed
+    # kernel packs once and squares; x ** k squares on its way
+    x = data.draw(series(symbolic, max_len=16))
+    # QSeries() keeps leading zeros that QSeries.make would trim
+    x = QSeries(x.ring, x.offset - zeros, [0] * zeros + x.coeffs, x.order)
+    before = snapshot(x)
+    assert exact(x * x) == exact(naive_mul(x, x))
+    # leading zeros shorten the known window of each product by a different
+    # amount, so the reference multiplies in the order x ** k does
+    power = x
+    for bit in bin(k)[3:]:
+        power = naive_mul(power, power)
+        if bit == "1":
+            power = naive_mul(power, x)
+    assert exact(x**k) == exact(power)
+    assert snapshot(x) == before
 
 
 def test_packed_product_accepts_every_qseries_window():
@@ -179,6 +207,14 @@ def test_packed_product_accepts_every_qseries_window():
     # an integral Fraction is not an int digit: it must be scaled too
     x = QSeries(RATIONAL, 0, [Fraction(2, 2), 3, 1], 2)
     check_product(x, QSeries.make(RATIONAL, 0, [5, 7, 1, 2], 3))
+
+
+def test_term_product_accepts_every_qseries_window():
+    # the part of y inside the product window is all zero
+    td = LaurentPoly.var(3)
+    y = QSeries(SYMBOLIC, -1, [0, td, 0], 1)
+    check_product(QSeries.make(SYMBOLIC, 2, [td**2], 2), y)
+    check_product(y, y)
 
 
 def test_full_cancellation_in_a_column():
