@@ -491,9 +491,12 @@ def eval_expr(node: Node, assign, order: int) -> QSeries:
     coefficient of which has at most MAX_DIGITS digits."""
     ring = assign.ring()
     series = _series(_eval(node, assign, ring, order), ring, order)
-    for e, c in enumerate(series.coeffs, series.offset):
-        if not _printable(c):
-            raise ConstraintViolationError(_COEFF_TOO_LONG.format(e))
+    coeffs = series.coeffs
+    # an all-int window, the usual result, is checked by its extremes alone
+    if {int} != set(map(type, coeffs)) or not -_TOO_BIG < min(coeffs) <= max(coeffs) < _TOO_BIG:
+        for e, c in enumerate(coeffs, series.offset):
+            if not _printable(c):
+                raise ConstraintViolationError(_COEFF_TOO_LONG.format(e))
     return series
 
 

@@ -21,8 +21,8 @@ Multiplication picks one of two exact kernels from what the operands hold:
     byte-aligned signed digits, and multiplied once; a window multiplied by
     itself is packed once and squared.  Packing and unpacking are
     linear-time byte conversions, which for digits of up to 8 bytes run in
-    C: an ``array`` of int64 words, strided slice copies and byte tables,
-    with no digit touched in Python.
+    C: little-endian int64 words from ``struct``, strided slice copies and
+    byte tables, with no digit touched in Python.
 
 Inversion is Newton's iteration b <- b*(2 - a*b), which doubles the number
 of known coefficients of 1/a with each step; its products go through the
@@ -33,7 +33,7 @@ constructors apply them to one coefficient list in place.
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
@@ -145,7 +145,6 @@ def _bias(count: int, nbytes: int) -> int:
 # (0x00 or 0xff) of a two's-complement top byte
 _FLIP = bytes(range(128, 256)) + bytes(range(128))
 _SIGN_FILL = bytes(128) + b"\xff" * 128
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def _pack(arr: List[int], nbytes: int) -> int:
@@ -153,22 +152,17 @@ def _pack(arr: List[int], nbytes: int) -> int:
 
     Each digit is biased by 2**(8*nbytes-1) to be non-negative, so the
     digits' bytes join into one int; one subtraction takes the bias off
-    again.  Up to 8 bytes no digit is touched in Python: an int64 ``array``
-    gives every digit's two's-complement bytes, strided slice copies cut
-    each 8-byte word to ``nbytes`` bytes, and one ``translate`` flips the
-    top bit of each digit's top byte, which adds the bias.  Wider digits
-    are converted one at a time.
+    again.  Up to 8 bytes no digit is touched in Python: ``struct`` gives
+    every digit as a little-endian int64 word on any host, strided slice
+    copies cut each word to ``nbytes`` bytes, and one ``translate`` flips
+    the top bit of each digit's top byte, which adds the bias.  Wider
+    digits are converted one at a time.
     """
     if nbytes > 8:
         half = 1 << (8 * nbytes - 1)
         raw = b"".join((a + half).to_bytes(nbytes, "little") for a in arr)
     else:
-        from array import array  # loaded on first use, not at start-up
-
-        words = array("q", arr)
-        if _BIG_ENDIAN:
-            words.byteswap()
-        words = words.tobytes()
+        words = struct.pack("<%dq" % len(arr), *arr)
         raw = bytearray(nbytes * len(arr))
         for k in range(nbytes - 1):
             raw[k::nbytes] = words[k::8]
@@ -182,8 +176,8 @@ def _unpack(v: int, count: int, nbytes: int) -> List[int]:
 
     The biased digits' bytes come out of one conversion.  Up to 8 bytes
     they are undone as ``_pack`` made them: each digit's top bit is
-    flipped back, its bytes are copied into an int64 word and sign-filled
-    from a byte table, and the ``array`` of words becomes the list.
+    flipped back, its bytes are copied into a little-endian int64 word and
+    sign-filled from a byte table, and ``struct`` reads the words.
     """
     size = nbytes * count
     raw = ((v + _bias(count, nbytes)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
@@ -193,8 +187,6 @@ def _unpack(v: int, count: int, nbytes: int) -> List[int]:
             int.from_bytes(raw[k : k + nbytes], "little") - half
             for k in range(0, size, nbytes)
         ]
-    from array import array
-
     words = bytearray(8 * count)
     for k in range(nbytes - 1):
         words[k::8] = raw[k::nbytes]
@@ -203,10 +195,7 @@ def _unpack(v: int, count: int, nbytes: int) -> List[int]:
     fill = top.translate(_SIGN_FILL)
     for k in range(nbytes, 8):
         words[k::8] = fill
-    digits = array("q", words)
-    if _BIG_ENDIAN:
-        digits.byteswap()
-    return digits.tolist()
+    return list(struct.unpack("<%dq" % count, words))
 
 
 def _packed_product(x: List, y: List, out_len: int) -> List:
