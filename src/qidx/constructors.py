@@ -3,6 +3,9 @@ the bilateral f-function family, and generalized Lambert sums.
 
 Parameters are specialized to monomials u * q^e where the unit u is a sign or
 a symbolic unit monomial (an invertible generator of the coefficient ring).
+There is one coefficient ring, so no constructor takes a ring: a series
+holds tau-coefficients exactly where its arguments' symbolic units put them,
+and mixes freely with series that hold none.
 Every reciprocal 1/(1-v)^s goes through one three-case expansion:
 
   ord(v) > 0   geometric/binomial expansion in v,
@@ -32,14 +35,13 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import (
     ConstraintViolationError,
     DivergentTailError,
     NegativeOrderArgumentError,
     PoleError,
-    RingMismatchError,
     SymbolicNonUnitError,
 )
 from .exactalg import (
@@ -53,7 +55,7 @@ from .exactalg import (
     mono_str,
     normalize_scalar,
 )
-from .qring import QSeries, RATIONAL, SYMBOLIC, CoeffRing
+from .qring import QSeries, _coerce
 
 _LOOP_LIMIT = 200_000
 MAX_ORDER = 10_000  # no series may start below q^-MAX_ORDER (see ``qidx.exprs``)
@@ -179,13 +181,6 @@ W_ONE = AffineWeight(0, 1)
 W_R = AffineWeight(1, 0)
 
 
-def infer_ring(*xs: Optional[SpecMonomial]) -> CoeffRing:
-    for x in xs:
-        if x is not None and x.unit.symbolic:
-            return SYMBOLIC
-    return RATIONAL
-
-
 _ONE = Unit()
 _Q0 = SpecMonomial.one()
 _BILATERAL = ((0, 1), (-1, -1))
@@ -210,10 +205,9 @@ class _Acc:
     symbolic monomial live in a dict keyed by (exponent, monomial).
     """
 
-    __slots__ = ("ring", "order", "lo", "num", "sym")
+    __slots__ = ("order", "lo", "num", "sym")
 
-    def __init__(self, ring: CoeffRing, order: int):
-        self.ring = ring
+    def __init__(self, order: int):
         self.order = order
         self.lo = order + 1
         self.num: list = []
@@ -224,10 +218,6 @@ class _Acc:
             self.num[:0] = [0] * (self.lo - e)
             self.lo = e
 
-    def _need_symbolic(self) -> None:
-        if not self.ring.symbolic:
-            raise RingMismatchError("symbolic coefficient in a rational-ring series")
-
     def add(self, e: int, c: Scalar, mono: Monomial = MONO_ONE) -> None:
         """Add c * mono * q^e."""
         if e > self.order:
@@ -236,7 +226,6 @@ class _Acc:
         if mono == MONO_ONE:
             self.num[e - self.lo] += c
         else:
-            self._need_symbolic()
             self.sym[e, mono] = self.sym.get((e, mono), 0) + c
 
     def add_term(
@@ -262,8 +251,6 @@ class _Acc:
                 )
             if u.sign == 1:
                 raise PoleError(f"{what} hits the pole at 1")
-        if unit.symbolic:
-            self._need_symbolic()
         if g == 0:
             self.add(shift, c * unit.sign * Fraction((-1) ** k, 2**s), unit.mono)
             return
@@ -275,8 +262,6 @@ class _Acc:
         # the binomial factor C(., s-1) of the j-th term is 1, or j + d for s = 2
         e = shift + j * step
         n = max((self.order - e) // step + 1, 0)
-        if um != MONO_ONE and n > (0 if j else 1):
-            self._need_symbolic()
         if not n:
             return
         self._reach(e)
@@ -311,7 +296,7 @@ class _Acc:
             if coeffs[e - lo]:
                 terms[MONO_ONE] = coeffs[e - lo]
             coeffs[e - lo] = LaurentPoly._raw(terms)
-        return QSeries._raw(self.ring, lo, coeffs, self.order)
+        return QSeries(lo, coeffs, self.order)
 
 
 def _window(order: int, pad: int, min_order, grows, starts, what: str):
@@ -333,11 +318,13 @@ def _window(order: int, pad: int, min_order, grows, starts, what: str):
 
 
 def _lambert_window(
-    acc, pad, starts, what, v_unit, g0, m, k, s, shift, prefactor, c=1
-) -> None:
-    """Add to ``acc`` the sum over the window of c * w * unit * q^shift(n) *
-    v^k / (1-v)^s with v = v_unit q^(g0 + m n) and (w, unit) = prefactor(n);
-    w = 0 skips n, but c = 0 still writes (and ring-checks) every term."""
+    order, pad, starts, what, v_unit, g0, m, k, s, shift, prefactor, c=1
+):
+    """The function that adds to an accumulator the sum over the window of
+    c * w * unit * q^shift(n) * v^k / (1-v)^s with v = v_unit q^(g0 + m n)
+    and (w, unit) = prefactor(n); w = 0 skips n, but c = 0 still writes
+    every term.  DivergentTailError, before anything is written, if a walk
+    of the window would not close within _LOOP_LIMIT steps."""
 
     def min_order(n: int) -> int:
         return shift(n) + _lead(g0 + m * n, k, s)
@@ -346,30 +333,31 @@ def _lambert_window(
         return (g0 + m * n) * step > 0
 
     for n, step in starts:
-        # grows first holds this many steps from n, and _window takes pad
-        # more before it closes: past _LOOP_LIMIT steps the walk would fail
-        if -(g0 + m * n) * step // m + 1 + pad > _LOOP_LIMIT:
+        # past its turn a walk's terms only rise, so it closes in time, pad
+        # included, exactly when the index _LOOP_LIMIT - pad steps out closes it
+        n += (_LOOP_LIMIT - pad) * step
+        if pad > _LOOP_LIMIT or not (min_order(n) > order and grows(n, step)):
             raise DivergentTailError(f"{what} failed to close")
-    for n in _window(acc.order, pad, min_order, grows, starts, what):
-        w, unit = prefactor(n)
-        if w:
-            acc.add_term(c * w, unit, shift(n), SpecMonomial(v_unit, g0 + m * n), k, s)
+
+    def write(acc: _Acc) -> None:
+        for n in _window(order, pad, min_order, grows, starts, what):
+            w, unit = prefactor(n)
+            if w:
+                acc.add_term(c * w, unit, shift(n), SpecMonomial(v_unit, g0 + m * n), k, s)
+
+    return write
 
 
-def term_series(
-    v: SpecMonomial, s: int, order: int, ring: Optional[CoeffRing] = None
-) -> QSeries:
+def term_series(v: SpecMonomial, s: int, order: int) -> QSeries:
     """Expand v/(1-v)^s exactly, for s in {1, 2}."""
-    acc = _Acc(ring or infer_ring(v), order)
+    acc = _Acc(order)
     acc.add_term(1, _ONE, 0, v, 1, s)
     return acc.series()
 
 
-def recip_series(
-    v: SpecMonomial, s: int, order: int, ring: Optional[CoeffRing] = None
-) -> QSeries:
+def recip_series(v: SpecMonomial, s: int, order: int) -> QSeries:
     """Expand 1/(1-v)^s exactly, for s in {1, 2}."""
-    acc = _Acc(ring or infer_ring(v), order)
+    acc = _Acc(order)
     acc.add_term(1, _ONE, 0, v, 0, s)
     return acc.series()
 
@@ -387,16 +375,16 @@ def times_spec_monomial(qs: QSeries, x: SpecMonomial, weight: Scalar = 1) -> QSe
 # ---------------------------------------------------------------------------
 
 
-def _factors(x: SpecMonomial, n: int, m: int, order: int, ring: CoeffRing) -> QSeries:
+def _factors(x: SpecMonomial, n: int, m: int, order: int) -> QSeries:
     """The product of (1 - x*q^{m*i}) for 0 <= i < n through q^order: the
     factors past q^order are 1 there.  Each factor (1 - u q^d) updates one
     fresh list in place: a[k] -= u * a[k - d] for k >= d, from old values."""
     if order < 0:
-        return QSeries.zero(ring, order)
+        return QSeries.zero(order)
     a = [1] + [0] * order
     exps = range(x.qexp, order + 1, m)[:n]
     if exps:
-        u = ring.coerce(x.unit.value())
+        u = x.unit.value()
         for d in exps:
             if u == 1:
                 a[d:] = map(operator.sub, a[d:], a[: order + 1 - d])
@@ -405,32 +393,28 @@ def _factors(x: SpecMonomial, n: int, m: int, order: int, ring: CoeffRing) -> QS
             else:
                 a[d:] = [c - u * b if b else c for c, b in zip(a[d:], a)]
         if type(u) is LaurentPoly:
-            a = [ring.coerce(c) for c in a]
-    return QSeries._raw(ring, 0, a, order)
+            a = [_coerce(c) for c in a]
+    return QSeries(0, a, order)
 
 
 # Bounded: a full verify-all uses about 230 distinct products.
 @functools.lru_cache(maxsize=512)
-def _poch_inf_cached(x: SpecMonomial, m: int, order: int, symbolic: bool) -> QSeries:
+def _poch_inf_cached(x: SpecMonomial, m: int, order: int) -> QSeries:
     # order + 1 factors reach past q^order at every base
-    return _factors(x, order + 1, m, order, SYMBOLIC if symbolic else RATIONAL)
+    return _factors(x, order + 1, m, order)
 
 
-def poch_inf(
-    x: SpecMonomial, m: int, order: int, ring: Optional[CoeffRing] = None
-) -> QSeries:
+def poch_inf(x: SpecMonomial, m: int, order: int) -> QSeries:
     """The infinite product of (1 - x*q^{m*i}) for i >= 0, truncated."""
     check_base(m)
     if x.qexp < 0:
         raise NegativeOrderArgumentError(
             f"infinite product needs ord(x) >= 0, got ord = {x.qexp}"
         )
-    return _poch_inf_cached(x, m, order, (ring or infer_ring(x)).symbolic)
+    return _poch_inf_cached(x, m, order)
 
 
-def poch_fin(
-    x: SpecMonomial, n: int, m: int, order: int, ring: Optional[CoeffRing] = None
-) -> QSeries:
+def poch_fin(x: SpecMonomial, n: int, m: int, order: int) -> QSeries:
     """The finite product of (1 - x*q^{m*i}) for 0 <= i < n."""
     check_base(m)
     if n < 0:
@@ -439,14 +423,12 @@ def poch_fin(
         raise NegativeOrderArgumentError(
             f"finite product needs ord(x) >= 0, got ord = {x.qexp}"
         )
-    return _factors(x, n, m, order, ring or infer_ring(x))
+    return _factors(x, n, m, order)
 
 
-def poch_pair(
-    x: SpecMonomial, m: int, order: int, ring: Optional[CoeffRing] = None
-) -> QSeries:
+def poch_pair(x: SpecMonomial, m: int, order: int) -> QSeries:
     """The two-sided product (x; q^m)_inf * (x^-1 q^m; q^m)_inf."""
-    return poch_inf(x, m, order, ring) * poch_inf(x.inv().times_qpow(m), m, order, ring)
+    return poch_inf(x, m, order) * poch_inf(x.inv().times_qpow(m), m, order)
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +436,7 @@ def poch_pair(
 # ---------------------------------------------------------------------------
 
 
-def theta_sum(
-    z: SpecMonomial,
-    m: int,
-    order: int,
-    ring: Optional[CoeffRing] = None,
-    pad: int = 0,
-) -> QSeries:
+def theta_sum(z: SpecMonomial, m: int, order: int, pad: int = 0) -> QSeries:
     """The alternating bilateral sum of z^n * q^{m(n^2-n)/2}."""
     check_base(m)
     e = z.qexp
@@ -471,7 +447,7 @@ def theta_sum(
     # the lowest term sits at an integer next to the vertex n = 1/2 - e/m
     vertex = (m - 2 * e) // (2 * m)
     _check_window(min(expo(vertex), expo(vertex + 1)))
-    acc = _Acc(ring or infer_ring(z), order)
+    acc = _Acc(order)
 
     def past_vertex(n, step):
         return n != 0 and expo(n) >= expo(n - step)
@@ -482,10 +458,10 @@ def theta_sum(
     return acc.series()
 
 
-def phi_minus(m: int, order: int, ring: Optional[CoeffRing] = None) -> QSeries:
+def phi_minus(m: int, order: int) -> QSeries:
     """The bilateral sum of (-1)^n q^{m n^2}: the theta sum at z = q^m in
     base q^{2m}."""
-    return theta_sum(SpecMonomial.signed(1, m), 2 * m, order, ring)
+    return theta_sum(SpecMonomial.signed(1, m), 2 * m, order)
 
 
 def pf_sum(
@@ -493,7 +469,6 @@ def pf_sum(
     m: int,
     order: int,
     cleared: bool = True,
-    ring: Optional[CoeffRing] = None,
     pad: int = 0,
 ) -> QSeries:
     """The partial-fraction bilateral sum over n of
@@ -513,22 +488,20 @@ def pf_sum(
         raise ConstraintViolationError(
             f"partial-fraction argument needs ord(z) >= 0, got {z.qexp}"
         )
-    acc = _Acc(ring or infer_ring(z), order)
+    acc = _Acc(order)
     e = z.qexp
     # numerator 1, then -z when cleared; the cleared n = 0 term is exactly 1
     parts = [(1, _ONE, 0)]
     if cleared:
-        if z.unit.symbolic:
-            acc._need_symbolic()  # the factor (1 - z) itself
         parts.append((-1, z.unit, e))
         acc.add(0, 1)
     for c, unit, de in parts:
         _lambert_window(
-            acc, pad, _BILATERAL, "partial-fraction window", z.unit, e, m, 0, 1,
+            order, pad, _BILATERAL, "partial-fraction window", z.unit, e, m, 0, 1,
             shift=lambda n: m * (n * n + n) // 2 + de,
             prefactor=lambda n: (0 if cleared and n == 0 else (-1) ** (n % 2), unit),
             c=c,
-        )
+        )(acc)
     return acc.series()
 
 
@@ -551,14 +524,14 @@ def _check_pole_guard(b: SpecMonomial, m: int, name: str):
             raise PoleError(f"{name} = {b} hits a pole of the sum")
 
 
-def _bilateral(W, A, x, s, m, order, ring, pad) -> QSeries:
+def _bilateral(W, A, x, s, m, order, pad) -> QSeries:
     """The bilateral sum of W(n) * A^n / (1 - x q^{mn})^s."""
-    acc = _Acc(ring or infer_ring(A, x), order)
+    acc = _Acc(order)
     _lambert_window(
-        acc, pad, _BILATERAL, "bilateral window", x.unit, x.qexp, m, 0, s,
+        order, pad, _BILATERAL, "bilateral window", x.unit, x.qexp, m, 0, s,
         shift=lambda n: A.qexp * n,
         prefactor=lambda n: (W(n), A.unit.pow(n)),
-    )
+    )(acc)
     return acc.series()
 
 
@@ -567,7 +540,6 @@ def jordan_kronecker(
     b: SpecMonomial,
     m: int,
     order: int,
-    ring: Optional[CoeffRing] = None,
     pad: int = 2,
 ) -> QSeries:
     """The bilateral sum of a^n / (1 - b q^{mn}).
@@ -577,7 +549,7 @@ def jordan_kronecker(
     """
     _check_f_args(a, m, "first argument")
     _check_pole_guard(b, m, "second argument")
-    return _bilateral(W_ONE, a, b, 1, m, order, ring, pad)
+    return _bilateral(W_ONE, a, b, 1, m, order, pad)
 
 
 def jk_partial_a(
@@ -585,13 +557,12 @@ def jk_partial_a(
     b: SpecMonomial,
     m: int,
     order: int,
-    ring: Optional[CoeffRing] = None,
     pad: int = 2,
 ) -> QSeries:
     """The bilateral sum of b^n q^{mn} / (1 - a q^{mn})^2."""
     _check_f_args(a, m, "first argument")
     _check_f_args(b, m, "second argument")
-    return _bilateral(W_ONE, b.times_qpow(m), a, 2, m, order, ring, pad)
+    return _bilateral(W_ONE, b.times_qpow(m), a, 2, m, order, pad)
 
 
 def n_weighted_sum(
@@ -599,7 +570,6 @@ def n_weighted_sum(
     x: SpecMonomial,
     m: int,
     order: int,
-    ring: Optional[CoeffRing] = None,
     pad: int = 2,
 ) -> QSeries:
     """The bilateral sum of n * a^n / (1 - x q^{mn})."""
@@ -609,54 +579,52 @@ def n_weighted_sum(
             f"second argument needs positive order, got {x.qexp}"
         )
     _check_pole_guard(x, m, "second argument")
-    return _bilateral(W_R, a, x, 1, m, order, ring, pad)
+    return _bilateral(W_R, a, x, 1, m, order, pad)
 
 
-def lambert_sum(
-    terms: Sequence[tuple],
-    m: int,
-    order: int,
-    ring: Optional[CoeffRing] = None,
-    pad: int = 2,
-) -> QSeries:
+def lambert_sum(terms: Sequence[tuple], m: int, order: int, pad: int = 2) -> QSeries:
     """The sum over terms (c, M, x, s, W, r0) of c times the one-sided
     Lambert sum of W(r) * M^r * x q^{mr} / (1 - x q^{mr})^s over r >= r0.
 
-    Terms are checked in turn, each just before its window is written into
-    the one accumulator every term shares.
+    Every term is checked, its window included, before any is written into
+    the one accumulator the terms share.
     """
     check_base(m)
-    if ring is None:
-        ring = infer_ring(*(y for t in terms for y in t[1:3]))
-    acc = _Acc(ring, order)
-    for c, M, x, s, W, r0 in terms:
-        if r0 not in (0, 1):
-            raise ConstraintViolationError("lower summation index must be 0 or 1")
-        if s not in (1, 2):
-            raise ConstraintViolationError("denominator power must be 1 or 2")
-        mu, xi = M.qexp, x.qexp
-        if mu + m <= 0:
-            raise DivergentTailError(
-                f"term order slope ord(M) + m = {mu + m} is not positive"
-            )
-        # a pole inside the summation range is an error unless its weight vanishes
-        if xi % m == 0:
-            rstar = -xi // m
-            if rstar >= r0 and W(rstar) != 0:
-                v = SpecMonomial(x.unit, 0)
-                if x.unit.symbolic:
-                    raise SymbolicNonUnitError(
-                        f"Lambert term at r = {rstar} has unit argument {v}"
-                    )
-                if x.unit.sign == 1:
-                    raise PoleError(f"Lambert term at r = {rstar} hits the pole at 1")
-        _lambert_window(
-            acc, pad, ((r0, 1),), "Lambert tail", x.unit, xi, m, 1, s,
-            shift=lambda r: mu * r,
-            prefactor=lambda r: (W(r), M.unit.pow(r)),
-            c=c,
-        )
+    acc = _Acc(order)
+    for write in [_lambert_term(term, m, order, pad) for term in terms]:
+        write(acc)
     return acc.series()
+
+
+def _lambert_term(term: tuple, m: int, order: int, pad: int):
+    """Check one ``lambert_sum`` term and return the function that writes it."""
+    c, M, x, s, W, r0 = term
+    if r0 not in (0, 1):
+        raise ConstraintViolationError("lower summation index must be 0 or 1")
+    if s not in (1, 2):
+        raise ConstraintViolationError("denominator power must be 1 or 2")
+    mu, xi = M.qexp, x.qexp
+    if mu + m <= 0:
+        raise DivergentTailError(
+            f"term order slope ord(M) + m = {mu + m} is not positive"
+        )
+    # a pole inside the summation range is an error unless its weight vanishes
+    if xi % m == 0:
+        rstar = -xi // m
+        if rstar >= r0 and W(rstar) != 0:
+            v = SpecMonomial(x.unit, 0)
+            if x.unit.symbolic:
+                raise SymbolicNonUnitError(
+                    f"Lambert term at r = {rstar} has unit argument {v}"
+                )
+            if x.unit.sign == 1:
+                raise PoleError(f"Lambert term at r = {rstar} hits the pole at 1")
+    return _lambert_window(
+        order, pad, ((r0, 1),), "Lambert tail", x.unit, xi, m, 1, s,
+        shift=lambda r: mu * r,
+        prefactor=lambda r: (W(r), M.unit.pow(r)),
+        c=c,
+    )
 
 
 def generalized_lambert(
@@ -667,12 +635,11 @@ def generalized_lambert(
     r0: int,
     m: int,
     order: int,
-    ring: Optional[CoeffRing] = None,
     pad: int = 2,
 ) -> QSeries:
     """The one-sided Lambert sum of W(r) * M^r * x q^{mr} / (1 - x q^{mr})^s
     over r >= r0."""
-    return lambert_sum([(1, M, x, s, W, r0)], m, order, ring, pad)
+    return lambert_sum([(1, M, x, s, W, r0)], m, order, pad)
 
 
 def _l_terms(m: int, weighted) -> list:
@@ -690,20 +657,12 @@ def _l_terms(m: int, weighted) -> list:
     return terms
 
 
-def l_func(
-    b: SpecMonomial,
-    m: int,
-    order: int,
-    ring: Optional[CoeffRing] = None,
-    pad: int = 2,
-) -> QSeries:
+def l_func(b: SpecMonomial, m: int, order: int, pad: int = 2) -> QSeries:
     """l(b): the difference of the two one-sided Lambert sums of b and 1/b."""
-    return lambert_sum(_l_terms(m, [(b, 1)]), m, order, ring, pad)
+    return lambert_sum(_l_terms(m, [(b, 1)]), m, order, pad)
 
 
-def char_lambert(
-    table: Sequence[int], s: int, order: int, ring: Optional[CoeffRing] = None
-) -> QSeries:
+def char_lambert(table: Sequence[int], s: int, order: int) -> QSeries:
     """The Lambert sum of table[r mod k] * q^r / (1 - q^r)^s over r >= 1."""
     k = len(table)
     if k < 1:
@@ -715,16 +674,10 @@ def char_lambert(
         for j in range(1, k + 1)
         if table[j % k]
     ]
-    return lambert_sum(terms, k, order, ring or RATIONAL)
+    return lambert_sum(terms, k, order)
 
 
-def jk_product_form(
-    a: SpecMonomial,
-    b: SpecMonomial,
-    m: int,
-    order: int,
-    ring: Optional[CoeffRing] = None,
-) -> QSeries:
+def jk_product_form(a: SpecMonomial, b: SpecMonomial, m: int, order: int) -> QSeries:
     """The product representation of the bilateral f-sum, computed by series
     division: (q)^2 (ab) (1/(ab) q) / ((a)(q/a)(b)(q/b)), all in base q^m."""
     _check_f_args(a, m, "first argument")
@@ -738,7 +691,6 @@ def jk_product_form(
         raise ConstraintViolationError(
             "ord(a) + ord(b) = m with unit(ab) = +1 makes the numerator vanish"
         )
-    ring = ring or infer_ring(a, b)
-    num = poch_inf(SpecMonomial.signed(1, m), m, order, ring) ** 2 * poch_pair(ab, m, order, ring)
-    den = poch_pair(a, m, order, ring) * poch_pair(b, m, order, ring)
+    num = poch_inf(SpecMonomial.signed(1, m), m, order) ** 2 * poch_pair(ab, m, order)
+    den = poch_pair(a, m, order) * poch_pair(b, m, order)
     return num * den.inv()

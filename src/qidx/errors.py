@@ -7,10 +7,6 @@ class QidxError(Exception):
     """Base class for all package-specific errors."""
 
 
-class RingMismatchError(QidxError):
-    """Two series over different coefficient rings were combined."""
-
-
 class OrderExceededError(QidxError):
     """A coefficient beyond a series' known truncation order was requested."""
 

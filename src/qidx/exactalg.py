@@ -1,12 +1,11 @@
 """Exact coefficient arithmetic: rationals and sparse Laurent polynomials.
 
-Series coefficients live in one of two rings:
-
-  * the rationals, represented by plain ``int`` where possible and
-    ``fractions.Fraction`` otherwise (both interoperate transparently);
-  * Laurent polynomials over the rationals in a fixed alphabet of four
-    unit symbols ``ta, tb, tc, td`` (invertible placeholders that track
-    the multiplicative parameters of an identity).
+Series coefficients live in one ring: Laurent polynomials over the
+rationals in a fixed alphabet of four unit symbols ``ta, tb, tc, td``
+(invertible placeholders that track the multiplicative parameters of an
+identity).  Its scalars, the rationals, are stored as plain ``int`` where
+possible and ``fractions.Fraction`` otherwise (both interoperate
+transparently); every other element is a ``LaurentPoly``.
 
 A Laurent polynomial is a dict mapping an exponent 4-tuple (one signed
 integer per symbol) to a nonzero rational coefficient.  The empty dict is
@@ -18,8 +17,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterator, Optional, Tuple, Union
-
-Rational = Fraction  # the exact scalar type (plain ints are accepted everywhere)
 
 Scalar = Union[int, Fraction]
 

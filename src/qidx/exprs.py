@@ -355,13 +355,13 @@ def _printable(c) -> bool:
     return _printable(c.numerator) and c.denominator < _TOO_BIG
 
 
-def _series(v, ring, order: int) -> QSeries:
+def _series(v, order: int) -> QSeries:
     """A value as a series: a number is a constant, a monomial one term."""
     if isinstance(v, Fraction):
-        return QSeries.const(ring, v, order)
+        return QSeries.const(v, order)
     if isinstance(v, SpecMonomial):
         _check_window(v.qexp)
-        return QSeries.monomial(ring, v.unit.value(), v.qexp, order)
+        return QSeries.monomial(v.unit.value(), v.qexp, order)
     return v
 
 
@@ -393,16 +393,16 @@ def _as_table(v, what: str):
     return (CHI1, CHI2, CHI3)[which - 1]
 
 
-def _glam(M, x, u, v, s, r0, m, order, ring):
-    return generalized_lambert(M, x, s, AffineWeight(u, v), r0, m, order, ring=ring)
+def _glam(M, x, u, v, s, r0, m, order):
+    return generalized_lambert(M, x, s, AffineWeight(u, v), r0, m, order)
 
 
-def _chilam(table, s, m, order, ring):
-    return char_lambert(table, s, order, ring=ring)
+def _chilam(table, s, m, order):
+    return char_lambert(table, s, order)
 
 
 # name -> (constructor, then one (converter, label) per argument); the
-# constructor gets the converted arguments, then base, order and ring.  It is
+# constructor gets the converted arguments, then base and order.  It is
 # named, not held, so a rebinding of this module's names (as the benchmark's
 # tracer makes) reaches every call.
 _SIGNATURES = {
@@ -430,7 +430,7 @@ _SIGNATURES = {
 _ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def _eval(node: Node, assign, ring, order: int):
+def _eval(node: Node, assign, order: int):
     """The value of ``node``: a Fraction or a SpecMonomial while the
     arithmetic keeps it one, otherwise a QSeries through ``order``."""
     if isinstance(node, Num):
@@ -442,19 +442,19 @@ def _eval(node: Node, assign, ring, order: int):
             raise UnboundParameterError(f"parameter {node.name!r} is not bound by the spec")
         return assign.params[node.name]
     if isinstance(node, Call):
-        vals = [_eval(a, assign, ring, order) for a in node.args]
+        vals = [_eval(a, assign, order) for a in node.args]
         if node.func not in _SIGNATURES:
             raise UnknownFunctionError(f"unknown function {node.func!r}")
         ctor, *params = _SIGNATURES[node.func]
         if len(vals) != len(params):
             raise ArityError(f"{node.func}() takes {len(params)} argument(s), got {len(vals)}")
         args = [conv(v, what) for v, (conv, what) in zip(vals, params)]
-        return globals()[ctor](*args, assign.base, order, ring=ring)
+        return globals()[ctor](*args, assign.base, order)
     if isinstance(node, Neg):
-        v = _eval(node.arg, assign, ring, order)
+        v = _eval(node.arg, assign, order)
         return v.mul(SpecMonomial.signed(-1, 0)) if isinstance(v, SpecMonomial) else -v
     if isinstance(node, Pow):
-        v, k = _eval(node.base, assign, ring, order), node.exp
+        v, k = _eval(node.base, assign, order), node.exp
         if isinstance(v, SpecMonomial):
             return v.pow(k)
         if isinstance(v, QSeries):
@@ -474,13 +474,13 @@ def _eval(node: Node, assign, ring, order: int):
     if type(node) not in _ARITH:
         raise TypeError(f"not an expression node: {node!r}")
     op = _ARITH[type(node)]
-    left, right = (_eval(n, assign, ring, order) for n in (node.left, node.right))
+    left, right = (_eval(n, assign, order) for n in (node.left, node.right))
     if isinstance(left, Fraction) and isinstance(right, Fraction):
         return _check_digits(op(left, right), node.pos + 1)
     monos = [_unit_mono(v) for v in (left, right)]
     if op is operator.mul and None not in monos:
         return monos[0].mul(monos[1])
-    left, right = _series(left, ring, order), _series(right, ring, order)
+    left, right = _series(left, order), _series(right, order)
     if op is operator.mul:
         _check_window(left.offset + right.offset)
     return op(left, right)
@@ -489,8 +489,7 @@ def _eval(node: Node, assign, ring, order: int):
 def eval_expr(node: Node, assign, order: int) -> QSeries:
     """Evaluate a parsed expression to an exact truncated series, every
     coefficient of which has at most MAX_DIGITS digits."""
-    ring = assign.ring()
-    series = _series(_eval(node, assign, ring, order), ring, order)
+    series = _series(_eval(node, assign, order), order)
     coeffs = series.coeffs
     # an all-int window, the usual result, is checked by its extremes alone
     if {int} != set(map(type, coeffs)) or not -_TOO_BIG < min(coeffs) <= max(coeffs) < _TOO_BIG:

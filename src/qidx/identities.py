@@ -40,7 +40,6 @@ from .constructors import (
     _l_terms,
     char_lambert,
     check_base,
-    infer_ring,
     jk_partial_a,
     jk_product_form,
     jordan_kronecker,
@@ -66,7 +65,7 @@ from .errors import (
     SymbolicNonUnitError,
 )
 from .numtheory import CHI1, CHI2, CHI3
-from .qring import CoeffRing, QSeries
+from .qring import QSeries
 
 # ---------------------------------------------------------------------------
 # parameter assignments
@@ -103,9 +102,6 @@ class ParamAssignment:
             else:
                 parts.append(f"{name}=q^{x.qexp}")
         return ",".join(parts)
-
-    def ring(self) -> CoeffRing:
-        return infer_ring(*self.params.values())
 
 
 @lru_cache(maxsize=512)  # a symbolic region filter asks for each value many times
@@ -243,7 +239,7 @@ class Constraint:
 # ---------------------------------------------------------------------------
 # descriptor plumbing
 
-Builder = Callable[[Dict[str, SpecMonomial], int, CoeffRing, int], Tuple[QSeries, QSeries]]
+Builder = Callable[[Dict[str, SpecMonomial], int, int], Tuple[QSeries, QSeries]]
 
 
 class IdentityDescriptor:
@@ -289,8 +285,8 @@ def list_identities() -> List[dict]:
 # builder helpers
 
 
-def _Pq(m: int, ring: CoeffRing, order: int) -> QSeries:
-    return poch_inf(SpecMonomial.signed(1, m), m, order, ring=ring)
+def _Pq(m: int, order: int) -> QSeries:
+    return poch_inf(SpecMonomial.signed(1, m), m, order)
 
 
 def _q(j: int) -> SpecMonomial:
@@ -312,21 +308,21 @@ def _cross_terms(b: SpecMonomial, c: SpecMonomial) -> list:
 # builders: theta and partial-fraction expansions
 
 
-def _build_1_1(params, m, ring, order):
+def _build_1_1(params, m, order):
     z = params["z"]
-    lhs = _Pq(m, ring, order) * poch_pair(z, m, order, ring)
-    rhs = theta_sum(z, m, order, ring=ring)
+    lhs = _Pq(m, order) * poch_pair(z, m, order)
+    rhs = theta_sum(z, m, order)
     return lhs, rhs
 
 
-def _build_1_2(params, m, ring, order):
+def _build_1_2(params, m, order):
     z = params["z"]
-    pq = _Pq(m, ring, order)
+    pq = _Pq(m, order)
     lhs = pq * pq
     rhs = (
-        pf_sum(z, m, order, ring=ring)
-        * poch_inf(z.times_qpow(m), m, order, ring)
-        * poch_inf(z.inv().times_qpow(m), m, order, ring)
+        pf_sum(z, m, order)
+        * poch_inf(z.times_qpow(m), m, order)
+        * poch_inf(z.inv().times_qpow(m), m, order)
     )
     return lhs, rhs
 
@@ -335,17 +331,17 @@ def _build_1_2(params, m, ring, order):
 # builders: the three-parameter product identity
 
 
-def _build_1_3(params, m, ring, order):
+def _build_1_3(params, m, order):
     a, b, c = params["a"], params["b"], params["c"]
     abc = a.mul(b).mul(c)
-    pq = _Pq(m, ring, order)
+    pq = _Pq(m, order)
     lhs = pq * pq
     for pairarg in (a.mul(b), a.mul(c), b.mul(c)):
-        lhs = lhs * poch_pair(pairarg, m, order, ring)
+        lhs = lhs * poch_pair(pairarg, m, order)
     brace = _l_terms(m, [(a, 1), (b, 1), (c, 1), (abc, -1)])
-    rhs = QSeries.const(ring, 1, order) + lambert_sum(brace, m, order, ring)
+    rhs = QSeries.const(1, order) + lambert_sum(brace, m, order)
     for x in (a, b, c, abc):
-        rhs = rhs * poch_pair(x, m, order, ring)
+        rhs = rhs * poch_pair(x, m, order)
     return lhs, rhs
 
 
@@ -353,127 +349,123 @@ def _build_1_3(params, m, ring, order):
 # builders: two-parameter Lambert product identities
 
 
-def _build_1_4(params, m, ring, order):
+def _build_1_4(params, m, order):
     b, c = params["b"], params["c"]
     bc = b.mul(c)
-    left, right = (lambert_sum(_l_terms(m, [(x, 1), (bc, -1)]), m, order, ring) for x in (b, c))
+    left, right = (lambert_sum(_l_terms(m, [(x, 1), (bc, -1)]), m, order) for x in (b, c))
     terms = [(1, x, _ONE, 1, W_R, 1) for x in (bc, bc.inv())] + _cross_terms(b, c)
-    rhs = term_series(bc, 2, order, ring=ring) + lambert_sum(terms, m, order, ring)
+    rhs = term_series(bc, 2, order) + lambert_sum(terms, m, order)
     return left * right, rhs
 
 
-def _build_1_5(params, m, ring, order):
+def _build_1_5(params, m, order):
     b, c = params["b"], params["c"]
     bc = b.mul(c)
-    brace = lambert_sum(_l_terms(m, [(b, 1), (c, 1), (bc, -1)]), m, order, ring)
-    brace = QSeries.const(ring, Fraction(1, 2), order) + brace
+    brace = lambert_sum(_l_terms(m, [(b, 1), (c, 1), (bc, -1)]), m, order)
+    brace = QSeries.const(Fraction(1, 2), order) + brace
     terms = [(1, _ONE, x, 2, W_ONE, 0) for x in (b, c, bc)]
     terms += [(1, _ONE, x.inv(), 2, W_ONE, 1) for x in (b, c, bc)]
     terms.append((-6, _ONE, _ONE, 2, W_ONE, 1))
-    rhs = QSeries.const(ring, Fraction(1, 4), order) + lambert_sum(terms, m, order, ring)
+    rhs = QSeries.const(Fraction(1, 4), order) + lambert_sum(terms, m, order)
     return brace * brace, rhs
 
 
-def _build_2_11(params, m, ring, order):
+def _build_2_11(params, m, order):
     b, c = params["b"], params["c"]
     bc = b.mul(c)
-    lb, lc, lbc = (l_func(x, m, order, ring=ring) for x in (b, c, bc))
+    lb, lc, lbc = (l_func(x, m, order) for x in (b, c, bc))
     terms = _cross_terms(b, c) + [(1, _ONE, bc, 2, W_ONE, 0), (1, _ONE, bc.inv(), 2, W_ONE, 1)]
-    rhs = lbc * (lb + lc - lbc) + lambert_sum(terms, m, order, ring)
+    rhs = lbc * (lb + lc - lbc) + lambert_sum(terms, m, order)
     return lb * lc, rhs
 
 
-def _build_2_12(params, m, ring, order):
+def _build_2_12(params, m, order):
     b = params["b"]
-    lb = l_func(b, m, order, ring=ring)
+    lb = l_func(b, m, order)
     terms = [(1, _ONE, b, 2, W_ONE, 0), (1, _ONE, b.inv(), 2, W_ONE, 1)]
     terms += _l_terms(m, [(b, -1)])
     terms += [(-2, x, _ONE, 2, W_ONE, 1) for x in (b, b.inv(), _ONE)]
-    return lb * lb, lambert_sum(terms, m, order, ring)
+    return lb * lb, lambert_sum(terms, m, order)
 
 
 # ---------------------------------------------------------------------------
 # builders: bilateral-series family
 
 
-def _build_2_1(params, m, ring, order):
+def _build_2_1(params, m, order):
     a, b = params["a"], params["b"]
-    lhs = jordan_kronecker(a, b, m, order, ring=ring)
-    rhs = jordan_kronecker(b, a, m, order, ring=ring)
+    lhs = jordan_kronecker(a, b, m, order)
+    rhs = jordan_kronecker(b, a, m, order)
     return lhs, rhs
 
 
-def _build_2_2(params, m, ring, order):
+def _build_2_2(params, m, order):
     a, b = params["a"], params["b"]
-    lhs = jordan_kronecker(a, b, m, order, ring=ring)
-    inner = jordan_kronecker(
-        a.inv().times_qpow(m), b.inv(), m, order + b.qexp, ring=ring
-    )
+    lhs = jordan_kronecker(a, b, m, order)
+    inner = jordan_kronecker(a.inv().times_qpow(m), b.inv(), m, order + b.qexp)
     rhs = -times_spec_monomial(inner, b.inv())
     return lhs, rhs
 
 
-def _build_2_3(params, m, ring, order):
+def _build_2_3(params, m, order):
     a, b = params["a"], params["b"]
     pad = order + m
-    oma = poch_fin(a, 1, m, pad, ring)
-    omb = poch_fin(b, 1, m, pad, ring)
-    lhs = jordan_kronecker(a, b, m, pad, ring=ring) * oma * omb
+    oma = poch_fin(a, 1, m, pad)
+    omb = poch_fin(b, 1, m, pad)
+    lhs = jordan_kronecker(a, b, m, pad) * oma * omb
     terms = [(1, a, b, 1, W_ONE, 1), (-1, a.inv(), b.inv(), 1, W_ONE, 1)]
-    rhs = poch_fin(a.mul(b), 1, m, pad, ring) + oma * omb * lambert_sum(terms, m, pad, ring)
+    rhs = poch_fin(a.mul(b), 1, m, pad) + oma * omb * lambert_sum(terms, m, pad)
     return lhs, rhs
 
 
-def _build_2_5(params, m, ring, order):
+def _build_2_5(params, m, order):
     a, b = params["a"], params["b"]
     lhs = times_spec_monomial(
-        jordan_kronecker(a, b.times_qpow(m), m, order, ring=ring), a
+        jordan_kronecker(a, b.times_qpow(m), m, order), a
     )
-    rhs = jordan_kronecker(a, b, m, order, ring=ring)
+    rhs = jordan_kronecker(a, b, m, order)
     return lhs, rhs
 
 
-def _build_2_6(params, m, ring, order):
+def _build_2_6(params, m, order):
     a, b = params["a"], params["b"]
-    lhs = n_weighted_sum(a, b, m, order, ring=ring)
-    rhs = times_spec_monomial(jk_partial_a(a, b, m, order, ring=ring), a)
+    lhs = n_weighted_sum(a, b, m, order)
+    rhs = times_spec_monomial(jk_partial_a(a, b, m, order), a)
     return lhs, rhs
 
 
-def _build_2_7(params, m, ring, order):
+def _build_2_7(params, m, order):
     a, b = params["a"], params["b"]
-    pq = _Pq(m, ring, order)
-    lhs = pq * poch_pair(a, m, order, ring) * poch_pair(b, m, order, ring)
-    lhs = lhs * jordan_kronecker(a, b, m, order, ring=ring)
-    rhs = pq * pq * pq * poch_pair(a.mul(b), m, order, ring)
+    pq = _Pq(m, order)
+    lhs = pq * poch_pair(a, m, order) * poch_pair(b, m, order)
+    lhs = lhs * jordan_kronecker(a, b, m, order)
+    rhs = pq * pq * pq * poch_pair(a.mul(b), m, order)
     return lhs, rhs
 
 
-def _build_2_8(params, m, ring, order):
+def _build_2_8(params, m, order):
     a, b = params["a"], params["b"]
-    lhs = jordan_kronecker(a, b, m, order, ring=ring)
-    rhs = jk_product_form(a, b, m, order, ring=ring)
+    lhs = jordan_kronecker(a, b, m, order)
+    rhs = jk_product_form(a, b, m, order)
     return lhs, rhs
 
 
-def _build_2_9(params, m, ring, order):
+def _build_2_9(params, m, order):
     a, b, c = params["a"], params["b"], params["c"]
     bc = b.mul(c)
-    lhs = n_weighted_sum(a, bc, m, order, ring=ring)
-    brace = lambert_sum(_l_terms(m, [(a, 1), (a.mul(bc), -1)]), m, order, ring)
-    rhs = jordan_kronecker(a, bc, m, order, ring=ring) * brace
+    lhs = n_weighted_sum(a, bc, m, order)
+    brace = lambert_sum(_l_terms(m, [(a, 1), (a.mul(bc), -1)]), m, order)
+    rhs = jordan_kronecker(a, bc, m, order) * brace
     return lhs, rhs
 
 
-def _build_2_10(params, m, ring, order):
+def _build_2_10(params, m, order):
     a, b, c = params["a"], params["b"], params["c"]
     bc = b.mul(c)
-    lhs = jordan_kronecker(a, b, m, order, ring=ring) * jordan_kronecker(
-        a, c, m, order, ring=ring
-    )
+    lhs = jordan_kronecker(a, b, m, order) * jordan_kronecker(a, c, m, order)
     brace = _l_terms(m, [(a, 1), (b, 1), (c, 1), (a.mul(bc), -1)])
-    brace = QSeries.const(ring, 1, order) + lambert_sum(brace, m, order, ring)
-    rhs = jordan_kronecker(a, bc, m, order, ring=ring) * brace
+    brace = QSeries.const(1, order) + lambert_sum(brace, m, order)
+    rhs = jordan_kronecker(a, bc, m, order) * brace
     return lhs, rhs
 
 
@@ -481,61 +473,61 @@ def _build_2_10(params, m, ring, order):
 # builders: four-parameter identity
 
 
-def _build_3_8(params, m, ring, order):
+def _build_3_8(params, m, order):
     a, b, c, d = params["a"], params["b"], params["c"], params["d"]
     ab, cd = a.mul(b), c.mul(d)
     first = _l_terms(m, [(a, 1), (b, 1), (c, -1), (d, -1), (ab, -1), (cd, 1)])
     second = _l_terms(m, [(a, 1), (b, 1), (c, 1), (d, 1), (ab, -1), (cd, -1)])
-    lhs = lambert_sum(first, m, order, ring) * (
-        QSeries.const(ring, 1, order) + lambert_sum(second, m, order, ring)
+    lhs = lambert_sum(first, m, order) * (
+        QSeries.const(1, order) + lambert_sum(second, m, order)
     )
     signed = ((a, 1), (b, 1), (ab, 1), (c, -1), (d, -1), (cd, -1))
     terms = [(sgn, _ONE, x, 2, W_ONE, 0) for x, sgn in signed]
     terms += [(sgn, _ONE, x.inv(), 2, W_ONE, 1) for x, sgn in signed]
-    return lhs, lambert_sum(terms, m, order, ring)
+    return lhs, lambert_sum(terms, m, order)
 
 
 # ---------------------------------------------------------------------------
 # builders: fixed-base corollaries
 
 
-def _build_3_1(params, m, ring, order):
+def _build_3_1(params, m, order):
     del params
     # the printed 2 * (1/2 + the signed sums), with the 2 taken into the terms
     signed = ((1, 1), (2, 1), (4, 1), (3, -1), (5, -1), (6, -1))
     terms = [(2 * sgn, _ONE, SpecMonomial.signed(-1, j), 1, W_ONE, 0) for j, sgn in signed]
-    s = QSeries.const(ring, 1, order) + lambert_sum(terms, 7, order, ring)
-    neg7 = poch_inf(SpecMonomial.signed(-1, 7), 7, order, ring=ring)
-    neg1 = poch_inf(SpecMonomial.signed(-1, 1), 1, order, ring=ring)
+    s = QSeries.const(1, order) + lambert_sum(terms, 7, order)
+    neg7 = poch_inf(SpecMonomial.signed(-1, 7), 7, order)
+    neg1 = poch_inf(SpecMonomial.signed(-1, 1), 1, order)
     lhs = s * neg7 * neg1
-    rhs = _Pq(7, ring, order) * _Pq(1, ring, order)
+    rhs = _Pq(7, order) * _Pq(1, order)
     return lhs, rhs
 
 
-def _build_3_3(params, m, ring, order):
+def _build_3_3(params, m, order):
     del params
     terms = []
     for j, w in ((1, 1), (2, 1), (3, 2)):
         terms += [(w, _ONE, _q(j), 1, W_ONE, 0), (-w, _ONE, _q(9 - j), 1, W_ONE, 0)]
-    s = QSeries.const(ring, 1, order) + lambert_sum(terms, 9, order, ring)
-    lhs = s * _Pq(1, ring, order)
+    s = QSeries.const(1, order) + lambert_sum(terms, 9, order)
+    lhs = s * _Pq(1, order)
     cube = (
-        _Pq(9, ring, order)
-        * poch_inf(SpecMonomial.signed(1, 4), 9, order, ring=ring)
-        * poch_inf(SpecMonomial.signed(1, 5), 9, order, ring=ring)
+        _Pq(9, order)
+        * poch_inf(SpecMonomial.signed(1, 4), 9, order)
+        * poch_inf(SpecMonomial.signed(1, 5), 9, order)
     )
     rhs = cube * cube * cube
     return lhs, rhs
 
 
-def _build_3_4_5(k, params, m, ring, order):
+def _build_3_4_5(k, params, m, order):
     """3.4 (k = 1) and 3.5 (k = 2): one identity under the residue map
     j -> k*j mod 5, which acts on the brace signs and on every q^j of the
     right side."""
     del params
     signed = ((1, 1), (2, -1), (3, 1), (4, -1))
     brace = lambert_sum(
-        [(sgn, _ONE, _q(k * j % 5), 1, W_ONE, 0) for j, sgn in signed], 5, order, ring
+        [(sgn, _ONE, _q(k * j % 5), 1, W_ONE, 0) for j, sgn in signed], 5, order
     )
     terms = [(1, _ONE, _q(k * j % 5), 2, W_ONE, 0) for j in (2, 3)]
     for j, weight, r0, sgn in (
@@ -546,52 +538,48 @@ def _build_3_4_5(k, params, m, ring, order):
     ):
         terms.append((sgn, _ONE, _q(k * j % 5), 1, weight, r0))
     terms.append((-2, _ONE, _ONE, 1, W_ONE, 1))
-    return brace * brace, lambert_sum(terms, 5, order, ring)
+    return brace * brace, lambert_sum(terms, 5, order)
 
 
-def _build_3_6(params, m, ring, order):
+def _build_3_6(params, m, order):
     del params
 
     def g(j: int, c: int = 1):
         return (c, _ONE, _q(j), 1, W_ONE, 0)
 
-    lhs = lambert_sum([g(1), g(4, -1)], 5, order, ring) * lambert_sum(
-        [g(2), g(3, -1)], 5, order, ring
-    )
+    lhs = lambert_sum([g(1), g(4, -1)], 5, order) * lambert_sum([g(2), g(3, -1)], 5, order)
     # four times the printed right side, kept in integer coefficients
     terms = [(sgn, _ONE, _q(j), 2, W_ONE, 0) for j, sgn in ((1, 1), (2, -1), (3, -1), (4, 1))]
     terms += [(3 * sgn, _ONE, _q(j), 1, W_R, 1) for j, sgn in ((2, 1), (1, -1), (3, 1), (4, -1))]
     terms += [g(1, -1), g(4, -2), g(3, 3)]
-    return lhs, lambert_sum(terms, 5, order, ring).scale(Fraction(1, 4))
+    return lhs, lambert_sum(terms, 5, order).scale(Fraction(1, 4))
 
 
-def _build_3_7(params, m, ring, order):
+def _build_3_7(params, m, order):
     del params
     signed = ((1, 1), (2, 1), (3, -1), (4, 1), (5, -1), (6, -1))
-    s = lambert_sum([(sgn, _ONE, _q(j), 1, W_ONE, 0) for j, sgn in signed], 7, order, ring)
-    s = QSeries.const(ring, Fraction(1, 2), order) + s
+    s = lambert_sum([(sgn, _ONE, _q(j), 1, W_ONE, 0) for j, sgn in signed], 7, order)
+    s = QSeries.const(Fraction(1, 2), order) + s
     # the two printed sums run in different bases, q and q^7
-    rhs = QSeries.const(ring, Fraction(1, 4), order)
-    rhs = rhs + lambert_sum([(1, _ONE, _ONE, 1, W_R, 1)], 1, order, ring)
-    rhs = rhs + lambert_sum([(-7, _ONE, _ONE, 1, W_R, 1)], 7, order, ring)
+    rhs = QSeries.const(Fraction(1, 4), order)
+    rhs = rhs + lambert_sum([(1, _ONE, _ONE, 1, W_R, 1)], 1, order)
+    rhs = rhs + lambert_sum([(-7, _ONE, _ONE, 1, W_R, 1)], 7, order)
     return s * s, rhs
 
 
-def _build_3_9(params, m, ring, order):
+def _build_3_9(params, m, order):
     del params
-    s1 = char_lambert(CHI1, 1, order, ring=ring)
-    s2 = char_lambert(CHI2, 1, order, ring=ring)
-    s3 = char_lambert(CHI3, 2, order, ring=ring)
-    lhs = s1 * (QSeries.const(ring, 1, order) + s2)
+    s1 = char_lambert(CHI1, 1, order)
+    s2 = char_lambert(CHI2, 1, order)
+    s3 = char_lambert(CHI3, 2, order)
+    lhs = s1 * (QSeries.const(1, order) + s2)
     return lhs, s3
 
 
-def _build_phi(params, m, ring, order):
+def _build_phi(params, m, order):
     del params
-    lhs = _Pq(m, ring, order)
-    rhs = phi_minus(m, order, ring=ring) * poch_inf(
-        SpecMonomial.signed(-1, m), m, order, ring=ring
-    )
+    lhs = _Pq(m, order)
+    rhs = phi_minus(m, order) * poch_inf(SpecMonomial.signed(-1, m), m, order)
     return lhs, rhs
 
 
@@ -675,7 +663,7 @@ def build_sides(
     check_base(assign.base)
     if desc.constraint is not None:
         desc.constraint.validate(assign.params, assign.base)
-    lhs, rhs = desc.build(assign.params, assign.base, assign.ring(), order)
+    lhs, rhs = desc.build(assign.params, assign.base, order)
     known = min(lhs.order, rhs.order)
     if known < order:
         raise OrderExceededError(

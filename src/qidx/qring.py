@@ -5,9 +5,12 @@ A QSeries stores exact coefficients for every exponent in [offset, order]
 above the order are unknown.  ``offset <= order + 1`` always holds, with the
 empty window encoding the zero series known through ``order``.
 
-Coefficients live in one of two rings (see ``exactalg``): plain rationals,
-or Laurent polynomials in the four unit symbols.  In both cases scalar
-entries are stored as int/Fraction; symbolic entries as LaurentPoly.
+Coefficients live in one ring (see ``exactalg``): Laurent polynomials over
+the rationals in the four unit symbols.  A scalar coefficient is stored as
+int/Fraction and any other as a LaurentPoly, so a series of scalars and one
+of tau-coefficients combine freely.  Every window is canonical: its
+coefficients are in storage form and its leading zeros are trimmed when
+the series is built.
 
 Multiplication picks one of two exact kernels from what the operands hold:
 
@@ -40,11 +43,7 @@ from fractions import Fraction
 from operator import mul
 from typing import List, Tuple
 
-from .errors import (
-    NonUnitLeadingError,
-    OrderExceededError,
-    RingMismatchError,
-)
+from .errors import NonUnitLeadingError, OrderExceededError
 from .exactalg import (
     MONO_ONE,
     NVARS,
@@ -55,49 +54,30 @@ from .exactalg import (
 )
 
 
-class CoeffRing:
-    """Tag object naming the coefficient ring of a series."""
-
-    __slots__ = ("name", "symbolic")
-
-    def __init__(self, name: str, symbolic: bool):
-        self.name = name
-        self.symbolic = symbolic
-
-    def __repr__(self):
-        return f"<ring {self.name}>"
-
-    def coerce(self, c):
-        if isinstance(c, LaurentPoly):
-            if not self.symbolic:
-                raise RingMismatchError(
-                    "symbolic coefficient in a rational-ring series"
-                )
-            cv = c.constant_value()
-            return c if cv is None else cv
-        if isinstance(c, (int, Fraction)):
-            return normalize_scalar(c)
-        raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
-
-    def inv_coeff(self, c):
-        """Invert a coefficient; NonUnitLeadingError if it is not a unit."""
-        if isinstance(c, LaurentPoly):
-            if not self.symbolic:
-                raise RingMismatchError("symbolic coefficient in rational ring")
-            u = c.as_unit()
-            if u is None:
-                raise NonUnitLeadingError(
-                    f"leading coefficient is not a single-term unit: {c}"
-                )
-            mono, cc = u
-            return LaurentPoly.monomial(mono_inv(mono), Fraction(1, 1) / cc)
-        if c == 0:
-            raise NonUnitLeadingError("leading coefficient is zero")
-        return normalize_scalar(Fraction(1, 1) / Fraction(c))
+def _coerce(c):
+    """The storage form of a coefficient from outside: an integral Fraction
+    becomes an int, a constant LaurentPoly its scalar."""
+    if isinstance(c, LaurentPoly):
+        cv = c.constant_value()
+        return c if cv is None else cv
+    if isinstance(c, (int, Fraction)):
+        return normalize_scalar(c)
+    raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
 
 
-RATIONAL = CoeffRing("rational", symbolic=False)
-SYMBOLIC = CoeffRing("symbolic", symbolic=True)
+def _inv_coeff(c):
+    """Invert a coefficient; NonUnitLeadingError if it is not a unit."""
+    if isinstance(c, LaurentPoly):
+        u = c.as_unit()
+        if u is None:
+            raise NonUnitLeadingError(
+                f"leading coefficient is not a single-term unit: {c}"
+            )
+        mono, cc = u
+        return LaurentPoly.monomial(mono_inv(mono), Fraction(1, 1) / cc)
+    if c == 0:
+        raise NonUnitLeadingError("leading coefficient is zero")
+    return normalize_scalar(Fraction(1, 1) / Fraction(c))
 
 
 def _canon(c):
@@ -109,13 +89,6 @@ def _canon(c):
         cv = c.constant_value()
         return c if cv is None else cv
     return c
-
-
-def _check_same_ring(x: "QSeries", y: "QSeries"):
-    if x.ring is not y.ring:
-        raise RingMismatchError(
-            f"cannot combine series over {x.ring.name} and {y.ring.name}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -294,55 +267,49 @@ def _term_product(x: List, y: List, out_len: int) -> List:
 
 
 class QSeries:
-    """Truncated Laurent series over a tagged coefficient ring."""
+    """Truncated Laurent series with exact scalar or tau-Laurent coefficients."""
 
-    __slots__ = ("ring", "offset", "coeffs", "order")
+    __slots__ = ("offset", "coeffs", "order")
 
-    def __init__(self, ring: CoeffRing, offset: int, coeffs: list, order: int):
-        # Internal constructor: prefer the make/zero/const/monomial helpers.
-        self.ring = ring
-        self.offset = offset
-        self.coeffs = coeffs
-        self.order = order
-
-    @classmethod
-    def make(cls, ring: CoeffRing, offset: int, coeffs: list, order: int) -> "QSeries":
-        """Canonical constructor: validates the window, trims leading zeros."""
-        if len(coeffs) != order - offset + 1:
-            raise ValueError(
-                f"window [{offset},{order}] needs {order - offset + 1} "
-                f"coefficients, got {len(coeffs)}"
-            )
-        coeffs = [ring.coerce(c) for c in coeffs]
-        return cls._raw(ring, offset, coeffs, order)
-
-    @classmethod
-    def _raw(cls, ring: CoeffRing, offset: int, coeffs: list, order: int) -> "QSeries":
+    def __init__(self, offset: int, coeffs: list, order: int):
         # Internal: caller guarantees a matching window of canonical
-        # coefficients of the ring; only leading zeros are trimmed.
+        # coefficients (prefer make/zero/const/monomial); leading zeros are
+        # trimmed, so a series' offset is that of its lowest nonzero term.
         k = 0
         while k < len(coeffs) and not coeffs[k]:
             k += 1
         if k:
             coeffs = coeffs[k:]
             offset += k
-        return cls(ring, offset, coeffs, order)
+        self.offset = offset
+        self.coeffs = coeffs
+        self.order = order
 
     @classmethod
-    def zero(cls, ring: CoeffRing, order: int) -> "QSeries":
-        return cls(ring, order + 1, [], order)
+    def make(cls, offset: int, coeffs: list, order: int) -> "QSeries":
+        """Canonical constructor: validates the window, trims leading zeros."""
+        if len(coeffs) != order - offset + 1:
+            raise ValueError(
+                f"window [{offset},{order}] needs {order - offset + 1} "
+                f"coefficients, got {len(coeffs)}"
+            )
+        return cls(offset, [_coerce(c) for c in coeffs], order)
 
     @classmethod
-    def const(cls, ring: CoeffRing, c, order: int) -> "QSeries":
+    def zero(cls, order: int) -> "QSeries":
+        return cls(order + 1, [], order)
+
+    @classmethod
+    def const(cls, c, order: int) -> "QSeries":
         if order < 0:
-            return cls.zero(ring, order)
-        return cls._raw(ring, 0, [ring.coerce(c)] + [0] * order, order)
+            return cls.zero(order)
+        return cls(0, [_coerce(c)] + [0] * order, order)
 
     @classmethod
-    def monomial(cls, ring: CoeffRing, c, exp: int, order: int) -> "QSeries":
+    def monomial(cls, c, exp: int, order: int) -> "QSeries":
         if exp > order:
-            return cls.zero(ring, order)
-        return cls._raw(ring, exp, [ring.coerce(c)] + [0] * (order - exp), order)
+            return cls.zero(order)
+        return cls(exp, [_coerce(c)] + [0] * (order - exp), order)
 
     # -- inspection ---------------------------------------------------------
 
@@ -375,11 +342,10 @@ class QSeries:
     def __add__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        _check_same_ring(self, other)
         order = min(self.order, other.order)
         lo = min(self.offset, other.offset)
         if lo > order:
-            return QSeries.zero(self.ring, order)
+            return QSeries.zero(order)
         out = [0] * (order - lo + 1)
         n = order - self.offset + 1
         if n > 0:
@@ -393,10 +359,10 @@ class QSeries:
                     if type(c) is not int:
                         c = _canon(c)
                 out[i] = c
-        return QSeries._raw(self.ring, lo, out, order)
+        return QSeries(lo, out, order)
 
     def __neg__(self):
-        return QSeries(self.ring, self.offset, [-c for c in self.coeffs], self.order)
+        return QSeries(self.offset, [-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
         if not isinstance(other, QSeries):
@@ -408,40 +374,36 @@ class QSeries:
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        _check_same_ring(self, other)
         if not self.coeffs or not other.coeffs:
             if not self.coeffs:
                 order = self.order + other.offset
             else:
                 order = other.order + self.offset
-            return QSeries.zero(self.ring, order)
+            return QSeries.zero(order)
         out_offset = self.offset + other.offset
         order = min(self.order + other.offset, other.order + self.offset)
         out_len = order - out_offset + 1
         x, y = self.coeffs, other.coeffs
-        if self.ring.symbolic and (
-            LaurentPoly in map(type, x) or LaurentPoly in map(type, y)
-        ):
+        if LaurentPoly in map(type, x) or LaurentPoly in map(type, y):
             out = _term_product(x, y, out_len)
         else:
             out = _packed_product(x, y, out_len)
-        return QSeries._raw(self.ring, out_offset, out, order)
+        return QSeries(out_offset, out, order)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         """Multiply every coefficient by a scalar or unit polynomial."""
-        c = self.ring.coerce(c)
+        c = _coerce(c)
         if c == 0:
-            return QSeries.zero(self.ring, self.order)
+            return QSeries.zero(self.order)
         if c == 1:
             return self
-        coeffs = [_canon(c * cc) for cc in self.coeffs]
-        return QSeries._raw(self.ring, self.offset, coeffs, self.order)
+        return QSeries(self.offset, [_canon(c * cc) for cc in self.coeffs], self.order)
 
     def shifted(self, k: int) -> "QSeries":
         """Multiply by q^k (shift the window by k)."""
-        return QSeries(self.ring, self.offset + k, self.coeffs, self.order + k)
+        return QSeries(self.offset + k, self.coeffs, self.order + k)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -449,7 +411,7 @@ class QSeries:
         if n < 0:
             return self.inv() ** (-n)
         if n == 0:
-            return QSeries.const(self.ring, 1, self.order)
+            return QSeries.const(1, self.order)
         # square-and-multiply from the base itself: a product with const(1)
         # would cut the known window of a series whose offset is not 0
         result = self
@@ -465,16 +427,16 @@ class QSeries:
             raise NonUnitLeadingError(
                 f"cannot invert a series with no nonzero coefficient through q^{self.order}"
             )
-        ring, a = self.ring, self.coeffs
-        b = QSeries(ring, 0, [ring.inv_coeff(a[0])], 0)
+        a = self.coeffs
+        b = QSeries(0, [_inv_coeff(a[0])], 0)
         k = 1
         while k < len(a):
             # b is 1/a through q^(k-1); with a*b = 1 - r, the step b + b*r
             # = b*(2 - a*b) leaves an error of r^2, so b's unknown terms
             # through q^(2k-1) may be taken as zero
             k = min(2 * k, len(a))
-            b = QSeries(ring, 0, b.coeffs + [0] * (k - len(b.coeffs)), k - 1)
-            r = QSeries.const(ring, 1, k - 1) - QSeries(ring, 0, a[:k], k - 1) * b
+            b = QSeries(0, b.coeffs + [0] * (k - len(b.coeffs)), k - 1)
+            r = QSeries.const(1, k - 1) - QSeries(0, a[:k], k - 1) * b
             b = b + b * r
         return b.shifted(-self.offset)
 
@@ -486,7 +448,6 @@ class QSeries:
         Returns (True, None) or (False, (exponent, own, other)) for the first
         mismatching exponent.  OrderExceededError if k exceeds either order.
         """
-        _check_same_ring(self, other)
         if k > self.order or k > other.order:
             raise OrderExceededError(
                 f"comparison up to q^{k} exceeds known orders "
@@ -505,8 +466,8 @@ class QSeries:
         if k >= self.order:
             return self
         if k < self.offset:
-            return QSeries.zero(self.ring, k)
-        return QSeries(self.ring, self.offset, self.coeffs[: k - self.offset + 1], k)
+            return QSeries.zero(k)
+        return QSeries(self.offset, self.coeffs[: k - self.offset + 1], k)
 
     # -- symbolic-coefficient helpers ----------------------------------------
 
@@ -518,7 +479,7 @@ class QSeries:
                 out.append(c.euler(var))
             else:
                 out.append(0)
-        return QSeries.make(self.ring, self.offset, out, self.order)
+        return QSeries.make(self.offset, out, self.order)
 
     def subst_unit(self, var: int, sign: int) -> "QSeries":
         """Substitute one unit symbol by +-1 in every coefficient."""
@@ -528,22 +489,7 @@ class QSeries:
                 out.append(c.subst_unit(var, sign))
             else:
                 out.append(c)
-        return QSeries.make(self.ring, self.offset, out, self.order)
-
-    def to_rational(self) -> "QSeries":
-        """Reinterpret a symbolic series with constant coefficients."""
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, LaurentPoly):
-                cv = c.constant_value()
-                if cv is None:
-                    raise RingMismatchError(
-                        "series has genuinely symbolic coefficients"
-                    )
-                out.append(cv)
-            else:
-                out.append(c)
-        return QSeries.make(RATIONAL, self.offset, out, self.order)
+        return QSeries.make(self.offset, out, self.order)
 
     # -- presentation ---------------------------------------------------------
 
@@ -551,7 +497,7 @@ class QSeries:
         return format_series(self)
 
     def __repr__(self):
-        return f"QSeries[{self.ring.name}, window {self.offset}..{self.order}]({self})"
+        return f"QSeries[window {self.offset}..{self.order}]({self})"
 
 
 def format_coeff(c) -> Tuple[str, bool]:

@@ -20,7 +20,7 @@ def naive_mul(x: QSeries, y: QSeries) -> QSeries:
     y.order + x.offset)], or the zero series when either side is zero."""
     if x.is_zero() or y.is_zero():
         order = x.order + y.offset if x.is_zero() else y.order + x.offset
-        return QSeries.zero(x.ring, order)
+        return QSeries.zero(order)
     lo = x.offset + y.offset
     order = min(x.order + y.offset, y.order + x.offset)
     coeffs = []
@@ -29,7 +29,7 @@ def naive_mul(x: QSeries, y: QSeries) -> QSeries:
         for i in range(x.offset, n - y.offset + 1):
             total = total + x.coeff(i) * y.coeff(n - i)
         coeffs.append(total)
-    return QSeries.make(x.ring, lo, coeffs, order)
+    return QSeries.make(lo, coeffs, order)
 
 
 def naive_inv(x: QSeries) -> QSeries:
@@ -45,4 +45,4 @@ def naive_inv(x: QSeries) -> QSeries:
         for i in range(1, k + 1):
             total = total + x.coeff(v + i) * b[k - i]
         b.append(-(u * total))
-    return QSeries.make(x.ring, -v, b, x.order - 2 * v)
+    return QSeries.make(-v, b, x.order - 2 * v)

@@ -16,7 +16,6 @@ from qidx.constructors import (
     SpecMonomial,
     _check_f_args,
     _check_pole_guard,
-    infer_ring,
 )
 from qidx.errors import (
     ConstraintViolationError,
@@ -30,12 +29,12 @@ from qidx.qring import QSeries
 LOOP_LIMIT = 200_000
 
 
-def _dict_to_series(acc, ring, order):
+def _dict_to_series(acc, order):
     acc = {e: c for e, c in acc.items() if e <= order and c}
     if not acc:
-        return QSeries.zero(ring, order)
+        return QSeries.zero(order)
     lo = min(acc)
-    return QSeries.make(ring, lo, [acc.get(e, 0) for e in range(lo, order + 1)], order)
+    return QSeries.make(lo, [acc.get(e, 0) for e in range(lo, order + 1)], order)
 
 
 def _coeff(w, sign, mono):
@@ -54,11 +53,10 @@ def _powers(acc, unit, start, step, order, weight):
         mono = mono_mul(mono, unit.mono)
 
 
-def term_series(v, s, order, ring=None):
+def term_series(v, s, order):
     """v/(1-v)^s, s in {1, 2}."""
     if s not in (1, 2):
         raise ValueError("s must be 1 or 2")
-    ring = ring or infer_ring(v)
     g, u = v.qexp, v.unit
     if g == 0:
         if u.symbolic:
@@ -67,7 +65,7 @@ def term_series(v, s, order, ring=None):
             )
         if u.sign == 1:
             raise PoleError(f"term {v}/(1-{v})^{s} hits the pole at 1")
-        return QSeries.const(ring, Fraction(-1, 2) if s == 1 else Fraction(-1, 4), order)
+        return QSeries.const(Fraction(-1, 2) if s == 1 else Fraction(-1, 4), order)
     acc = {}
     if g > 0:
         _powers(acc, u, 1, g, order, lambda j: j if s == 2 else 1)
@@ -75,28 +73,27 @@ def term_series(v, s, order, ring=None):
         if s == 1:
             acc[0] = -1
         _powers(acc, u.inv(), 1, -g, order, lambda j: j if s == 2 else -1)
-    return _dict_to_series(acc, ring, order)
+    return _dict_to_series(acc, order)
 
 
-def recip_series(v, s, order, ring=None):
+def recip_series(v, s, order):
     """1/(1-v)^s, s in {1, 2}."""
     if s not in (1, 2):
         raise ValueError("s must be 1 or 2")
-    ring = ring or infer_ring(v)
     g, u = v.qexp, v.unit
     if g == 0:
         if u.symbolic:
             raise SymbolicNonUnitError(f"1/(1-{v})^{s} is not Laurent in q")
         if u.sign == 1:
             raise PoleError(f"1/(1-{v})^{s} hits the pole at 1")
-        return QSeries.const(ring, Fraction(1, 2**s), order)
+        return QSeries.const(Fraction(1, 2**s), order)
     acc = {}
     if g > 0:
         _powers(acc, u, 0, g, order, lambda j: comb(j + s - 1, s - 1))
     else:
         outer = -1 if s == 1 else 1
         _powers(acc, u.inv(), s, -g, order, lambda j: outer * comb(j - 1, s - 1))
-    return _dict_to_series(acc, ring, order)
+    return _dict_to_series(acc, order)
 
 
 def times_monomial(qs, x, weight=1):
@@ -120,13 +117,12 @@ def _walk(start, step, pad, done, message):
             raise DivergentTailError(message)
 
 
-def theta_sum(z, m, order, ring=None, pad=0):
-    ring = ring or infer_ring(z)
+def theta_sum(z, m, order, pad=0):
 
     def expo(n):
         return m * (n * n - n) // 2 + n * z.qexp
 
-    total = QSeries.zero(ring, order)
+    total = QSeries.zero(order)
     for start, step in ((0, 1), (-1, -1)):
 
         def done(n):
@@ -135,18 +131,17 @@ def theta_sum(z, m, order, ring=None, pad=0):
         for n in _walk(start, step, pad, done, "theta window failed to close"):
             u = z.unit.pow(n)
             sign = u.sign if n % 2 == 0 else -u.sign
-            total = total + QSeries.monomial(ring, _coeff(1, sign, u.mono), expo(n), order)
+            total = total + QSeries.monomial(_coeff(1, sign, u.mono), expo(n), order)
     return total
 
 
-def pf_sum(z, m, order, cleared=True, ring=None, pad=0):
-    ring = ring or infer_ring(z)
+def pf_sum(z, m, order, cleared=True, pad=0):
     e = z.qexp
     if cleared:
         acc = {0: 1}
         acc[e] = acc.get(e, 0) - z.unit.value()
-        one_minus = _dict_to_series(acc, ring, order)
-    total = QSeries.zero(ring, order)
+        one_minus = _dict_to_series(acc, order)
+    total = QSeries.zero(order)
     for start, step in ((0, 1), (-1, -1)):
 
         def done(n):
@@ -157,9 +152,9 @@ def pf_sum(z, m, order, cleared=True, ring=None, pad=0):
         for n in _walk(start, step, pad, done, "partial-fraction window failed to close"):
             base = m * (n * n + n) // 2
             if cleared and n == 0:
-                total = total + QSeries.const(ring, 1, order)
+                total = total + QSeries.const(1, order)
                 continue
-            r = recip_series(SpecMonomial(z.unit, e + m * n), 1, order - base, ring)
+            r = recip_series(SpecMonomial(z.unit, e + m * n), 1, order - base)
             if cleared:
                 r = r * one_minus
             if n % 2:
@@ -168,11 +163,10 @@ def pf_sum(z, m, order, cleared=True, ring=None, pad=0):
     return total
 
 
-def jordan_kronecker(a, b, m, order, ring=None, pad=2):
+def jordan_kronecker(a, b, m, order, pad=2):
     _check_f_args(a, m, "first argument")
     _check_pole_guard(b, m, "second argument")
-    ring = ring or infer_ring(a, b)
-    total = QSeries.zero(ring, order)
+    total = QSeries.zero(order)
     for start, step in ((0, 1), (-1, -1)):
 
         def done(n):
@@ -181,16 +175,15 @@ def jordan_kronecker(a, b, m, order, ring=None, pad=2):
 
         for n in _walk(start, step, pad, done, "bilateral window failed to close"):
             v = SpecMonomial(b.unit, b.qexp + m * n)
-            r = recip_series(v, 1, order - a.qexp * n, ring)
+            r = recip_series(v, 1, order - a.qexp * n)
             total = total + times_monomial(r, a.pow(n))
     return total
 
 
-def jk_partial_a(a, b, m, order, ring=None, pad=2):
+def jk_partial_a(a, b, m, order, pad=2):
     _check_f_args(a, m, "first argument")
     _check_f_args(b, m, "second argument")
-    ring = ring or infer_ring(a, b)
-    total = QSeries.zero(ring, order)
+    total = QSeries.zero(order)
     for start, step in ((0, 1), (-1, -1)):
 
         def done(n):
@@ -200,16 +193,15 @@ def jk_partial_a(a, b, m, order, ring=None, pad=2):
         for n in _walk(start, step, pad, done, "bilateral window failed to close"):
             shift = (b.qexp + m) * n
             v = SpecMonomial(a.unit, a.qexp + m * n)
-            r = recip_series(v, 2, order - shift, ring)
+            r = recip_series(v, 2, order - shift)
             total = total + times_monomial(r, SpecMonomial(b.unit.pow(n), shift))
     return total
 
 
-def n_weighted_sum(a, x, m, order, ring=None, pad=2):
+def n_weighted_sum(a, x, m, order, pad=2):
     _check_f_args(a, m, "first argument")
     _check_pole_guard(x, m, "second argument")
-    ring = ring or infer_ring(a, x)
-    total = QSeries.zero(ring, order)
+    total = QSeries.zero(order)
     for start, step in ((1, 1), (-1, -1)):
 
         def done(n):
@@ -218,12 +210,12 @@ def n_weighted_sum(a, x, m, order, ring=None, pad=2):
 
         for n in _walk(start, step, pad, done, "bilateral window failed to close"):
             v = SpecMonomial(x.unit, x.qexp + m * n)
-            r = recip_series(v, 1, order - a.qexp * n, ring)
+            r = recip_series(v, 1, order - a.qexp * n)
             total = total + times_monomial(r, a.pow(n), weight=n)
     return total
 
 
-def generalized_lambert(M, x, s, W, r0, m, order, ring=None, pad=2):
+def generalized_lambert(M, x, s, W, r0, m, order, pad=2):
     if m < 1 or r0 not in (0, 1) or s not in (1, 2):
         raise ConstraintViolationError("argument out of range")
     if M.qexp + m <= 0:
@@ -231,8 +223,7 @@ def generalized_lambert(M, x, s, W, r0, m, order, ring=None, pad=2):
     if x.qexp % m == 0 and -x.qexp // m >= r0 and W(-x.qexp // m) != 0:
         # the pole inside the summation range, raised before any term
         term_series(SpecMonomial(x.unit, 0), s, 0)
-    ring = ring or infer_ring(M, x)
-    total = QSeries.zero(ring, order)
+    total = QSeries.zero(order)
 
     def done(r):
         g = x.qexp + m * r
@@ -243,6 +234,6 @@ def generalized_lambert(M, x, s, W, r0, m, order, ring=None, pad=2):
         w = W(r)
         if w != 0:
             v = SpecMonomial(x.unit, x.qexp + m * r)
-            t = term_series(v, s, order - M.qexp * r, ring)
+            t = term_series(v, s, order - M.qexp * r)
             total = total + times_monomial(t, M.pow(r), weight=w)
     return total

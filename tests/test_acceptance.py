@@ -32,7 +32,7 @@ from qidx.identities import (
     symbolic_param,
 )
 from qidx.numtheory import lattice_rep_sum, signed_theta_quotient, verify_rep_range
-from qidx.qring import QSeries, RATIONAL, SYMBOLIC
+from qidx.qring import QSeries
 
 
 def _check(num, label, ok, detail):
@@ -131,11 +131,11 @@ def test_criterion_05_lambert_squares():
         base = DEFAULT_BASES[t % len(DEFAULT_BASES)]
         rng = random.Random(f"acc5e:{t}")
         b = SpecMonomial.symbolic(VAR_B, rng.randrange(1, base))
-        lb = l_func(b, base, 40, ring=SYMBOLIC)
+        lb = l_func(b, base, 40)
         bracket = generalized_lambert(
-            SpecMonomial.one(), b, 2, W_ONE, 0, base, 40, ring=SYMBOLIC
+            SpecMonomial.one(), b, 2, W_ONE, 0, base, 40
         ) + generalized_lambert(
-            SpecMonomial.one(), b.inv(), 2, W_ONE, 1, base, 40, ring=SYMBOLIC
+            SpecMonomial.one(), b.inv(), 2, W_ONE, 1, base, 40
         )
         euler = lb.euler(VAR_B)
         assert euler.order >= 40 and bracket.order >= 40
@@ -231,10 +231,10 @@ def _random_laurent(rng):
 
 
 def _random_series(rng, order):
-    out = QSeries.zero(RATIONAL, order)
+    out = QSeries.zero(order)
     for _ in range(rng.randrange(1, 5)):
         out = out + QSeries.monomial(
-            RATIONAL, rng.randrange(-4, 5), rng.randrange(-3, order + 1), order
+            rng.randrange(-4, 5), rng.randrange(-3, order + 1), order
         )
     return out
 

@@ -548,6 +548,9 @@ def test_cli_expand_coefficient_at_the_digit_bound(capsys):
         ("l(q^99999999)", "Lambert tail"),
         # l(b) turns 199,999 steps out and takes 2 more past that
         ("l(q^999999)", "Lambert tail"),
+        # these turn just inside the limit but close a step later, past it
+        ("l(q^999994)", "Lambert tail"),
+        ("l(q^999991)", "Lambert tail"),
         ("pf(q^99999999)", "partial-fraction window"),
         ("f(q, q^-99999999)", "bilateral window"),
     ],

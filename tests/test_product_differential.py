@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from naive_product import naive_inv, naive_mul
 from qidx.constructors import SpecMonomial, Unit, poch_fin, poch_inf
-from qidx.errors import RingMismatchError
 from qidx.exactalg import MONO_ONE, LaurentPoly
-from qidx.qring import RATIONAL, SYMBOLIC, QSeries, _pack, _unpack
+from qidx.qring import QSeries, _pack, _packed_product, _term_product, _unpack
 
 SETTINGS = settings(
     max_examples=300,
@@ -76,11 +75,10 @@ def coefficients(draw, symbolic):
 
 @st.composite
 def series(draw, symbolic, max_len=24):
-    ring = SYMBOLIC if symbolic else RATIONAL
     offset = draw(st.integers(-4, 6))
     n = draw(st.integers(0, max_len))
     coeffs = [draw(coefficients(symbolic)) for _ in range(n)]
-    return QSeries.make(ring, offset, coeffs, offset + n - 1)
+    return QSeries.make(offset, coeffs, offset + n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,11 +98,11 @@ def test_product_matches_naive(symbolic, data):
 @SETTINGS
 @given(st.data())
 def test_symbolic_times_scalar_rows_match_naive(data):
-    # a symbolic ring series whose coefficients are all scalars goes to a
-    # scalar kernel unless the other side carries a tau-monomial
+    # a series of scalars times one that may hold tau-coefficients: the
+    # product goes to the term kernel only if either side carries a
+    # tau-monomial
     x = data.draw(series(True))
     y = data.draw(series(False))
-    y = QSeries.make(SYMBOLIC, y.offset, y.coeffs, y.order)
     check_product(x, y)
 
 
@@ -121,21 +119,20 @@ short_coefficients = st.one_of(
 @st.composite
 def short_and_dense(draw):
     """A series with exactly one or two nonzero terms at any indices of its
-    window, which may start with zeros, and a dense series whose window is
-    sometimes shorter than the short side's last index."""
-    ring = draw(st.sampled_from([RATIONAL, SYMBOLIC]))
+    window, and a dense series whose window is sometimes shorter than the
+    short side's last index."""
     length = draw(st.integers(1, 30))
     coeffs = [0] * length
     for i in draw(st.sets(st.integers(0, length - 1), min_size=1, max_size=2)):
         coeffs[i] = draw(short_coefficients)
     offset = draw(st.integers(-4, 6))
-    # QSeries() keeps leading zeros that QSeries.make would trim
-    short = QSeries(ring, offset, coeffs, offset + length - 1)
+    # QSeries() keeps the integral Fractions that QSeries.make would make ints
+    short = QSeries(offset, coeffs, offset + length - 1)
     n = draw(st.one_of(st.integers(1, 8), st.integers(20, 60)))
     values = st.one_of(scalars, fractional) if draw(st.booleans()) else scalars
     dense_coeffs = draw(st.lists(values, min_size=n, max_size=n))
     dense_offset = draw(st.integers(-4, 6))
-    dense = QSeries.make(ring, dense_offset, dense_coeffs, dense_offset + n - 1)
+    dense = QSeries.make(dense_offset, dense_coeffs, dense_offset + n - 1)
     return short, dense
 
 
@@ -172,91 +169,88 @@ def test_pack_round_trips_edge_digits(nbytes, data):
 )
 @pytest.mark.parametrize("sign", [1, -1])
 def test_packed_product_digit_at_the_width_edge(n, m, sign):
-    x = QSeries.make(RATIONAL, 0, [sign * m] * n, n - 1)
-    y = QSeries.make(RATIONAL, 0, [1] * n, n - 1)
+    x = QSeries.make(0, [sign * m] * n, n - 1)
+    y = QSeries.make(0, [1] * n, n - 1)
     assert (x * y).coeffs[-1] == sign * n * m
     check_product(x, y)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.booleans(), st.integers(0, 3), st.integers(2, 5), st.data())
-def test_squares_and_powers_match_naive(symbolic, zeros, k, data):
+@given(st.booleans(), st.integers(2, 5), st.data())
+def test_squares_and_powers_match_naive(symbolic, k, data):
     # x * x hands the kernel one coefficient list twice, which the packed
-    # kernel packs once and squares; x ** k squares on its way
+    # kernel packs once and squares; x ** k squares on its way, and with
+    # leading zeros trimmed it knows the window of the plain repeated product
     x = data.draw(series(symbolic, max_len=16))
-    # QSeries() keeps leading zeros that QSeries.make would trim
-    x = QSeries(x.ring, x.offset - zeros, [0] * zeros + x.coeffs, x.order)
     before = snapshot(x)
     assert exact(x * x) == exact(naive_mul(x, x))
-    # leading zeros shorten the known window of each product by a different
-    # amount, so the reference multiplies in the order x ** k does
     power = x
-    for bit in bin(k)[3:]:
-        power = naive_mul(power, power)
-        if bit == "1":
-            power = naive_mul(power, x)
+    for _ in range(k - 1):
+        power = naive_mul(power, x)
     assert exact(x**k) == exact(power)
     assert snapshot(x) == before
 
 
 def test_packed_product_accepts_every_qseries_window():
     # the part of x inside the product window is all zero, so the width must
-    # come from y's digits as well as from the product's
-    x = QSeries(RATIONAL, 0, [0, 0, 0, 1, 1, 1], 5)
-    check_product(x, QSeries.make(RATIONAL, 0, [128, 1, 1], 2))
+    # come from y's digits as well as from the product's; a series trims
+    # such zeros, so only a direct call hands them to the kernel
+    assert _packed_product([0, 0, 0, 1, 1, 1], [128, 1, 1], 3) == [0, 0, 0]
+    x = QSeries(0, [0, 0, 0, 1, 1, 1], 5)
+    check_product(x, QSeries.make(0, [128, 1, 1], 2))
     # an integral Fraction is not an int digit: it must be scaled too
-    x = QSeries(RATIONAL, 0, [Fraction(2, 2), 3, 1], 2)
-    check_product(x, QSeries.make(RATIONAL, 0, [5, 7, 1, 2], 3))
+    x = QSeries(0, [Fraction(2, 2), 3, 1], 2)
+    check_product(x, QSeries.make(0, [5, 7, 1, 2], 3))
 
 
 def test_term_product_accepts_every_qseries_window():
-    # the part of y inside the product window is all zero
+    # the part of y inside the product window is all zero, which only a
+    # direct call can hand to the kernel
     td = LaurentPoly.var(3)
-    y = QSeries(SYMBOLIC, -1, [0, td, 0], 1)
-    check_product(QSeries.make(SYMBOLIC, 2, [td**2], 2), y)
+    assert _term_product([td**2], [0, td, 0], 1) == [0]
+    y = QSeries(-1, [0, td, 0], 1)
+    check_product(QSeries.make(2, [td**2], 2), y)
     check_product(y, y)
 
 
 def test_full_cancellation_in_a_column():
     ta = LaurentPoly.var(0)
     # scalar, packed: (1 + q + q^2 + ...)(1 - q + q^5) cancels at q^1..q^4
-    x = QSeries.make(RATIONAL, 0, [1] * 6, 5)
-    y = QSeries.make(RATIONAL, 0, [1, -1, 0, 0, 0, 1], 5)
+    x = QSeries.make(0, [1] * 6, 5)
+    y = QSeries.make(0, [1, -1, 0, 0, 0, 1], 5)
     assert (x * y).coeffs[:5] == [1, 0, 0, 0, 0]
     check_product(x, y)
     # symbolic: (ta + ta*q + ...)(1/ta - q/ta + ...) cancels at q^1
-    x = QSeries.make(SYMBOLIC, 0, [ta, ta, Fraction(1, 2)], 2)
-    y = QSeries.make(SYMBOLIC, 0, [ta ** -1, -(ta ** -1), 1], 2)
+    x = QSeries.make(0, [ta, ta, Fraction(1, 2)], 2)
+    y = QSeries.make(0, [ta ** -1, -(ta ** -1), 1], 2)
     prod = x * y
     assert prod.coeffs[:2] == [1, 0] and type(prod.coeffs[0]) is int
     check_product(x, y)
 
 
 def test_products_leave_cached_pochhammer_series_intact():
-    units = ((RATIONAL, SpecMonomial.signed(-1, 1)), (SYMBOLIC, SpecMonomial.symbolic(0, 1)))
-    for ring, unit in units:
-        p = poch_inf(unit, 3, 30, ring)
+    for unit in (SpecMonomial.signed(-1, 1), SpecMonomial.symbolic(0, 1)):
+        p = poch_inf(unit, 3, 30)
         before = snapshot(p)
-        p * p * poch_inf(unit, 3, 30, ring)
-        assert snapshot(poch_inf(unit, 3, 30, ring)) == before == snapshot(p)
+        p * p * poch_inf(unit, 3, 30)
+        assert snapshot(poch_inf(unit, 3, 30)) == before == snapshot(p)
 
 
 # ---------------------------------------------------------------------------
 # Pochhammer products against a factor-by-factor reference
 
 
-def naive_factors(x, m, n, order, ring):
+def naive_factors(x, m, n, order):
     """The product of the first n factors (1 - x q^{m i}), each made with
     ``QSeries.make`` and multiplied in with ``naive_mul``."""
-    one = [1] + [0] * order
-    result = QSeries.make(ring, 0, one, order)
+    result = QSeries.const(1, order)
     for i in range(n):
         e = x.qexp + m * i
         if e > order:
             break
-        coeffs = list(one)
+        coeffs = [1] + [0] * order
         coeffs[e] = coeffs[e] - x.unit.value()
-        result = naive_mul(result, QSeries.make(ring, 0, coeffs, order))
+        result = naive_mul(result, QSeries.make(0, coeffs, order))
     return result
 
 
@@ -271,41 +265,22 @@ tau_monomials = st.one_of(
 
 @st.composite
 def poch_arguments(draw):
-    """A ring, an argument u*q^e with e >= 0 (a tau-unit u only in the
-    symbolic ring), a base 1..13 and an order, one in six of them 41..120."""
-    symbolic = draw(st.booleans())
+    """An argument u*q^e with e >= 0 (half of them with a tau-unit u), a
+    base 1..13 and an order, one in six of them 41..120 and a few below 0."""
     sign = draw(st.sampled_from([1, -1]))
     e = draw(st.integers(0, 8))
-    mono = draw(tau_monomials) if symbolic and draw(st.booleans()) else MONO_ONE
-    ring = SYMBOLIC if symbolic else RATIONAL
-    order = draw(st.integers(41, 120) if draw(st.integers(0, 5)) == 5 else st.integers(0, 40))
-    return SpecMonomial(Unit(sign, mono), e), draw(st.integers(1, 13)), order, ring
+    mono = draw(tau_monomials) if draw(st.booleans()) else MONO_ONE
+    order = draw(st.integers(41, 120) if draw(st.integers(0, 5)) == 5 else st.integers(-2, 40))
+    return SpecMonomial(Unit(sign, mono), e), draw(st.integers(1, 13)), order
 
 
 @settings(max_examples=200, deadline=None)
 @given(poch_arguments(), st.integers(0, 12))
 def test_pochhammer_products_match_factor_by_factor(args, n):
-    x, m, order, ring = args
+    x, m, order = args
     # the factors past q^order are 1 there: order + 1 of them cover every base
-    assert exact(poch_inf(x, m, order, ring)) == exact(naive_factors(x, m, order + 1, order, ring))
-    assert exact(poch_fin(x, n, m, order, ring)) == exact(naive_factors(x, m, n, order, ring))
-
-
-@settings(max_examples=100, deadline=None)
-@given(tau_monomials, st.sampled_from([1, -1]), st.integers(0, 8), st.integers(1, 13),
-       st.integers(-2, 20), st.integers(0, 4))
-def test_pochhammer_products_check_a_tau_unit_against_the_ring(mono, sign, e, m, order, n):
-    # a rational-ring product meets its tau-unit only if a factor lies
-    # inside the window; otherwise the product is 1 through q^order
-    x = SpecMonomial(Unit(sign, mono), e)
-    builds = [(lambda: poch_inf(x, m, order, RATIONAL), order + 1),
-              (lambda: poch_fin(x, n, m, order, RATIONAL), n)]
-    for build, count in builds:
-        if e <= order and count >= 1:
-            with pytest.raises(RingMismatchError):
-                build()
-        else:
-            assert exact(build()) == exact(QSeries.const(RATIONAL, 1, order))
+    assert exact(poch_inf(x, m, order)) == exact(naive_factors(x, m, order + 1, order))
+    assert exact(poch_fin(x, n, m, order)) == exact(naive_factors(x, m, n, order))
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +298,10 @@ one_variable = st.builds(
 
 @st.composite
 def unit_leading(draw, symbolic):
-    """A series whose lowest coefficient is invertible in its ring: +-1, 2,
-    1/2, -3/2 or, in the symbolic ring, a +-tau-monomial, then a window of
-    1-8 or 20-60 terms that may start with zeros.  Its coefficients stay
-    small, since an inverse's coefficients swell."""
-    ring = SYMBOLIC if symbolic else RATIONAL
+    """A series whose lowest coefficient is invertible: +-1, 2, 1/2, -3/2
+    or, if ``symbolic``, maybe a +-tau-monomial, then a window of 1-8 or
+    20-60 terms that may start with zeros.  Its coefficients stay small,
+    since an inverse's coefficients swell."""
     lead = draw(leads)
     n = draw(st.one_of(st.integers(1, 8), st.integers(20, 60)))
     coefficient = small
@@ -341,7 +315,7 @@ def unit_leading(draw, symbolic):
     gap = draw(st.integers(0, n - 1))
     tail = draw(st.lists(coefficient, min_size=n - 1 - gap, max_size=n - 1 - gap))
     offset = draw(st.integers(-4, 6))
-    return QSeries.make(ring, offset, [lead] + [0] * gap + tail, offset + n - 1)
+    return QSeries.make(offset, [lead] + [0] * gap + tail, offset + n - 1)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -1,6 +1,7 @@
 """Differential tests: the windowed sums built by direct coefficient
 accumulation against the naive per-term references in ``naive_sums``, and
-the canonical form of every series the trusted ``QSeries._raw`` path builds.
+the canonical form of every series the trusted ``QSeries()`` constructor
+builds.
 """
 
 from fractions import Fraction
@@ -17,10 +18,9 @@ from qidx.errors import (
     NonUnitLeadingError,
     PoleError,
     QidxError,
-    RingMismatchError,
 )
 from qidx.exactalg import LaurentPoly
-from qidx.qring import QSeries, RATIONAL, SYMBOLIC
+from qidx.qring import QSeries
 
 SETTINGS = settings(
     max_examples=150,
@@ -75,12 +75,11 @@ def units(draw):
 
 @st.composite
 def windows(draw):
-    """A base scale, a truncation order, a pad and a ring choice."""
+    """A base scale, a truncation order and a pad."""
     m = draw(st.integers(2, 9))
     order = draw(st.integers(0, 70))
     pad = draw(st.integers(0, 4))
-    ring = draw(st.sampled_from([None, None, RATIONAL, SYMBOLIC]))
-    return m, order, pad, ring
+    return m, order, pad
 
 
 weights = st.builds(
@@ -97,27 +96,27 @@ weights = st.builds(
 @SETTINGS
 @given(windows(), units(), st.integers(-6, 8), st.booleans())
 def test_theta_and_pf_match_naive(win, unit, e, cleared):
-    m, order, pad, ring = win
+    m, order, pad = win
     z = unit(e)
-    check_same(cons.theta_sum, naive_sums.theta_sum, z, m, order, ring, pad)
+    check_same(cons.theta_sum, naive_sums.theta_sum, z, m, order, pad)
     if z.unit.symbolic:
         z = SpecMonomial(z.unit, 0)
     z = SpecMonomial(z.unit, abs(z.qexp))
-    check_same(cons.pf_sum, naive_sums.pf_sum, z, m, order, cleared, ring, pad)
+    check_same(cons.pf_sum, naive_sums.pf_sum, z, m, order, cleared, pad)
 
 
 @SETTINGS
 @given(windows(), units(), units(), st.data())
 def test_bilateral_sums_match_naive(win, ua, ub, data):
-    m, order, pad, ring = win
+    m, order, pad = win
     a = ua(data.draw(st.integers(1, m - 1)))
     b = ub(data.draw(st.integers(-2 * m, 2 * m)))
-    check_same(cons.jordan_kronecker, naive_sums.jordan_kronecker, a, b, m, order, ring, pad)
+    check_same(cons.jordan_kronecker, naive_sums.jordan_kronecker, a, b, m, order, pad)
     if 0 < b.qexp < m:
-        check_same(cons.jk_partial_a, naive_sums.jk_partial_a, a, b, m, order, ring, pad)
-        check_same(cons.jk_partial_a, naive_sums.jk_partial_a, b, a, m, order, ring, pad)
+        check_same(cons.jk_partial_a, naive_sums.jk_partial_a, a, b, m, order, pad)
+        check_same(cons.jk_partial_a, naive_sums.jk_partial_a, b, a, m, order, pad)
     x = SpecMonomial(b.unit, abs(b.qexp) or m)
-    check_same(cons.n_weighted_sum, naive_sums.n_weighted_sum, a, x, m, order, ring, pad)
+    check_same(cons.n_weighted_sum, naive_sums.n_weighted_sum, a, x, m, order, pad)
 
 
 @SETTINGS
@@ -132,9 +131,9 @@ def test_bilateral_sums_match_naive(win, ua, ub, data):
     st.sampled_from([0, 1]),
 )
 def test_generalized_lambert_matches_naive(win, um, ux, mu, xi, s, W, r0):
-    m, order, pad, ring = win
+    m, order, pad = win
     M, x = um(max(mu, 1 - m)), ux(xi)
-    args = (M, x, s, W, r0, m, order, ring, pad)
+    args = (M, x, s, W, r0, m, order, pad)
     check_same(cons.generalized_lambert, naive_sums.generalized_lambert, *args)
 
 
@@ -150,14 +149,13 @@ def lambert_terms(draw):
     return c, M, x, s, draw(weights), r0
 
 
-def naive_lambert_sum(terms, m, order, ring, pad):
+def naive_lambert_sum(terms, m, order, pad):
     """Each term's naive generalized_lambert times c, added in term order."""
     if m < 1:
         raise ConstraintViolationError("base scale must be a positive integer")
-    ring = ring or cons.infer_ring(*(y for t in terms for y in t[1:3]))
-    total = QSeries.zero(ring, order)
+    total = QSeries.zero(order)
     for c, M, x, s, W, r0 in terms:
-        g = naive_sums.generalized_lambert(M, x, s, W, r0, m, order, ring, pad)
+        g = naive_sums.generalized_lambert(M, x, s, W, r0, m, order, pad)
         total = total + g.scale(c)
     return total
 
@@ -167,16 +165,15 @@ def naive_lambert_sum(terms, m, order, ring, pad):
     st.integers(1, 9),
     st.integers(0, 60),
     st.integers(0, 3),
-    st.sampled_from([None, None, RATIONAL, SYMBOLIC]),
     st.lists(lambert_terms(), min_size=1, max_size=4),
 )
-# a zero coefficient must not skip the ring check of its term's window
+# a zero coefficient still walks its term's window, tau-unit included
 @example(
-    m=2, order=1, pad=0, ring=RATIONAL,
+    m=2, order=1, pad=0,
     terms=[(0, SpecMonomial.signed(1, -1), SpecMonomial.symbolic(0, 0), 1, W_ONE, 1)],
 )
-def test_lambert_sum_matches_naive_term_sum(m, order, pad, ring, terms):
-    check_same(cons.lambert_sum, naive_lambert_sum, terms, m, order, ring, pad)
+def test_lambert_sum_matches_naive_term_sum(m, order, pad, terms):
+    check_same(cons.lambert_sum, naive_lambert_sum, terms, m, order, pad)
 
 
 def test_lambert_sum_reports_the_first_invalid_term():
@@ -190,27 +187,20 @@ def test_lambert_sum_reports_the_first_invalid_term():
 
 
 @SETTINGS
-@given(units(), st.integers(-9, 9), st.sampled_from([1, 2]), st.integers(0, 40), st.booleans())
-def test_expansions_match_naive(unit, g, s, order, symbolic_ring):
+@given(units(), st.integers(-9, 9), st.sampled_from([1, 2]), st.integers(0, 40))
+# a tau-unit whose expansion runs through the window, and one of which only
+# the j = 0 term of 1/(1-v) lies inside it
+@example(unit=lambda e: SpecMonomial.symbolic(0, e), g=1, s=1, order=20)
+@example(unit=lambda e: SpecMonomial.symbolic(1, e), g=30, s=1, order=20)
+def test_expansions_match_naive(unit, g, s, order):
     v = unit(g)
-    ring = SYMBOLIC if symbolic_ring else None
-    check_same(cons.term_series, naive_sums.term_series, v, s, order, ring)
-    check_same(cons.recip_series, naive_sums.recip_series, v, s, order, ring)
-
-
-def test_symbolic_unit_in_rational_ring_is_a_ring_mismatch():
-    a, b = SpecMonomial.symbolic(0, 1), SpecMonomial.signed(-1, 2)
-    for fn in (cons.jordan_kronecker, naive_sums.jordan_kronecker):
-        assert outcome(fn, a, b, 5, 20, RATIONAL) is RingMismatchError
-    for fn in (cons.recip_series, naive_sums.recip_series):
-        assert outcome(fn, a, 1, 20, RATIONAL) is RingMismatchError
-        # only the j = 0 entry lies inside the window: nothing symbolic is built
-        assert outcome(fn, SpecMonomial.symbolic(1, 30), 1, 20, RATIONAL)[0] == 0
+    check_same(cons.term_series, naive_sums.term_series, v, s, order)
+    check_same(cons.recip_series, naive_sums.recip_series, v, s, order)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 13), st.integers(-1, 90), st.sampled_from([None, RATIONAL, SYMBOLIC]))
-def test_phi_minus_matches_a_direct_sum(m, order, ring):
+@given(st.integers(1, 13), st.integers(-1, 90))
+def test_phi_minus_matches_a_direct_sum(m, order):
     # the sum over every integer n of (-1)^n q^{m n^2}, written into a dict
     want = {}
     n = 0
@@ -219,9 +209,8 @@ def test_phi_minus_matches_a_direct_sum(m, order, ring):
             want[m * k * k] = want.get(m * k * k, 0) + (-1 if k % 2 else 1)
         n += 1
     coeffs = [want.get(e, 0) for e in range(order + 1)]
-    expected = QSeries.make(ring or RATIONAL, 0, coeffs, order)
-    check_same(cons.phi_minus, lambda *args: expected, m, order, ring)
-    assert cons.phi_minus(m, order, ring).ring is expected.ring
+    expected = QSeries.make(0, coeffs, order)
+    check_same(cons.phi_minus, lambda *args: expected, m, order)
 
 
 def test_pf_sum_keeps_a_negative_order():
@@ -239,7 +228,7 @@ def test_glam_rejects_a_third_power():
 
 
 # ---------------------------------------------------------------------------
-# canonical form of the _raw-built arithmetic
+# canonical form of the arithmetic built through QSeries()
 
 
 _MONOS = [(0, 0, 0, 0), (1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0)]
@@ -257,11 +246,10 @@ def coefficients(draw, symbolic):
 
 @st.composite
 def series(draw, symbolic):
-    ring = SYMBOLIC if symbolic else RATIONAL
     offset = draw(st.integers(-3, 5))
     order = draw(st.integers(offset - 1, offset + 14))
     coeffs = [draw(coefficients(symbolic)) for _ in range(order - offset + 1)]
-    return QSeries.make(ring, offset, coeffs, order)
+    return QSeries.make(offset, coeffs, order)
 
 
 @settings(max_examples=300, deadline=None)
@@ -271,7 +259,7 @@ def test_raw_built_ops_are_canonical(symbolic, data):
     y = data.draw(series(symbolic))
     c = data.draw(coefficients(symbolic))
     built = [x + y, x - y, y - x, x + x, x - x, x * y, y * x, x * x, x.scale(c)]
-    built += [QSeries.const(x.ring, c, x.order), QSeries.monomial(x.ring, c, x.offset, x.order)]
+    built += [QSeries.const(c, x.order), QSeries.monomial(c, x.offset, x.order)]
     try:
         built.append(x.inv())
     except NonUnitLeadingError:
@@ -285,13 +273,13 @@ def test_raw_built_ops_are_canonical(symbolic, data):
 
 
 def test_raw_ops_canonicalize_cancellation():
-    half = QSeries.make(RATIONAL, 0, [Fraction(1, 2), Fraction(1, 2), 1, 0, 2], 4)
+    half = QSeries.make(0, [Fraction(1, 2), Fraction(1, 2), 1, 0, 2], 4)
     doubled = half + half
     assert doubled.coeffs == [1, 1, 2, 0, 4]
     assert all(type(c) is int for c in doubled.coeffs)
     ta = LaurentPoly.var(0)
-    sym = QSeries.make(SYMBOLIC, 0, [ta, ta, 1, ta], 3)
-    inv = QSeries.make(SYMBOLIC, 0, [ta ** -1, 0, 0, 0], 3)
+    sym = QSeries.make(0, [ta, ta, 1, ta], 3)
+    inv = QSeries.make(0, [ta ** -1, 0, 0, 0], 3)
     prod = sym * inv  # sparse path: tau_a * tau_a^-1 = 1
     assert prod.coeffs[0] == 1 and type(prod.coeffs[0]) is int
     assert (sym - sym).is_zero()

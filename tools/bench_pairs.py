@@ -5,8 +5,12 @@ checkout (the parent and the change), alternating which side goes first,
 and appends both result lines to the output file.  After every pair it
 rewrites the summary: per workload and metric, each side's median and
 quartiles, the ratio of the medians and how many pairs the change won
-(ties count for neither side).  Runs already in the output file are kept,
-so a traced pass can be added to an untraced one.
+(ties count for neither side).  For each end-to-end metric it also reads
+the bound from the change's ``BENCHMARK.json`` and writes ``within_bound``
+(the change's median is no worse than the parent's by more than the bound)
+and ``unresolved`` (the parent's interquartile range is wider than the
+bound times its median, too wide to tell).  Runs already in the output
+file are kept, so a traced pass can be added to an untraced one.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workloads deep-signed,suite --seeds 41-50 --out BENCH_2.json
@@ -22,9 +26,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-LOWER_IS_BETTER = {"setup_s", "wall_ref", "latency_gmean_ref", "peak_rss_mb"}
-
-
 def seeds_of(text: str):
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -34,6 +35,12 @@ def line_counts(checkout: Path) -> dict:
     files = sorted((checkout / "src").rglob("*.py"))
     count = {str(f.relative_to(checkout)): len(f.read_text().splitlines()) for f in files}
     return {"src_total": sum(count.values()), "files": count}
+
+
+def end_to_end(checkout: Path) -> dict:
+    """Each end-to-end metric of the benchmark: name -> (better, bound)."""
+    bench = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -57,7 +64,7 @@ def quartiles(xs):
     return q1, med, q3
 
 
-def summarise(runs: list) -> dict:
+def summarise(runs: list, bounds: dict) -> dict:
     groups: dict = {}
     for r in runs:
         groups.setdefault((r["workload"], r["trace"]), {}).setdefault(r["seed"], {})[r["side"]] = r
@@ -71,13 +78,20 @@ def summarise(runs: list) -> dict:
             par = [p["parent"]["metrics"][name] for p in pairs]
             chg = [p["change"]["metrics"][name] for p in pairs]
             pq, cq = quartiles(par), quartiles(chg)
-            wins = sum(c < p for p, c in zip(par, chg)) if name in LOWER_IS_BETTER else None
-            rows[name] = {
+            row = {
                 "parent": {"q1": pq[0], "median": pq[1], "q3": pq[2]},
                 "change": {"q1": cq[0], "median": cq[1], "q3": cq[2]},
                 "median_ratio_change_over_parent": cq[1] / pq[1] if pq[1] else None,
-                "change_wins": wins,
+                "change_wins": None,
             }
+            if name in bounds:
+                better, bound = bounds[name]
+                sign = 1 if better == "lower" else -1
+                row["change_wins"] = sum(sign * (p - c) > 0 for p, c in zip(par, chg))
+                row["bound"] = bound
+                row["within_bound"] = sign * (cq[1] - pq[1]) <= bound * pq[1]
+                row["unresolved"] = pq[2] - pq[0] > bound * pq[1]
+            rows[name] = row
         out[f"{workload} trace={trace}"] = {
             "pairs": len(pairs),
             "seeds": sorted(by_seed),
@@ -106,6 +120,7 @@ def main(argv=None) -> int:
     data = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     data["machine"] = {"python": platform.python_version(), "arch": platform.machine()}
     data["lines"] = {"parent": line_counts(args.parent), "change": line_counts(args.change)}
+    bounds = end_to_end(args.change)
     sides = {"parent": args.parent, "change": args.change}
     i = 0
     for workload in args.workloads.split(","):
@@ -117,7 +132,7 @@ def main(argv=None) -> int:
                 run.update(workload=workload, seed=seed, trace=args.trace, side=side)
                 data["runs"].append(run)
                 print(json.dumps(run), flush=True)
-            data["summary"] = summarise(data["runs"])
+            data["summary"] = summarise(data["runs"], bounds)
             args.out.write_text(json.dumps(data, indent=1) + "\n")
     return 0
 
