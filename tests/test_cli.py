@@ -40,7 +40,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one command line; ``SystemExit(n)``
+    counts as exit code n."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -383,6 +388,97 @@ def test_cli_negative_order_is_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert "--order must be at least 0" in err
+
+
+# ---------------------------------------------------------------------------
+# the usage contract: how a command line is read
+
+
+COMMAND_ARGUMENTS = {
+    "expand": ["expr", "--base", "--order", "--spec"],
+    "verify": ["identity", "--base", "--spec", "--order", "--json"],
+    "verify-all": ["--order", "--trials", "--seed", "--json"],
+    "count-reps": ["--max", "--json"],
+    "list": ["--json"],
+}
+
+INT_OPTIONS = [
+    (("expand", "q"), "--order"),
+    (("expand", "q"), "--base"),
+    (("verify", "1.3"), "--order"),
+    (("verify", "1.3"), "--base"),
+    (("verify-all",), "--order"),
+    (("verify-all",), "--trials"),
+    (("count-reps",), "--max"),
+]
+
+USAGE_ERRORS = [
+    ((), ["command"]),
+    (("bogus",), ["bogus"]),
+    (("list", "--bogus"), ["--bogus"]),
+    (("verify", "1.3", "--bogus", "5"), ["--bogus"]),
+    (("verify", "1.3", "--base", "7", "--order"), ["--order"]),
+    (("count-reps", "--max"), ["--max"]),
+    (("expand",), ["expr"]),
+    (("verify", "--base", "7"), ["identity"]),
+    (("expand", "q", "extra"), ["extra"]),
+    (("list", "extra"), ["extra"]),
+]
+USAGE_ERRORS += [((*head, opt, "five"), [opt, "five"]) for head, opt in INT_OPTIONS]
+USAGE_ERRORS += [((*head, f"{opt}=five"), [opt, "five"]) for head, opt in INT_OPTIONS]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS)
+def test_cli_usage_errors_are_exit_2_and_name_the_argument(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    for word in named:
+        assert word in err
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_cli_top_level_help_lists_every_command(capsys, flag):
+    code, out, err = run_cli(capsys, flag)
+    assert (code, err) == (0, "")
+    for command in COMMAND_ARGUMENTS:
+        assert command in out
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", list(COMMAND_ARGUMENTS))
+def test_cli_command_help_lists_every_argument(capsys, command, flag):
+    code, out, err = run_cli(capsys, command, flag)
+    assert (code, err) == (0, "")
+    for name in COMMAND_ARGUMENTS[command]:
+        assert name in out
+
+
+VERIFY_1_3 = ("verify", "1.3", "--base", "7", "--spec", "a=-q^1,b=-q^2,c=-q^4")
+
+
+@pytest.mark.parametrize("order", [("--order", "-1"), ("--order=-1",)])
+def test_cli_negative_order_value_reaches_the_range_check(capsys, order):
+    code, out, err = run_cli(capsys, *VERIFY_1_3, *order)
+    assert (code, out) == (2, "")
+    assert err == "error: --order must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, same",
+    [
+        ((*VERIFY_1_3, "--order=5"), (*VERIFY_1_3, "--order", "5")),
+        ((*VERIFY_1_3, "--ord", "5"), (*VERIFY_1_3, "--order", "5")),
+        (("verify", "--order", "5", "1.3", "--spec=a=-q^1,b=-q^2,c=-q^4", "--base=7"),
+         (*VERIFY_1_3, "--order", "5")),
+        ((*VERIFY_1_3, "--order", "9", "--order", "5"), (*VERIFY_1_3, "--order", "5")),
+        (("expand", "--ord=6", "phi()", "--bas", "2"), ("expand", "phi()", "--base", "2", "--order", "6")),
+        (("count-reps", "--m", "3", "--js"), ("count-reps", "--max", "3", "--json")),
+    ],
+)
+def test_cli_option_spellings_give_the_same_output(capsys, argv, same):
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert first == run_cli(capsys, *same)
 
 
 @pytest.mark.parametrize(
