@@ -1,20 +1,24 @@
 """Command-line front end.
 
-Subcommands: expand (evaluate an expression to a printed series), verify
-(check one identity under one assignment), verify-all (the full randomized +
-fixed suite), count-reps (representation-count table), list (registry).
+Subcommands (the table ``_COMMANDS``): expand, verify, verify-all,
+count-reps, list. One loop reads a command line against that table: an
+option is ``--name value`` or ``--name=value``, a unique prefix names it,
+options may come before or after the positionals and the last repeat wins.
+``--`` ends the options, and any other token that does not start with
+``--`` (``-h`` aside) is a positional, so an expression may start with a
+minus. ``-h``/``--help`` prints the table's help on stdout.
 
 Exit codes: 0 success / all equal; 1 at least one mismatch; 2 usage, parse,
-constraint or any other error. `--json` switches machine-readable reports
-onto stdout; diagnostics always go to stderr. QIDX_SEED in the environment
-overrides --seed.
+constraint or any other error, reported on stderr as ``error: ...``.
+`--json` switches machine-readable reports onto stdout; diagnostics always
+go to stderr. QIDX_SEED in the environment overrides --seed.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from .errors import ExprSyntaxError, QidxError
@@ -31,7 +35,7 @@ from .identities import (
 from .numtheory import predicted_rep_count, rep_count, signed_divisor_sum
 
 
-class UsageError(Exception):
+class UsageError(QidxError):
     """A problem with the command line itself (reported on stderr, exit 2)."""
 
 
@@ -184,58 +188,100 @@ def _cmd_list(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table and its reader
+
+_JSON = (bool, False, "machine-readable output")
+_HELP = ("-h", "--help")
+
+# command -> (handler, {positional: help}, {option: (type, default, help)}, help line);
+# an option of type bool is a flag, which takes no value
+_COMMANDS = {
+    "expand": (_cmd_expand, {"expr": "expression, e.g. 'poch(q)*theta(-q)'"}, {
+        "base": (int, 1, "base scale m in q^m (default 1)"),
+        "order": (int, 20, "truncation order (default 20)"),
+        "spec": (str, "", "parameter values, e.g. 'b=q^2,c=~q^1'"),
+    }, "evaluate an expression and print the series"),
+    "verify": (_cmd_verify, {"identity": "registry id, e.g. 1.3"}, {
+        "base": (int, None, "base scale m"),
+        "spec": (str, "", "parameter values, e.g. 'a=-q^1,b=-q^2'"),
+        "order": (int, 100, "truncation order (default 100)"),
+        "json": _JSON,
+    }, "check one identity under one assignment"),
+    "verify-all": (_cmd_verify_all, {}, {
+        "order": (int, 100, "truncation order (default 100)"),
+        "trials": (int, 25, "random specs per identity (default 25)"),
+        "seed": (str, "0", "seed for randomized specs (default 0)"),
+        "json": _JSON,
+    }, "run the full verification suite"),
+    "count-reps": (_cmd_count_reps, {}, {
+        "max": (int, 20, "largest N to tabulate (default 20)"),
+        "json": _JSON,
+    }, "representation-count table"),
+    "list": (_cmd_list, {}, {"json": _JSON}, "print the identity registry"),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qidx",
-        description="Exact truncated q-series arithmetic and identity checks.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _cmd_help(args) -> int:
+    """Print the commands, or the arguments of one command, from _COMMANDS."""
+    if args.command is None:
+        print("usage: qidx <command> [options]", "commands:", sep="\n\n")
+        rows = [(name, row[3]) for name, row in _COMMANDS.items()]
+    else:
+        _, positionals, options, about = _COMMANDS[args.command]
+        usage = " ".join(["usage: qidx", args.command, *positionals, "[options]"])
+        print(usage, about, "arguments:", sep="\n\n")
+        rows = list(positionals.items())
+        for name, (kind, _, text) in options.items():
+            rows.append((f"--{name}" if kind is bool else f"--{name} {name.upper()}", text))
+    for left, text in rows + [("-h, --help", "show this help and exit")]:
+        print(f"  {left:<18}{text}")
+    return 0
 
-    p = sub.add_parser("expand", help="evaluate an expression and print the series")
-    p.add_argument("expr", help="expression, e.g. 'poch(q)*theta(-q)'")
-    p.add_argument("--base", type=int, default=1, help="base scale m in q^m (default 1)")
-    p.add_argument("--order", type=int, default=20, help="truncation order (default 20)")
-    p.add_argument("--spec", default="", help="parameter values, e.g. 'b=q^2,c=~q^1'")
-    p.set_defaults(fn=_cmd_expand)
 
-    p = sub.add_parser("verify", help="check one identity under one assignment")
-    p.add_argument("identity", help="registry id, e.g. 1.3")
-    p.add_argument("--base", type=int, default=None, help="base scale m")
-    p.add_argument("--spec", default="", help="parameter values, e.g. 'a=-q^1,b=-q^2'")
-    p.add_argument("--order", type=int, default=100, help="truncation order (default 100)")
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("verify-all", help="run the full verification suite")
-    p.add_argument("--order", type=int, default=100, help="truncation order (default 100)")
-    p.add_argument("--trials", type=int, default=25, help="random specs per identity (default 25)")
-    p.add_argument("--seed", default="0", help="seed for randomized specs (default 0)")
-    p.add_argument("--json", action="store_true", help="machine-readable reports")
-    p.set_defaults(fn=_cmd_verify_all)
-
-    p = sub.add_parser("count-reps", help="representation-count table")
-    p.add_argument("--max", type=int, default=20, help="largest N to tabulate (default 20)")
-    p.add_argument("--json", action="store_true", help="machine-readable rows")
-    p.set_defaults(fn=_cmd_count_reps)
-
-    p = sub.add_parser("list", help="print the identity registry")
-    p.add_argument("--json", action="store_true", help="machine-readable registry")
-    p.set_defaults(fn=_cmd_list)
-
-    return parser
+def _read(argv: List[str]):
+    """The handler and the values of one command line, read against _COMMANDS."""
+    command = argv[0] if argv else None
+    if command in _HELP:
+        return _cmd_help, SimpleNamespace(command=None)
+    if command not in _COMMANDS:
+        what = f"unknown command {command!r}" if argv else "a command is required"
+        raise UsageError(f"{what} (one of {', '.join(_COMMANDS)})")
+    fn, positionals, options, _ = _COMMANDS[command]
+    values = {name: default for name, (_, default, _) in options.items()}
+    given, tokens = [], iter(argv[1:])
+    for token in tokens:
+        if token in _HELP:
+            return _cmd_help, SimpleNamespace(command=command)
+        if token == "--" or not token.startswith("--"):
+            given += tokens if token == "--" else [token]  # "--": the rest are positionals
+            continue
+        flag, eq, value = token[2:].partition("=")
+        matches = [name for name in options if flag and name.startswith(flag)]
+        if len(matches) != 1:
+            raise UsageError(f"{'ambiguous' if matches else 'unknown'} option '--{flag}'")
+        name, kind = matches[0], options[matches[0]][0]
+        if kind is bool and eq:
+            raise UsageError(f"--{name} takes no value")
+        if kind is not bool and not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise UsageError(f"--{name} needs a value")
+        try:
+            values[name] = True if kind is bool else kind(value)
+        except ValueError:
+            raise UsageError(f"--{name} needs an integer, got {value!r}") from None
+    names = list(positionals)
+    if len(given) > len(names):
+        raise UsageError(f"unexpected argument {given[len(names)]!r}")
+    if len(given) < len(names):
+        raise UsageError(f"missing argument {names[len(given)]!r}")
+    return fn, SimpleNamespace(**values, **dict(zip(names, given)))
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        fn, args = _read(sys.argv[1:] if argv is None else argv)
+        return fn(args)
     except ExprSyntaxError as exc:
         where = f" at offset {exc.position}" if exc.position >= 0 else ""
         print(f"error: syntax error{where}: {exc}", file=sys.stderr)

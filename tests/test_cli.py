@@ -484,6 +484,24 @@ def test_cli_option_spellings_give_the_same_output(capsys, argv, same):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("expand", "-q^2", "--order", "3"),
+        ("expand", "--order", "3", "-q^2"),
+        ("expand", "--order", "3", "--", "-q^2"),
+    ],
+)
+def test_cli_expression_may_start_with_a_minus(capsys, argv):
+    assert run_cli(capsys, *argv) == (0, "-q^2 + O(q^4)\n", "")
+
+
+def test_cli_double_dash_ends_the_options(capsys):
+    code, out, err = run_cli(capsys, "expand", "--order", "3", "--", "--order")
+    assert (code, out) == (2, "")
+    assert err == "error: syntax error at offset 2: expected a value, found '-'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("expand", "poch(q)", "--order", "100000000"),
         ("verify", "1.3", "--base", "7", "--spec", "a=-q^1,b=-q^2,c=-q^4", "--order", "10001"),
         ("verify-all", "--order", "100000000", "--trials", "1"),
@@ -534,6 +552,23 @@ def test_cli_import_leaves_out_the_modules_only_some_commands_need():
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+def test_cli_commands_run_without_argparse_gettext_or_locale():
+    """Reading a command line must not load ``argparse``, nor the
+    ``gettext`` and ``locale`` it pulls in: each is start-up time that every
+    ``qidx`` process pays."""
+    src = os.path.dirname(os.path.dirname(exprs.__file__))
+    verify = ["verify", "1.3", "--base", "7", "--spec", "a=-q^1,b=-q^2,c=-q^4", "--order", "10"]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from qidx.cli import main; "
+        f"codes = [main(['list']), main({verify!r})]; "
+        "print(codes, sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 def test_cli_order_ceiling_is_the_expression_window_bound():
