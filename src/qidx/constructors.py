@@ -15,9 +15,11 @@ Every reciprocal 1/(1-v)^s goes through one three-case expansion:
 Bilateral sums enumerate a finite window of indices; the first excluded term
 on each side provably exceeds the truncation order.  Every such constructor
 takes a ``pad`` argument adding extra window terms, so tests can double the
-window and check the result does not move.  One generator (``_window``)
-walks every window, and every term writes its expansion straight into one
-per-exponent accumulator (``_Acc``), so a sum builds its series once.
+window and check the result does not move.  One integer walker
+(``_lambert_window``) walks every Lambert, bilateral and partial-fraction
+window and writes each term's expansion straight into one per-exponent
+accumulator (``_Acc``), so a sum builds its series once; ``theta_sum`` walks
+out from its vertex into the same accumulator.
 
 Each shape of series has one code path.  Sums of W(n) A^n / (1 - x q^{mn})^s
 go through ``_lambert_window``: f(a, b), its a-derivative form and the
@@ -35,6 +37,7 @@ from __future__ import annotations
 import functools
 import operator
 from fractions import Fraction
+from itertools import count, cycle, repeat
 from typing import Sequence, Union
 
 from .errors import (
@@ -183,6 +186,7 @@ W_R = AffineWeight(1, 0)
 
 _ONE = Unit()
 _Q0 = SpecMonomial.one()
+_MINUS = SpecMonomial.signed(-1, 0)
 _BILATERAL = ((0, 1), (-1, -1))
 
 
@@ -192,17 +196,15 @@ def check_base(m: int) -> None:
         raise ConstraintViolationError("base scale must be a positive integer")
 
 
-def _lead(g: int, k: int, s: int) -> int:
-    """The lowest q-exponent in the expansion of v^k/(1-v)^s, ord(v) = g."""
-    return k * g if g > 0 else (s - k) * -g
-
-
 class _Acc:
     """Exact coefficients of a sum of terms, accumulated per exponent up to
     ``order`` and made into one series at the end.
 
-    Scalar parts live in a dense list over [lo, order]; parts that carry a
-    symbolic monomial live in a dict keyed by (exponent, monomial).
+    Scalar parts live in a dense list ``num`` over [lo, order]; the walker
+    of ``_lambert_window`` adds each signed term into it as one slice.
+    ``add_term`` writes a term one coefficient at a time into a dict ``sym``
+    keyed by (exponent, monomial), whose scalar entries ``series`` folds
+    into ``num``.
     """
 
     __slots__ = ("order", "lo", "num", "sym")
@@ -231,7 +233,8 @@ class _Acc:
     def add_term(
         self, c: Scalar, unit: Unit, shift: int, v: SpecMonomial, k: int, s: int
     ) -> None:
-        """Add c * unit * q^shift * v^k / (1-v)^s, for k in {0, 1}, s in {1, 2}.
+        """Add c * unit * q^shift * v^k / (1-v)^s, for k in {0, 1}, s in {1, 2},
+        one coefficient at a time into ``sym``.
 
         With v = u q^g the expansion is
           g > 0:  sum over j >= k of C(j-k+s-1, s-1) u^j q^(jg),
@@ -251,37 +254,25 @@ class _Acc:
                 )
             if u.sign == 1:
                 raise PoleError(f"{what} hits the pole at 1")
-        if g == 0:
             self.add(shift, c * unit.sign * Fraction((-1) ** k, 2**s), unit.mono)
             return
         if g > 0:
-            step, us, um, j, lead, d = g, u.sign, u.mono, k, 1, 1 - k
+            step, j, lead = g, k, 1
         else:
-            ui = u.inv()
-            step, us, um, j, lead, d = -g, ui.sign, ui.mono, s - k, (-1) ** s, k - 1
-        # the binomial factor C(., s-1) of the j-th term is 1, or j + d for s = 2
+            step, u, j, lead = -g, u.inv(), s - k, (-1) ** s
         e = shift + j * step
-        n = max((self.order - e) // step + 1, 0)
-        if not n:
+        if e > self.order:
             return
         self._reach(e)
-        c0 = c * lead * unit.sign * (us if j % 2 else 1)
-        mono = mono_mul(unit.mono, mono_pow(um, j))
-        if mono == MONO_ONE and um == MONO_ONE:
-            cs = [c0, c0 * us]
-            if s == 1:
-                terms = cs * (n // 2 + 1)
-            else:
-                terms = [cs[i & 1] * b for i, b in enumerate(range(j + d, j + d + n))]
-            window = slice(e - self.lo, None, step)
-            self.num[window] = list(map(operator.add, self.num[window], terms))
-            return
+        c0 = c * lead * unit.sign * (u.sign if j % 2 else 1)
+        mono = mono_mul(unit.mono, mono_pow(u.mono, j))
+        # the binomial factor C(., s-1) of the j-th term is 1, or b for s = 2
         sym = self.sym
-        for b in range(j + d, j + d + n):
+        for b in range(1, (self.order - e) // step + 2):
             sym[e, mono] = sym.get((e, mono), 0) + (c0 if s == 1 else c0 * b)
             e += step
-            c0 *= us
-            mono = mono_mul(mono, um)
+            c0 *= u.sign
+            mono = mono_mul(mono, u.mono)
 
     def series(self) -> QSeries:
         num, lo = self.num, self.lo
@@ -299,51 +290,66 @@ class _Acc:
         return QSeries(lo, coeffs, self.order)
 
 
-def _window(order: int, pad: int, min_order, grows, starts, what: str):
-    """Yield the indices of a summation window, walking from each (start,
-    step) of ``starts``.  A direction closes at the first index whose term
-    lies wholly above ``order`` while ``grows(n, step)`` says every later
-    term does too; ``pad`` more indices are taken past that point."""
-    for n, step in starts:
-        extra = pad
-        for _ in range(_LOOP_LIMIT + 1):
-            if min_order(n) > order and grows(n, step):
-                if extra <= 0:
-                    break
-                extra -= 1
-            yield n
-            n += step
-        else:
-            raise DivergentTailError(f"{what} failed to close")
-
-
-def _lambert_window(
-    order, pad, starts, what, v_unit, g0, m, k, s, shift, prefactor, c=1
-):
+def _lambert_window(order, pad, starts, what, x, m, k, s, R, W=W_ONE, c=1, P=_Q0, h=0):
     """The function that adds to an accumulator the sum over the window of
-    c * w * unit * q^shift(n) * v^k / (1-v)^s with v = v_unit q^(g0 + m n)
-    and (w, unit) = prefactor(n); w = 0 skips n, but c = 0 still writes
-    every term.  DivergentTailError, before anything is written, if a walk
-    of the window would not close within _LOOP_LIMIT steps."""
+    c * W(n) * P * R^n * q^(h n(n+1)/2) * v^k / (1-v)^s with v = x q^(m n).
 
-    def min_order(n: int) -> int:
-        return shift(n) + _lead(g0 + m * n, k, s)
-
-    def grows(n: int, step: int) -> bool:
-        return (g0 + m * n) * step > 0
-
+    Each (start, step) of ``starts`` walks one direction.  At each index n
+    the walker computes g = ord(v), the term's lowest exponent and the close
+    test from ints: a direction closes at the first index whose term lies
+    wholly above ``order`` while g has the sign of the step (every later
+    term lies higher still), and ``pad`` more indices are walked past it.
+    Where every unit is a sign and g != 0, the term's expansion is one
+    progression of step |g| and ratio +-1, added into ``_Acc.num`` as one
+    slice; tau-units and the g = 0 constant go through ``_Acc.add_term``.
+    A zero c * W(n) skips n.  DivergentTailError, before anything is
+    written, if a walk of the window would not close within _LOOP_LIMIT
+    steps."""
+    g0, e0, mu, wu, wv = x.qexp, P.qexp, R.qexp, W.u, W.v
     for n, step in starts:
         # past its turn a walk's terms only rise, so it closes in time, pad
         # included, exactly when the index _LOOP_LIMIT - pad steps out closes it
         n += (_LOOP_LIMIT - pad) * step
-        if pad > _LOOP_LIMIT or not (min_order(n) > order and grows(n, step)):
+        g = g0 + m * n
+        low = e0 + mu * n + h * (n * n + n) // 2 + (k * g if g > 0 else (k - s) * g)
+        if pad > _LOOP_LIMIT or g * step <= 0 or low <= order:
             raise DivergentTailError(f"{what} failed to close")
+    xs, rs = x.unit.sign, R.unit.sign
+    signed = not (x.unit.symbolic or R.unit.symbolic or P.unit.symbolic)
+    # the sign of a term's first coefficient over that of c * W(n) * P * R^n,
+    # for g > 0 and g < 0; the coefficients after it go on in ratio xs
+    first = (xs**k, xs ** (s - k) * (-1) ** s)
 
     def write(acc: _Acc) -> None:
-        for n in _window(order, pad, min_order, grows, starts, what):
-            w, unit = prefactor(n)
-            if w:
-                acc.add_term(c * w, unit, shift(n), SpecMonomial(v_unit, g0 + m * n), k, s)
+        num = acc.num
+        for n, step in starts:
+            extra = pad
+            sign = P.unit.sign * rs ** (n % 2)
+            while True:
+                g = g0 + m * n
+                shift = e0 + mu * n + h * (n * n + n) // 2
+                # the lowest exponent in the expansion of v^k/(1-v)^s
+                low = shift + (k * g if g > 0 else (k - s) * g)
+                if g * step > 0 and low > order:
+                    if not extra:
+                        break
+                    extra -= 1
+                w = c * (wu * n + wv)
+                if signed and g:
+                    if w and low <= order:
+                        if low < acc.lo:
+                            acc._reach(low)
+                        c0 = w * sign * first[g < 0]
+                        terms = repeat(c0) if xs == 1 else cycle((c0, -c0))
+                        if s == 2:
+                            terms = map(operator.mul, terms, count(1))
+                        window = slice(low - acc.lo, None, abs(g))
+                        num[window] = map(operator.add, num[window], terms)
+                elif w:
+                    unit = P.unit.mul(R.unit.pow(n))
+                    acc.add_term(w, unit, shift, SpecMonomial(x.unit, g), k, s)
+                n += step
+                sign *= rs
 
     return write
 
@@ -444,17 +450,19 @@ def theta_sum(z: SpecMonomial, m: int, order: int, pad: int = 0) -> QSeries:
     def expo(n):
         return m * (n * n - n) // 2 + n * e
 
-    # the lowest term sits at an integer next to the vertex n = 1/2 - e/m
+    # the lowest term sits at an integer next to the vertex n = 1/2 - e/m;
+    # each step out from it raises the exponent, so a walk closes at the
+    # first term above ``order`` and takes ``pad`` more indices past it
     vertex = (m - 2 * e) // (2 * m)
     _check_window(min(expo(vertex), expo(vertex + 1)))
     acc = _Acc(order)
-
-    def past_vertex(n, step):
-        return n != 0 and expo(n) >= expo(n - step)
-
-    for n in _window(order, pad, expo, past_vertex, _BILATERAL, "theta window"):
-        u = z.unit.pow(n)
-        acc.add(expo(n), u.sign if n % 2 == 0 else -u.sign, u.mono)
+    for n, step in ((vertex + 1, 1), (vertex, -1)):
+        extra = pad
+        while (x := expo(n)) <= order or extra:
+            extra -= x > order
+            u = z.unit.pow(n)
+            acc.add(x, u.sign if n % 2 == 0 else -u.sign, u.mono)
+            n += step
     return acc.series()
 
 
@@ -489,18 +497,15 @@ def pf_sum(
             f"partial-fraction argument needs ord(z) >= 0, got {z.qexp}"
         )
     acc = _Acc(order)
-    e = z.qexp
     # numerator 1, then -z when cleared; the cleared n = 0 term is exactly 1
-    parts = [(1, _ONE, 0)]
+    parts, starts = [(1, _Q0)], _BILATERAL
     if cleared:
-        parts.append((-1, z.unit, e))
+        parts.append((-1, z))
         acc.add(0, 1)
-    for c, unit, de in parts:
+        starts = ((1, 1), (-1, -1))
+    for c, P in parts:
         _lambert_window(
-            order, pad, _BILATERAL, "partial-fraction window", z.unit, e, m, 0, 1,
-            shift=lambda n: m * (n * n + n) // 2 + de,
-            prefactor=lambda n: (0 if cleared and n == 0 else (-1) ** (n % 2), unit),
-            c=c,
+            order, pad, starts, "partial-fraction window", z, m, 0, 1, _MINUS, c=c, P=P, h=m
         )(acc)
     return acc.series()
 
@@ -527,11 +532,7 @@ def _check_pole_guard(b: SpecMonomial, m: int, name: str):
 def _bilateral(W, A, x, s, m, order, pad) -> QSeries:
     """The bilateral sum of W(n) * A^n / (1 - x q^{mn})^s."""
     acc = _Acc(order)
-    _lambert_window(
-        order, pad, _BILATERAL, "bilateral window", x.unit, x.qexp, m, 0, s,
-        shift=lambda n: A.qexp * n,
-        prefactor=lambda n: (W(n), A.unit.pow(n)),
-    )(acc)
+    _lambert_window(order, pad, _BILATERAL, "bilateral window", x, m, 0, s, A, W)(acc)
     return acc.series()
 
 
@@ -619,12 +620,7 @@ def _lambert_term(term: tuple, m: int, order: int, pad: int):
                 )
             if x.unit.sign == 1:
                 raise PoleError(f"Lambert term at r = {rstar} hits the pole at 1")
-    return _lambert_window(
-        order, pad, ((r0, 1),), "Lambert tail", x.unit, xi, m, 1, s,
-        shift=lambda r: mu * r,
-        prefactor=lambda r: (W(r), M.unit.pow(r)),
-        c=c,
-    )
+    return _lambert_window(order, pad, ((r0, 1),), "Lambert tail", x, m, 1, s, M, W, c)
 
 
 def generalized_lambert(
