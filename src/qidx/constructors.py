@@ -15,11 +15,9 @@ Every reciprocal 1/(1-v)^s goes through one three-case expansion:
 Bilateral sums enumerate a finite window of indices; the first excluded term
 on each side provably exceeds the truncation order.  Every such constructor
 takes a ``pad`` argument adding extra window terms, so tests can double the
-window and check the result does not move.  One integer walker
-(``_lambert_window``) walks every Lambert, bilateral and partial-fraction
-window and writes each term's expansion straight into one per-exponent
-accumulator (``_Acc``), so a sum builds its series once; ``theta_sum`` walks
-out from its vertex into the same accumulator.
+window and check the result does not move.  Every sum writes each term's
+expansion straight into one per-exponent accumulator (``_Acc``), so it
+builds its series once; one integer walker serves every Lambert window.
 
 Each shape of series has one code path.  Sums of W(n) A^n / (1 - x q^{mn})^s
 go through ``_lambert_window``: f(a, b), its a-derivative form and the
@@ -496,17 +494,20 @@ def pf_sum(
         raise ConstraintViolationError(
             f"partial-fraction argument needs ord(z) >= 0, got {z.qexp}"
         )
-    acc = _Acc(order)
     # numerator 1, then -z when cleared; the cleared n = 0 term is exactly 1
-    parts, starts = [(1, _Q0)], _BILATERAL
-    if cleared:
-        parts.append((-1, z))
-        acc.add(0, 1)
-        starts = ((1, 1), (-1, -1))
-    for c, P in parts:
+    parts = [(1, _Q0), (-1, z)] if cleared else [(1, _Q0)]
+    starts = ((1, 1), (-1, -1)) if cleared else _BILATERAL
+    writes = [
         _lambert_window(
             order, pad, starts, "partial-fraction window", z, m, 0, 1, _MINUS, c=c, P=P, h=m
-        )(acc)
+        )
+        for c, P in parts
+    ]
+    acc = _Acc(order)
+    if cleared:
+        acc.add(0, 1)
+    for write in writes:
+        write(acc)
     return acc.series()
 
 

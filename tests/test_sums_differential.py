@@ -176,6 +176,108 @@ def test_lambert_sum_matches_naive_term_sum(m, order, pad, terms):
     check_same(cons.lambert_sum, naive_lambert_sum, terms, m, order, pad)
 
 
+# ---------------------------------------------------------------------------
+# the integer walker at its edges: signed units, a g = 0 index, pad, r0
+
+
+signs = st.sampled_from([1, -1])
+fraction_weights = st.builds(
+    AffineWeight,
+    st.sampled_from([0, 1, Fraction(1, 2), Fraction(-2, 3)]),
+    st.sampled_from([1, Fraction(-3, 2), Fraction(1, 3)]),
+)
+
+
+@SETTINGS
+@given(
+    st.integers(1, 7),
+    st.integers(0, 40),
+    st.integers(0, 3),
+    signs,
+    signs,
+    st.integers(-1, 3),
+    st.integers(0, 3),
+    st.sampled_from([1, 2]),
+    fraction_weights,
+    st.sampled_from([0, 1]),
+)
+# r = j = 2 has g = 0 with unit -1 (the constant -1/4), after two indices
+# with g < 0; s = 2 under the ratio -1 of M, with a Fraction weight
+@example(
+    m=3, order=30, pad=0, sM=-1, sx=-1, mu=1, j=2, s=2,
+    W=AffineWeight(Fraction(1, 2), 1), r0=0,
+)
+@example(
+    m=2, order=25, pad=3, sM=-1, sx=-1, mu=0, j=1, s=1,
+    W=AffineWeight(1, Fraction(-3, 2)), r0=1,
+)
+def test_signed_lambert_window_edges_match_naive(m, order, pad, sM, sx, mu, j, s, W, r0):
+    # x = sx q^(-m j): r = j has g = 0, a pole unless sx = -1 or W(j) = 0
+    M = SpecMonomial.signed(sM, max(mu, 1 - m))
+    x = SpecMonomial.signed(sx, -m * j)
+    args = (M, x, s, W, r0, m, order, pad)
+    check_same(cons.generalized_lambert, naive_sums.generalized_lambert, *args)
+    terms = [(Fraction(-3, 2), M, x, s, W, r0), (2, M, SpecMonomial.signed(-sx, 1 - m * j), s, W, r0)]
+    check_same(cons.lambert_sum, naive_lambert_sum, terms, m, order, pad)
+
+
+@SETTINGS
+@given(
+    st.integers(2, 9), st.integers(0, 50), st.integers(0, 3), signs, signs,
+    st.integers(1, 8), st.integers(-3, 3),
+)
+# g = 0 at n = -j: j = 2 puts it on the backward walk, j = -1 on the forward one
+@example(m=4, order=40, pad=0, sa=-1, sb=-1, ea=1, j=2)
+@example(m=3, order=40, pad=3, sa=1, sb=-1, ea=2, j=-1)
+def test_signed_bilateral_window_edges_match_naive(m, order, pad, sa, sb, ea, j):
+    ea = 1 + (ea - 1) % (m - 1)
+    a = SpecMonomial.signed(sa, ea)
+    b = SpecMonomial.signed(sb, m * j)
+    check_same(cons.jordan_kronecker, naive_sums.jordan_kronecker, a, b, m, order, pad)
+    x = SpecMonomial.signed(sb, m * abs(j) or m)
+    check_same(cons.n_weighted_sum, naive_sums.n_weighted_sum, a, x, m, order, pad)
+    # s = 2: the ratio of b q^m is the sign of b
+    c = SpecMonomial.signed(sb, m - ea)
+    check_same(cons.jk_partial_a, naive_sums.jk_partial_a, a, c, m, order, pad)
+
+
+@SETTINGS
+@given(st.integers(1, 7), st.integers(-1, 40), st.integers(0, 3), signs, st.integers(0, 3),
+       st.integers(0, 6), st.booleans())
+# e = m j: n = -j has g = 0, at n = 0 (skipped when cleared) or on the backward walk
+@example(m=3, order=30, pad=0, sz=-1, j=0, de=0, cleared=False)
+@example(m=3, order=30, pad=2, sz=-1, j=2, de=0, cleared=True)
+def test_signed_pf_window_edges_match_naive(m, order, pad, sz, j, de, cleared):
+    z = SpecMonomial.signed(sz, m * j + de)
+    check_same(cons.pf_sum, naive_sums.pf_sum, z, m, order, cleared, pad)
+
+
+def test_signed_windows_without_a_zero_index_take_the_integer_path(monkeypatch):
+    # every unit a sign and no index with ord(v) = 0: no term may go
+    # through the per-coefficient path, so the tests above drive the slices
+    def refuse(*args):
+        raise AssertionError("a signed window wrote a term through add_term")
+
+    monkeypatch.setattr(cons._Acc, "add_term", refuse)
+    q = SpecMonomial.signed
+    half = AffineWeight(Fraction(1, 2), 1)
+    cases = [
+        (cons.generalized_lambert, naive_sums.generalized_lambert,
+         (q(-1, 1), q(-1, -7), 2, half, 0, 3, 40, 2)),
+        (cons.generalized_lambert, naive_sums.generalized_lambert,
+         (q(1, -1), q(-1, 2), 1, W_R, 1, 4, 40, 0)),
+        (cons.jordan_kronecker, naive_sums.jordan_kronecker, (q(-1, 2), q(1, -7), 5, 40, 3)),
+        (cons.jk_partial_a, naive_sums.jk_partial_a, (q(1, 1), q(-1, 3), 5, 40, 1)),
+        (cons.n_weighted_sum, naive_sums.n_weighted_sum, (q(-1, 3), q(-1, 4), 5, 40, 2)),
+        (cons.pf_sum, naive_sums.pf_sum, (q(-1, 2), 3, 40, True, 1)),
+        (cons.pf_sum, naive_sums.pf_sum, (q(1, 4), 3, 40, False, 0)),
+    ]
+    for new_fn, naive_fn, args in cases:
+        got = new_fn(*args)
+        assert not got.is_zero()
+        assert outcome(new_fn, *args) == outcome(naive_fn, *args), new_fn.__name__
+
+
 def test_lambert_sum_reports_the_first_invalid_term():
     one, x = SpecMonomial.one(), SpecMonomial.signed(1, 1)
     pole = (1, one, SpecMonomial.signed(1, -5), 1, W_ONE, 0)
