@@ -15,10 +15,12 @@ the series is built.
 Multiplication picks one of two exact kernels from what the operands hold:
 
   * either operand has a tau-monomial coefficient: a sparse term product.
-    Symbolic windows are sparse (a few hundred nonzero terms spread over
-    about a hundred tau-monomials), so every pair of nonzero terms whose
-    q exponents land inside the window is multiplied once and accumulated
-    under one int key that folds the q exponent and the four tau exponents;
+    Symbolic windows are sparse in q and in tau (a slow product pairs some
+    thousand terms with a few dozen), so every pair of nonzero terms whose
+    q exponents land inside the window is multiplied once, the shorter side
+    walked outside, and accumulated under one int key that folds the q
+    exponent and the four tau exponents; the strides and each monomial's
+    code are found, and each code decoded, once per distinct tau-monomial;
   * scalar coefficients: Kronecker substitution.  Both windows are scaled
     to a common denominator, packed into one big integer each with
     byte-aligned signed digits, and multiplied once; a window multiplied by
@@ -38,7 +40,6 @@ from __future__ import annotations
 import math
 import struct
 from bisect import bisect_left
-from collections import defaultdict
 from fractions import Fraction
 from operator import mul
 from typing import List, Tuple
@@ -46,9 +47,7 @@ from typing import List, Tuple
 from .errors import NonUnitLeadingError, OrderExceededError
 from .exactalg import (
     MONO_ONE,
-    NVARS,
     LaurentPoly,
-    Monomial,
     mono_inv,
     normalize_scalar,
 )
@@ -96,16 +95,12 @@ def _canon(c):
 # ---------------------------------------------------------------------------
 
 
-def _lcm_den(values) -> int:
-    return math.lcm(*{c.denominator for c in values if type(c) is Fraction})
-
-
 def _integral(x: List) -> Tuple[List[int], int]:
     """A scalar window scaled to ints by its common denominator, and that
     denominator; any Fraction, even an integral one, is converted."""
     if Fraction not in map(type, x):
         return x, 1
-    den = _lcm_den(x)
+    den = math.lcm(*{c.denominator for c in x if type(c) is Fraction})
     return [int(c * den) for c in x], den
 
 
@@ -192,72 +187,77 @@ def _packed_product(x: List, y: List, out_len: int) -> List:
     return [normalize_scalar(Fraction(d, den)) if d else 0 for d in digits]
 
 
-def _terms(coeffs: List) -> Tuple[List[Tuple[int, Monomial, int]], int]:
-    """Every nonzero (index, tau-monomial, coefficient) of a window, with the
-    coefficients multiplied by their common denominator, and that denominator."""
-    out = []
-    for i, c in enumerate(coeffs):
-        if type(c) is LaurentPoly:
-            out.extend((i, mono, cc) for mono, cc in c.terms.items())
-        elif c:
-            out.append((i, MONO_ONE, c))
-    den = _lcm_den(t[2] for t in out)
-    if den > 1:
-        out = [(i, mono, int(c * den)) for i, mono, c in out]
-    return out, den
-
-
 def _term_product(x: List, y: List, out_len: int) -> List:
     """The first out_len coefficients of the product of two windows with
     tau-Laurent coefficients, by sparse term accumulation.
 
     A term's q index and four tau exponents fold into one int key, a mixed-
-    radix number whose strides come from the spans of the result's
-    exponents, so the key of a product of two terms is the sum of their
-    keys.  Term products accumulate in one dict; each key is decoded once.
+    radix number whose strides span twice the range of each exponent over
+    the distinct tau-monomials of both sides, so the key of a product of two
+    terms is the sum of their keys.  Each side's terms become one list of
+    (key, coefficient), scaled to ints by the side's common denominator.
+    The side with fewer terms is walked outside, over the prefix of the
+    other side that stays inside the window.  Each product key is split
+    once into index and monomial code, and each code is decoded once.
     """
-    (tx, dx), (ty, dy) = _terms(x[:out_len]), _terms(y[:out_len])
-    if not tx or not ty:
+    sides, monos = [], set()
+    for w in (x, y):
+        cols = []
+        for i, c in enumerate(w[:out_len]):
+            if type(c) is LaurentPoly:
+                cols.append((i, c.terms))
+                monos.update(c.terms)
+            elif c:
+                cols.append((i, {MONO_ONE: c}))
+                monos.add(MONO_ONE)
+        sides.append(cols)
+    if not sides[0] or not sides[1]:
         # a window whose leading zeros fill the product window
         return [0] * out_len
-    lows, spans, strides = [], [], []
-    stride = out_len
-    for v in range(NVARS):
-        ex = [mono[v] for _, mono, _ in tx]
-        ey = [mono[v] for _, mono, _ in ty]
-        lows.append(min(ex) + min(ey))
-        spans.append(max(ex) + max(ey) - lows[v] + 1)
+    lows, spans, strides, stride = [], [], [], 1
+    for es in zip(*monos):
+        # every product of two of the monomials has its exponent in here
+        lows.append(2 * min(es))
+        spans.append(2 * (max(es) - min(es)) + 1)
         strides.append(stride)
-        stride *= spans[v]
-    base = sum(map(mul, lows, strides))
-    jy = [j for j, _, _ in ty]
-    ky = [(j + sum(map(mul, mono, strides)), c) for j, mono, c in ty]
-    acc = defaultdict(int)
-    for i, mono, c1 in tx:
-        k1 = i + sum(map(mul, mono, strides))
-        # y terms are in index order: stop where i + j leaves the window
+        stride *= spans[-1]
+    code = {mono: out_len * sum(map(mul, mono, strides)) for mono in monos}
+    keyed, den = [], 1
+    for cols in sides:
+        coeffs, d = _integral([c for _, terms in cols for c in terms.values()])
+        keys = [i + code[mono] for i, terms in cols for mono in terms]
+        keyed.append(([i for i, terms in cols for _ in terms], list(zip(keys, coeffs))))
+        den *= d
+    (jx, kx), (jy, ky) = sorted(keyed, key=lambda side: len(side[1]))
+    acc = {}
+    get = acc.get
+    for i, (k1, c1) in zip(jx, kx):
+        # the long side is in index order: stop where i + j leaves the window
         for k2, c2 in ky[: bisect_left(jy, out_len - i)]:
-            acc[k1 + k2] += c1 * c2
-    den = dx * dy
-    cols: List = [None] * out_len
+            k = k1 + k2
+            acc[k] = get(k, 0) + c1 * c2
+    base = sum(map(mul, lows, strides))
+    decoded = {}
+    out = [{} for _ in range(out_len)]
     for k, c in acc.items():
         if not c:
             continue
-        k, i = divmod(k - base, out_len)
-        mono = []
-        for low, span in zip(lows, spans):
-            k, e = divmod(k, span)
-            mono.append(low + e)
+        k, i = divmod(k, out_len)
+        mono = decoded.get(k)
+        if mono is None:
+            rest, mono = k - base, []
+            for low, span in zip(lows, spans):
+                rest, e = divmod(rest, span)
+                mono.append(low + e)
+            mono = decoded[k] = tuple(mono)
         if den > 1:
             c = normalize_scalar(Fraction(c, den))
-        if cols[i] is None:
-            cols[i] = {}
-        cols[i][tuple(mono)] = c
+        out[i][mono] = c
     return [
-        0 if col is None
+        0 if not col
         else col[MONO_ONE] if len(col) == 1 and MONO_ONE in col
         else LaurentPoly._raw(col)
-        for col in cols
+        for col in out
     ]
 
 
