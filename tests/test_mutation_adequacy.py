@@ -1,9 +1,11 @@
-"""Mutation adequacy of the identity checks, signed tier: a check that passes
-means something only if a wrong side fails at the same order (mutation
-analysis: DeMillo, Lipton & Sayward, "Hints on test data selection", 1978).
+"""Mutation adequacy of the identity checks: a check that passes means
+something only if a wrong side fails at the same order (mutation analysis:
+DeMillo, Lipton & Sayward, "Hints on test data selection", 1978).
 
-Every registry id is checked at one seeded signed spec, at order 100 and
-base 7 (or the id's fixed base).  Each term (c, M, x, s, W, r0) that its
+Signed tier: every registry id is checked at one seeded signed spec, at
+order 100 and base 7 (or the id's fixed base).  Symbolic tier: every id
+with parameters among those below is checked at one seeded symbolic-unit
+spec, at order 40 and base 7.  Each term (c, M, x, s, W, r0) that its
 builder passes to ``identities.lambert_sum`` is mutated in turn: c negated,
 s flipped (1 <-> 2), r0 flipped (0 <-> 1).  Every mutant must end in a
 mismatch or a domain error, except the equivalent mutants named below.
@@ -18,9 +20,16 @@ import time
 import pytest
 
 from qidx import identities
-from qidx.identities import build_sides, check_identity, list_identities, random_spec
+from qidx.identities import (
+    build_sides,
+    check_identity,
+    get_descriptor,
+    list_identities,
+    random_spec,
+)
 
 ORDER = 100
+SYMBOLIC_ORDER = 40
 BASE = 7
 SEED = "mutation-adequacy"
 
@@ -47,6 +56,15 @@ EQUIVALENT = {
     ("3.7", 6, "flip r0"): _ZERO_WEIGHT,
     ("3.7", 7, "flip r0"): _ZERO_WEIGHT,
 }
+
+# symbolic tier (the ids with parameters): the same two terms of 1.4
+SYMBOLIC_EQUIVALENT = {key: why for key, why in EQUIVALENT.items() if key[0] == "1.4"}
+
+# symbolic tier: killed, but at q^20 or above, every other mutant dying
+# below it.  Flipping s first changes a term M^r v/(1 - v)^s, v = x q^(mr),
+# at M^r0 v^2: its lowest exponent plus that of v at r0 (2.3: 17 + 13,
+# 2.12: 13 + 7)
+LATE = {("2.3", 0, "flip s"): 30, ("2.12", 4, "flip s"): 20}
 
 LAMBERT_IDS = (
     "1.3", "1.4", "1.5", "2.3", "2.9", "2.10", "2.11", "2.12", "2.13",
@@ -135,9 +153,57 @@ def test_every_signed_check_kills_its_lambert_term_mutants(mutator):
     assert elapsed < 5.0, elapsed
 
 
+def test_every_symbolic_check_kills_its_lambert_term_mutants(mutator):
+    survivors, refused, late, ids = set(), set(), {}, set()
+    for ident in LAMBERT_IDS:
+        if not get_descriptor(ident).params:
+            continue
+        ids.add(ident)
+        assign = random_spec(ident, BASE, SEED, symbolic=True)
+        mutator.reset()
+        base = check_identity(ident, assign, SYMBOLIC_ORDER)
+        assert base.ok, (ident, base.status, base.first_mismatch)
+        for pos in range(len(mutator.terms)):
+            for name, mutation in MUTATIONS.items():
+                mutator.reset(pos, mutation)
+                report = check_identity(ident, assign, SYMBOLIC_ORDER)
+                if report.ok:
+                    survivors.add((ident, pos, name))
+                elif report.status != "mismatch":
+                    refused.add((ident, pos, name))
+                elif report.first_mismatch[0] >= 20:
+                    late[ident, pos, name] = report.first_mismatch[0]
+
+    assert ids == set(LAMBERT_IDS) - {"3.1", "3.3", "3.4", "3.5", "3.6", "3.7"}
+    assert survivors == set(SYMBOLIC_EQUIVALENT)
+    assert late == LATE
+    # a domain error comes only from an r0 flip that puts r = 0 on the pole at 1
+    assert refused and {name for _, _, name in refused} == {"flip r0"}
+
+
 @pytest.mark.parametrize("key", sorted(EQUIVALENT))
 def test_equivalent_mutants_start_a_zero_weight_term_at_zero(mutator, key):
     ident, pos, name = key
     check_identity(ident, random_spec(ident, BASE, SEED), ORDER)
     c, M, x, s, W, r0 = mutator.terms[pos]
     assert name == "flip r0" and r0 == 1 and W(0) == 0
+
+
+@pytest.mark.parametrize("key", sorted(SYMBOLIC_EQUIVALENT))
+def test_symbolic_equivalent_mutants_start_a_zero_weight_term_at_zero(mutator, key):
+    ident, pos, name = key
+    check_identity(ident, random_spec(ident, BASE, SEED, symbolic=True), SYMBOLIC_ORDER)
+    c, M, x, s, W, r0 = mutator.terms[pos]
+    assert name == "flip r0" and r0 == 1 and W(0) == 0
+
+
+@pytest.mark.parametrize("key", sorted(LATE))
+def test_late_symbolic_mutants_flip_s_of_a_term_that_starts_high(mutator, key):
+    ident, pos, name = key
+    assign = random_spec(ident, BASE, SEED, symbolic=True)
+    check_identity(ident, assign, SYMBOLIC_ORDER)
+    c, M, x, s, W, r0 = mutator.terms[pos]
+    # the term's lowest exponent and that of v at r = r0
+    v = x.qexp + BASE * r0
+    lowest = M.qexp * r0 + v
+    assert name == "flip s" and LATE[key] == lowest + v

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from naive_product import naive_inv, naive_mul
 from qidx.constructors import SpecMonomial, Unit, poch_fin, poch_inf
 from qidx.exactalg import MONO_ONE, LaurentPoly
-from qidx.qring import QSeries, _pack, _packed_product, _term_product, _unpack
+from qidx.qring import QSeries, _coerce, _inv_coeff, _pack, _packed_product, _term_product, _unpack
 
 SETTINGS = settings(
     max_examples=300,
@@ -22,14 +22,19 @@ SETTINGS = settings(
 )
 
 
-def exact(qs):
-    """The window and every coefficient with its exact type, tau-terms too."""
-    coeffs = []
-    for c in qs.coeffs:
+def exact_coeffs(coeffs):
+    """Every coefficient with its exact type, tau-terms too."""
+    out = []
+    for c in coeffs:
         if isinstance(c, LaurentPoly):
             c = sorted((mono, type(v), v) for mono, v in c.terms.items())
-        coeffs.append((type(c), c))
-    return qs.offset, qs.order, coeffs
+        out.append((type(c), c))
+    return out
+
+
+def exact(qs):
+    """The window and every coefficient with its exact type, tau-terms too."""
+    return qs.offset, qs.order, exact_coeffs(qs.coeffs)
 
 
 def snapshot(qs):
@@ -211,6 +216,131 @@ def test_term_product_accepts_every_qseries_window():
     y = QSeries(-1, [0, td, 0], 1)
     check_product(QSeries.make(2, [td**2], 2), y)
     check_product(y, y)
+
+
+# ---------------------------------------------------------------------------
+# the term kernel called directly, against a naive convolution
+
+
+def naive_term_product(x, y, out_len):
+    """The first out_len coefficients of the product of two windows: each
+    is the plain sum of x[i] * y[n - i] as LaurentPolys, then put in
+    storage form."""
+    poly = [c if isinstance(c, LaurentPoly) else LaurentPoly.const(c) for c in x + y]
+    px, py = poly[: len(x)], poly[len(x) :]
+    out = []
+    for n in range(out_len):
+        total = LaurentPoly()
+        for i in range(max(0, n - len(y) + 1), min(n + 1, len(x))):
+            total = total + px[i] * py[n - i]
+        out.append(_coerce(total))
+    return out
+
+
+def assert_storage_form(window):
+    """Every coefficient is a nonzero-term LaurentPoly that is not constant,
+    an int, or a Fraction that is not integral."""
+    for c in window:
+        if isinstance(c, LaurentPoly):
+            assert c.constant_value() is None, c
+            for v in c.terms.values():
+                assert v and (type(v) is int or (type(v) is Fraction and v.denominator > 1))
+        else:
+            assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
+def check_term_product(x, y, out_len):
+    got = _term_product(x, y, out_len)
+    assert len(got) == out_len
+    assert_storage_form(got)
+    assert exact_coeffs(got) == exact_coeffs(naive_term_product(x, y, out_len))
+    # the kernel walks the side with fewer terms outside: both orders agree
+    assert exact_coeffs(_term_product(y, x, out_len)) == exact_coeffs(got)
+    return got
+
+
+integers = st.sampled_from([1, -1, 2, -3, 5]) | st.integers(-(2**40), 2**40).filter(bool)
+proper_fractions = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 4, 6])).filter(
+    lambda f: f.denominator > 1
+)
+# every variable reaches negative exponents
+negative_monomials = st.tuples(*[st.integers(-4, 2)] * 4)
+
+
+@st.composite
+def term_windows(draw, length, fraction):
+    """A window of ``length`` coefficients in storage form: zeros, scalars
+    and polynomials of up to four terms; with ``fraction``, at least one
+    coefficient is a Fraction that is not integral."""
+    values = st.one_of(integers, proper_fractions) if fraction else integers
+    coefficient = st.one_of(
+        st.just(0),
+        values,
+        st.dictionaries(negative_monomials, values, min_size=1, max_size=4).map(
+            lambda terms: _coerce(LaurentPoly(terms))
+        ),
+    )
+    window = draw(st.lists(coefficient, min_size=length, max_size=length))
+    if fraction:
+        window[draw(st.integers(0, length - 1))] = draw(proper_fractions)
+    return window
+
+
+@pytest.mark.parametrize("fraction_sides", [(False, False), (True, False), (True, True)])
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_term_kernel_matches_a_naive_convolution(fraction_sides, data):
+    # one side long and the other short, in either order, and a product
+    # window that may be shorter than either side or longer than both
+    long_len = data.draw(st.integers(6, 30))
+    short_len = data.draw(st.integers(1, 3))
+    x = data.draw(term_windows(long_len, fraction_sides[0]))
+    y = data.draw(term_windows(short_len, fraction_sides[1]))
+    if data.draw(st.booleans()):
+        x, y = y, x
+    out_len = data.draw(st.integers(1, long_len + short_len + 2))
+    check_term_product(x, y, out_len)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 8), st.data())
+def test_term_kernel_of_an_all_zero_window_is_zero(nx, ny, out_len, data):
+    x = [0] * nx
+    if nx >= out_len and data.draw(st.booleans()):
+        # a nonzero term past the product window
+        x.append(LaurentPoly.var(data.draw(st.integers(0, 3)), -2))
+    y = data.draw(term_windows(ny, data.draw(st.booleans())) | st.just([0] * ny))
+    assert check_term_product(x, y, out_len) == [0] * out_len
+
+
+unit_coefficients = st.builds(
+    LaurentPoly.monomial, negative_monomials, st.sampled_from([1, -1, 2, Fraction(1, 3)])
+).map(_coerce)
+scalars_or_zero = integers | proper_fractions | st.just(0)
+polys = st.dictionaries(
+    negative_monomials, integers | proper_fractions, min_size=1, max_size=3
+).map(lambda terms: _coerce(LaurentPoly(terms)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_coefficients, polys, polys, scalars_or_zero, st.integers(2, 4))
+def test_term_kernel_columns_cancel_to_zero_and_to_a_bare_scalar(p, q, r, k, out_len):
+    # (p + q t)(p - q t) has 0 at t^1, and (p + q t)(r + s t) with
+    # s = (k - q r) / p has the scalar k there
+    zero = check_term_product([p, q], [p, -q], out_len)[1]
+    assert zero == 0 and type(zero) is int
+    s = _coerce((k - q * r) * _inv_coeff(p))
+    column = check_term_product([p, q], [r, s], out_len)[1]
+    assert column == k and type(column) is type(_coerce(k))
+
+
+def test_term_kernel_with_negative_exponents_in_every_variable():
+    inv = [LaurentPoly.var(v, -3) for v in range(4)]
+    x = [inv[0] * inv[1], Fraction(1, 2), inv[2] + inv[3], 0, inv[0] * inv[3]]
+    y = [LaurentPoly.var(1, 2) + 1, inv[2] * inv[2]]
+    got = check_term_product(x, y, 5)
+    assert got[0].terms == {(-3, -1, 0, 0): 1, (-3, -3, 0, 0): 1}
+    assert check_term_product(x, y, 2)[1] == got[1]
 
 
 def test_full_cancellation_in_a_column():
