@@ -39,8 +39,8 @@ from __future__ import annotations
 
 import math
 import struct
-from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 from typing import List, Tuple
 
@@ -202,40 +202,38 @@ def _term_product(x: List, y: List, out_len: int) -> List:
     """
     sides, monos = [], set()
     for w in (x, y):
-        cols = []
-        for i, c in enumerate(w[:out_len]):
-            if type(c) is LaurentPoly:
-                cols.append((i, c.terms))
-                monos.update(c.terms)
-            elif c:
-                cols.append((i, {MONO_ONE: c}))
-                monos.add(MONO_ONE)
+        cols = [(i, c.terms if type(c) is LaurentPoly else {MONO_ONE: c})
+                for i, c in enumerate(w[:out_len]) if c]
+        monos.update(*[terms for _, terms in cols])
         sides.append(cols)
     if not sides[0] or not sides[1]:
         # a window whose leading zeros fill the product window
         return [0] * out_len
-    lows, spans, strides, stride = [], [], [], 1
-    for es in zip(*monos):
-        # every product of two of the monomials has its exponent in here
-        lows.append(2 * min(es))
-        spans.append(2 * (max(es) - min(es)) + 1)
-        strides.append(stride)
-        stride *= spans[-1]
+    # every product of two of the monomials has its exponents in this box
+    lows = [2 * min(es) for es in zip(*monos)]
+    spans = [2 * (max(es) - min(es)) + 1 for es in zip(*monos)]
+    strides = list(accumulate(spans[:-1], mul, initial=1))
     code = {mono: out_len * sum(map(mul, mono, strides)) for mono in monos}
     keyed, den = [], 1
     for cols in sides:
         coeffs, d = _integral([c for _, terms in cols for c in terms.values()])
-        keys = [i + code[mono] for i, terms in cols for mono in terms]
-        keyed.append(([i for i, terms in cols for _ in terms], list(zip(keys, coeffs))))
+        pairs = zip([i + code[mono] for i, terms in cols for mono in terms], coeffs)
+        # ends[i]: how many of the side's terms have an index below i
+        ends = [0] * (out_len + 1)
+        for i, terms in cols:
+            ends[i + 1] = len(terms)
+        keyed.append((cols, list(accumulate(ends)), list(pairs)))
         den *= d
-    (jx, kx), (jy, ky) = sorted(keyed, key=lambda side: len(side[1]))
+    (cx, ex, kx), (_, ey, ky) = sorted(keyed, key=lambda side: len(side[2]))
     acc = {}
     get = acc.get
-    for i, (k1, c1) in zip(jx, kx):
+    for i, _ in cx:
         # the long side is in index order: stop where i + j leaves the window
-        for k2, c2 in ky[: bisect_left(jy, out_len - i)]:
-            k = k1 + k2
-            acc[k] = get(k, 0) + c1 * c2
+        inner = ky[: ey[out_len - i]]
+        for k1, c1 in kx[ex[i] : ex[i + 1]]:
+            for k2, c2 in inner:
+                k = k1 + k2
+                acc[k] = get(k, 0) + c1 * c2
     base = sum(map(mul, lows, strides))
     decoded = {}
     out = [{} for _ in range(out_len)]

@@ -219,22 +219,16 @@ def test_term_product_accepts_every_qseries_window():
 
 
 # ---------------------------------------------------------------------------
-# the term kernel called directly, against a naive convolution
+# the term kernel called directly, against the naive product
 
 
-def naive_term_product(x, y, out_len):
-    """The first out_len coefficients of the product of two windows: each
-    is the plain sum of x[i] * y[n - i] as LaurentPolys, then put in
-    storage form."""
-    poly = [c if isinstance(c, LaurentPoly) else LaurentPoly.const(c) for c in x + y]
-    px, py = poly[: len(x)], poly[len(x) :]
-    out = []
-    for n in range(out_len):
-        total = LaurentPoly()
-        for i in range(max(0, n - len(y) + 1), min(n + 1, len(x))):
-            total = total + px[i] * py[n - i]
-        out.append(_coerce(total))
-    return out
+def naive_window_product(x, y, out_len):
+    """The first out_len coefficients of the product of two windows, from
+    ``naive_mul`` of the two as series at q^0, both padded with zeros to a
+    length that the product window does not pass."""
+    n = max(len(x), len(y), out_len)
+    prod = naive_mul(*(QSeries(0, w + [0] * (n - len(w)), n - 1) for w in (x, y)))
+    return [prod.coeff(k) for k in range(out_len)]
 
 
 def assert_storage_form(window):
@@ -253,7 +247,7 @@ def check_term_product(x, y, out_len):
     got = _term_product(x, y, out_len)
     assert len(got) == out_len
     assert_storage_form(got)
-    assert exact_coeffs(got) == exact_coeffs(naive_term_product(x, y, out_len))
+    assert exact_coeffs(got) == exact_coeffs(naive_window_product(x, y, out_len))
     # the kernel walks the side with fewer terms outside: both orders agree
     assert exact_coeffs(_term_product(y, x, out_len)) == exact_coeffs(got)
     return got
@@ -341,6 +335,19 @@ def test_term_kernel_with_negative_exponents_in_every_variable():
     got = check_term_product(x, y, 5)
     assert got[0].terms == {(-3, -1, 0, 0): 1, (-3, -3, 0, 0): 1}
     assert check_term_product(x, y, 2)[1] == got[1]
+
+
+def test_term_kernel_scales_an_integral_fraction_to_an_int():
+    # no canonical window holds an integral Fraction, so only a direct call
+    # hands one to the kernel; it is scaled to an int like any coefficient
+    # (a kernel that let it through returned Fraction(6, 1) here)
+    ta2 = LaurentPoly._raw({(1, 0, 0, 0): Fraction(2, 1)})
+    got = _term_product([ta2], [Fraction(3, 1)], 1)
+    assert type(got[0]) is LaurentPoly and got[0].terms == {(1, 0, 0, 0): 6}
+    assert_storage_form(got)
+    got = _term_product([Fraction(2, 1), ta2], [Fraction(3, 1)], 2)
+    assert type(got[0]) is int and got[0] == 6 and got[1].terms == {(1, 0, 0, 0): 6}
+    assert_storage_form(got)
 
 
 def test_full_cancellation_in_a_column():

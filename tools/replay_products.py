@@ -5,7 +5,7 @@ and one 5-trial ``verify-all`` pass of ``perfbench/workloads.py`` make for
 the seed, by wrapping the kernel in the parent checkout (the ``poch_inf``
 cache is cleared before each request, as a fresh CLI process would have
 it).  The two checkouts then replay the calls in turn, each in a fresh
-interpreter that times three passes, for ``--repeat`` rounds, so that a
+interpreter that times ``PASSES`` passes, for ``ROUNDS`` rounds, so that a
 change in the host's speed reaches both; each side reports its fastest
 pass of the kernel alone.  Exits 1 if any result differs between the two
 in value or type.
@@ -25,6 +25,8 @@ import tempfile
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
+
+ROUNDS, PASSES = 5, 3
 
 
 def plain(window):
@@ -66,7 +68,7 @@ def replay(checkout: str, calls_file: str, out: str) -> None:
 
     calls = [(build(x), build(y), n) for x, y, n in pickle.loads(Path(calls_file).read_bytes())]
     best = float("inf")
-    for _ in range(3):
+    for _ in range(PASSES):
         t0 = time.perf_counter()
         results = [_term_product(x, y, n) for x, y, n in calls]
         best = min(best, time.perf_counter() - t0)
@@ -78,14 +80,13 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--repeat", type=int, default=5)
     args = ap.parse_args(argv)
     best, results = {"parent": [], "change": []}, {}
     with tempfile.TemporaryDirectory() as tmp:
         calls = Path(tmp, "calls")
         for step in [("record", args.parent, args.seed, calls)] + [
             ("replay", getattr(args, side), calls, Path(tmp, side)) for side in best
-        ] * args.repeat:
+        ] * ROUNDS:
             # each step in a fresh interpreter, which imports its own checkout's qidx
             subprocess.run([sys.executable, "-I", __file__, *map(str, step)], check=True)
             if step[0] == "replay":
@@ -95,7 +96,7 @@ def main(argv=None) -> int:
         count = len(pickle.loads(calls.read_bytes()))
     tp, tc = min(best["parent"]), min(best["change"])
     print(json.dumps({
-        "seed": args.seed, "calls": count, "repeat": args.repeat, "parent_s": round(tp, 4),
+        "seed": args.seed, "calls": count, "rounds": ROUNDS, "parent_s": round(tp, 4),
         "change_s": round(tc, 4), "ratio": round(tc / tp, 3),
         "identical": results["parent"] == results["change"],
     }))
