@@ -340,7 +340,7 @@ def test_term_kernel_with_negative_exponents_in_every_variable():
 def test_term_kernel_scales_an_integral_fraction_to_an_int():
     # no canonical window holds an integral Fraction, so only a direct call
     # hands one to the kernel; it is scaled to an int like any coefficient
-    # (a kernel that let it through returned Fraction(6, 1) here)
+    # (skipping the scaling when the common denominator is 1 gives Fraction(6, 1))
     ta2 = LaurentPoly._raw({(1, 0, 0, 0): Fraction(2, 1)})
     got = _term_product([ta2], [Fraction(3, 1)], 1)
     assert type(got[0]) is LaurentPoly and got[0].terms == {(1, 0, 0, 0): 6}
