@@ -690,4 +690,4 @@ def jk_product_form(a: SpecMonomial, b: SpecMonomial, m: int, order: int) -> QSe
         )
     num = poch_inf(SpecMonomial.signed(1, m), m, order) ** 2 * poch_pair(ab, m, order)
     den = poch_pair(a, m, order) * poch_pair(b, m, order)
-    return num * den.inv()
+    return num / den

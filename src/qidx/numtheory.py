@@ -133,7 +133,7 @@ def signed_theta_quotient(order: int) -> QSeries:
     den = poch_inf(SpecMonomial.signed(-1, 1), 1, order) * poch_inf(
         SpecMonomial.signed(-1, 7), 7, order
     )
-    return num * den.inv()
+    return num / den
 
 
 def verify_rep_range(n_max: int, theta_order: int = 0) -> RangeReport:

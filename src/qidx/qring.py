@@ -31,8 +31,13 @@ Multiplication picks one of two exact kernels from what the operands hold:
 
 Inversion is Newton's iteration b <- b*(2 - a*b), which doubles the number
 of known coefficients of 1/a with each step; its products go through the
-same two kernels.  Pochhammer factors (1 - u q^d) do not come here: the
-constructors apply them to one coefficient list in place.
+same two kernels.  Division x / y has the window and values of x * y.inv().
+When either side has a tau-coefficient it is sparse long division, whose
+cost follows the terms of the quotient: the kernel for a quotient that
+comes out sparse, such as a product form whose factors cancel.  A dense
+inverse is cheaper by Newton, and scalar windows divide through it.
+Pochhammer factors (1 - u q^d) do not come here: the constructors apply
+them to one coefficient list in place.
 """
 
 from __future__ import annotations
@@ -54,14 +59,10 @@ from .exactalg import (
 
 
 def _coerce(c):
-    """The storage form of a coefficient from outside: an integral Fraction
-    becomes an int, a constant LaurentPoly its scalar."""
-    if isinstance(c, LaurentPoly):
-        cv = c.constant_value()
-        return c if cv is None else cv
-    if isinstance(c, (int, Fraction)):
-        return normalize_scalar(c)
-    raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
+    """The storage form (``_canon``) of a coefficient from outside."""
+    if not isinstance(c, (int, Fraction, LaurentPoly)):
+        raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
+    return _canon(c)
 
 
 def _inv_coeff(c):
@@ -69,9 +70,7 @@ def _inv_coeff(c):
     if isinstance(c, LaurentPoly):
         u = c.as_unit()
         if u is None:
-            raise NonUnitLeadingError(
-                f"leading coefficient is not a single-term unit: {c}"
-            )
+            raise NonUnitLeadingError(f"leading coefficient is not a single-term unit: {c}")
         mono, cc = u
         return LaurentPoly.monomial(mono_inv(mono), Fraction(1, 1) / cc)
     if c == 0:
@@ -251,12 +250,41 @@ def _term_product(x: List, y: List, out_len: int) -> List:
         if den > 1:
             c = normalize_scalar(Fraction(c, den))
         out[i][mono] = c
-    return [
-        0 if not col
-        else col[MONO_ONE] if len(col) == 1 and MONO_ONE in col
-        else LaurentPoly._raw(col)
-        for col in out
-    ]
+    return [_column(col) for col in out]
+
+
+def _column(terms: dict):
+    """A coefficient in storage form from its nonzero canonical terms."""
+    return (0 if not terms else terms[MONO_ONE] if len(terms) == 1 and MONO_ONE in terms
+            else LaurentPoly._raw(terms))
+
+
+def _term_quotient(x: List, y: List, out_len: int) -> List:
+    """The first out_len coefficients of x / y, y[0] a unit, by sparse long
+    division: out[k] = (x[k] - sum_{j>=1} y[j] * out[k-j]) / y[0].  Codes
+    sum(e_i * R**i) add as monomials multiply; every exponent met has size
+    below E = (2*out_len + 2)*b, b the largest in x and y, and R = 2E + 1."""
+    sides = [[(i, c.terms if type(c) is LaurentPoly else {MONO_ONE: c})
+              for i, c in enumerate(w[:out_len]) if c] for w in (x, y, [_inv_coeff(y[0])])]
+    E = (2 * out_len + 2) * max(abs(e) for cols in sides for _, t in cols for m in t for e in m)
+    R = 2 * E + 1
+    strides = (1, R, R * R, R**3)
+    xs, ys, inv = ({i: [(sum(map(mul, mono, strides)), c) for mono, c in t.items()]
+                    for i, t in cols} for cols in sides)
+    ys, ((ikey, ic),), out = list(ys.items())[1:], inv[0], []
+    for k in range(out_len):
+        acc = dict(xs.get(k, ()))
+        get = acc.get
+        for j, ty in ys:
+            if j > k:
+                break
+            for k2, c2 in out[k - j]:
+                for k1, c1 in ty:
+                    acc[k1 + k2] = get(k1 + k2, 0) - c1 * c2
+        out.append([(key + ikey, c * ic) for key, c in acc.items() if c])
+    shift = E * sum(strides)
+    return [_column({tuple((key + shift) // s % R - E for s in strides): normalize_scalar(c)
+                     for key, c in col}) for col in out]
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +417,17 @@ class QSeries:
         return QSeries(out_offset, out, order)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        """self * other.inv() in window and value, without the inverse when
+        either side has a tau-coefficient (see the module docstring)."""
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        x, y = self.coeffs, other.coeffs
+        if not x or not y or LaurentPoly not in map(type, x + y):
+            return self * other.inv()
+        n = min(len(x), len(y))
+        return QSeries(0, _term_quotient(x, y, n), n - 1).shifted(self.offset - other.offset)
 
     def scale(self, c):
         """Multiply every coefficient by a scalar or unit polynomial."""
