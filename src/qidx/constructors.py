@@ -675,8 +675,9 @@ def char_lambert(table: Sequence[int], s: int, order: int) -> QSeries:
 
 
 def jk_product_form(a: SpecMonomial, b: SpecMonomial, m: int, order: int) -> QSeries:
-    """The product representation of the bilateral f-sum, computed by series
-    division: (q)^2 (ab) (1/(ab) q) / ((a)(q/a)(b)(q/b)), all in base q^m."""
+    """The product form of the bilateral f-sum, (q)^2 (ab) (1/(ab) q) /
+    ((a)(q/a)(b)(q/b)) in base q^m: with tau-units the quotient is sparse,
+    and ``/`` finds it by long division without a dense inverse."""
     _check_f_args(a, m, "first argument")
     _check_f_args(b, m, "second argument")
     ab = a.mul(b)

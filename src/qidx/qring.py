@@ -32,10 +32,9 @@ Multiplication picks one of two exact kernels from what the operands hold:
 Inversion is Newton's iteration b <- b*(2 - a*b), which doubles the number
 of known coefficients of 1/a with each step; its products go through the
 same two kernels.  Division x / y has the window and values of x * y.inv().
-When either side has a tau-coefficient it is sparse long division, whose
-cost follows the terms of the quotient: the kernel for a quotient that
-comes out sparse, such as a product form whose factors cancel.  A dense
-inverse is cheaper by Newton, and scalar windows divide through it.
+With a tau-coefficient on either side it is sparse long division, whose
+cost follows the terms of the quotient, not those of a dense inverse;
+scalar windows divide through Newton's inverse and the packed kernel.
 Pochhammer factors (1 - u q^d) do not come here: the constructors apply
 them to one coefficient list in place.
 """
@@ -70,7 +69,9 @@ def _inv_coeff(c):
     if isinstance(c, LaurentPoly):
         u = c.as_unit()
         if u is None:
-            raise NonUnitLeadingError(f"leading coefficient is not a single-term unit: {c}")
+            raise NonUnitLeadingError(
+                f"leading coefficient is not a single-term unit: {c}"
+            )
         mono, cc = u
         return LaurentPoly.monomial(mono_inv(mono), Fraction(1, 1) / cc)
     if c == 0:
@@ -260,10 +261,10 @@ def _column(terms: dict):
 
 
 def _term_quotient(x: List, y: List, out_len: int) -> List:
-    """The first out_len coefficients of x / y, y[0] a unit, by sparse long
-    division: out[k] = (x[k] - sum_{j>=1} y[j] * out[k-j]) / y[0].  Codes
-    sum(e_i * R**i) add as monomials multiply; every exponent met has size
-    below E = (2*out_len + 2)*b, b the largest in x and y, and R = 2E + 1."""
+    """x / y through out_len terms, y[0] a unit, by sparse long division:
+    out[k] = (x[k] - sum_{j>=1} y[j] * out[k-j]) * inv, with inv = 1/y[0]
+    coded as a third window.  Codes sum(e_i * R**i) add as monomials multiply;
+    no exponent met passes E = (2*out_len + 2)*b, b the largest in x and y."""
     sides = [[(i, c.terms if type(c) is LaurentPoly else {MONO_ONE: c})
               for i, c in enumerate(w[:out_len]) if c] for w in (x, y, [_inv_coeff(y[0])])]
     E = (2 * out_len + 2) * max(abs(e) for cols in sides for _, t in cols for m in t for e in m)
@@ -419,8 +420,7 @@ class QSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """self * other.inv() in window and value, without the inverse when
-        either side has a tau-coefficient (see the module docstring)."""
+        """self * other.inv() in window and value (see the module docstring)."""
         if not isinstance(other, QSeries):
             return NotImplemented
         x, y = self.coeffs, other.coeffs

@@ -368,6 +368,41 @@ def test_jk_product_form_example_and_cross_check():
     assert ok, bad
 
 
+def typed_window(qs):
+    """The window and every coefficient with its type and its terms' types,
+    in an order that does not depend on how the terms were summed."""
+    return qs.offset, qs.order, [
+        (type(c), sorted((m, type(v), v) for m, v in c.terms.items()))
+        if isinstance(c, LaurentPoly) else (type(c), c)
+        for c in qs.coeffs
+    ]
+
+
+def test_jk_product_form_matches_the_product_by_the_inverse():
+    # num / den divides tau-units by long division and signed units through
+    # Newton's inverse; both must give num * den.inv() in window, value and
+    # type, over a seeded grid of 2.8's domain: 0 < ord(a), ord(b) < m,
+    # ord(a) + ord(b) <= m, and unit(ab) != +1 at ord(a) + ord(b) = m
+    rng = random.Random("jk-product-form-division")
+    for _ in range(24):
+        m = rng.randint(5, 13)
+        ea = rng.randint(1, m - 1)
+        eb = rng.randint(1, m - ea)
+        order = rng.randint(0, 90)
+        sa, sb = rng.choice((1, -1)), rng.choice((1, -1))
+        # tau-units in two symbols, now and then in the same one
+        va, vb = rng.sample(range(4), 2) if rng.random() < 0.8 else [rng.randrange(4)] * 2
+        pairs = [(SpecMonomial.symbolic(va, ea, sa), SpecMonomial.symbolic(vb, eb, sb))]
+        if ea + eb < m or sa * sb == -1:
+            pairs.append((sm(sa, ea), sm(sb, eb)))
+        for a, b in pairs:
+            ab = a.mul(b)
+            num = poch_inf(sm(1, m), m, order) ** 2 * constructors.poch_pair(ab, m, order)
+            den = constructors.poch_pair(a, m, order) * constructors.poch_pair(b, m, order)
+            got = jk_product_form(a, b, m, order)
+            assert typed_window(got) == typed_window(num * den.inv()), (a, b, m, order)
+
+
 def test_jk_product_form_pole_rejection():
     with pytest.raises(ConstraintViolationError):
         jk_product_form(sm(1, 1), sm(1, 4), 5, 10)

@@ -1,8 +1,8 @@
 """Differential tests: the two ``QSeries.__mul__`` kernels (sparse term
-product, packed scalar product), the Pochhammer products and the Newton
-inverse against the naive per-coefficient product and inverse in
-``naive_product``, and a check that no series operation mutates its
-operands."""
+product, packed scalar product), the Pochhammer products, the Newton
+inverse and series division against the naive per-coefficient product and
+inverse in ``naive_product``, and a check that no series operation mutates
+its operands."""
 
 from fractions import Fraction
 
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from naive_product import naive_inv, naive_mul
 from qidx.constructors import SpecMonomial, Unit, poch_fin, poch_inf
+from qidx.errors import NonUnitLeadingError
 from qidx.exactalg import MONO_ONE, LaurentPoly
 from qidx.qring import QSeries, _coerce, _inv_coeff, _pack, _packed_product, _term_product, _unpack
 
@@ -496,3 +497,100 @@ def test_series_operations_leave_their_operands_intact(symbolic, data):
     for op in operations:
         op()
         assert [snapshot(s) for s in (x, y, u)] == before
+
+
+# ---------------------------------------------------------------------------
+# series division against the naive product with the naive inverse
+
+
+def check_quotient(x, y):
+    """x / y has the window, values and storage types of x times the naive
+    inverse of y, and leaves both operands as they were."""
+    before = (snapshot(x), snapshot(y))
+    got = x / y
+    assert exact(got) == exact(naive_mul(x, naive_inv(y)))
+    assert_storage_form(got.coeffs)
+    assert (snapshot(x), snapshot(y)) == before
+    return got
+
+
+def division_window(draw, length, symbolic):
+    """``length`` coefficients in storage form: tau-polynomials and scalars
+    from ``term_windows`` if ``symbolic``, else scalars and zeros."""
+    if not symbolic:
+        return draw(st.lists(scalars_or_zero, min_size=length, max_size=length))
+    return draw(term_windows(length, length > 0 and draw(st.booleans())))
+
+
+@st.composite
+def dividends(draw, symbolic):
+    """A series at offset -3..5 whose window holds 0..10 coefficients, all
+    of them zero now and then."""
+    offset, n = draw(st.integers(-3, 5)), draw(st.integers(0, 10))
+    coeffs = division_window(draw, n, symbolic)
+    if draw(st.integers(0, 9)) == 0:
+        coeffs = [0] * n
+    return QSeries.make(offset, coeffs, offset + n - 1)
+
+
+@st.composite
+def divisors(draw, symbolic):
+    """A series at offset -3..5 with 1..8 coefficients whose lowest one is a
+    unit: +-1, 2 or a Fraction, times a tau-monomial if ``symbolic``."""
+    offset, n = draw(st.integers(-3, 5)), draw(st.integers(1, 8))
+    lead = draw(st.sampled_from([1, -1, 2, Fraction(-2, 3), Fraction(1, 5)]))
+    if symbolic:
+        lead = _coerce(LaurentPoly.monomial(draw(negative_monomials), lead))
+    coeffs = [lead] + division_window(draw, n - 1, symbolic)
+    return QSeries.make(offset, coeffs, offset + n - 1)
+
+
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.booleans(), st.booleans(), st.data())
+def test_quotient_matches_the_naive_inverse(tau_dividend, tau_divisor, data):
+    # a tau-coefficient on either side takes long division, scalars on both
+    # sides the Newton inverse; the windows differ in offset and length
+    x = data.draw(dividends(tau_dividend))
+    y = data.draw(divisors(tau_divisor))
+    check_quotient(x, y)
+
+
+def test_quotient_of_zero_and_of_a_short_dividend():
+    ta, tb = LaurentPoly.var(0), LaurentPoly.var(1)
+    y = QSeries.make(-2, [2 * ta, tb, 0, ta**-1 + 3, Fraction(1, 2), tb * tb], 3)
+    # zero through q^4: known through q^6, as after multiplying by 1/y
+    zero = check_quotient(QSeries.zero(4), y)
+    assert zero.is_zero() and zero.order == 6
+    # a dividend of two terms stops the quotient after two
+    short = check_quotient(QSeries.make(1, [tb, -1], 2), y)
+    assert (short.offset, short.order) == (3, 4)
+    # a scalar over a tau-lead: 3 / (2 ta) is (3/2) ta^-1
+    one = check_quotient(QSeries.make(0, [3], 0), y).coeffs
+    assert one == [LaurentPoly.monomial((-1, 0, 0, 0), Fraction(3, 2))]
+
+
+def test_quotient_exponents_grow_with_every_step():
+    # 1 / (ta^5 - q tb^-5 td^5): the exponents of the q^k term are k + 1
+    # times those of one step, so every code must stay apart at q^40
+    ta, tb, td = (LaurentPoly.var(v) for v in (0, 1, 3))
+    y = QSeries.make(0, [ta**5, -(tb**-5) * td**5] + [0] * 39, 40)
+    got = check_quotient(QSeries.const(1, 40), y)
+    assert got.coeffs[40].terms == {(-205, -200, 0, 200): 1}
+    # with a third divisor term and a dividend of three
+    y = QSeries.make(0, y.coeffs[:3] + [7] + y.coeffs[4:], 40)
+    x = QSeries.make(-1, [ta**-3 + 1, 0, tb] + [0] * 40, 41)
+    assert len(check_quotient(x, y).coeffs) == 41
+
+
+def test_quotient_by_a_non_unit_or_zero_divisor_raises():
+    ta, tb = LaurentPoly.var(0), LaurentPoly.var(1)
+    divisors = [
+        QSeries.make(0, [ta + tb, 1], 1),
+        QSeries.make(1, [1 + ta, ta], 2),
+        QSeries.zero(3),
+        QSeries.make(0, [0, 0], 1),
+    ]
+    for y in divisors:
+        for x in (QSeries.make(0, [ta, 1], 1), QSeries.make(-1, [2, 1], 0), QSeries.zero(2)):
+            with pytest.raises(NonUnitLeadingError):
+                x / y

@@ -10,6 +10,12 @@ change in the host's speed reaches both; each side reports its fastest
 pass of the kernel alone.  Exits 1 if any result differs between the two
 in value or type.
 
+Only the parent's calls are recorded, and both sides replay all of them.
+So the tool times a change to the kernel itself, not a change that makes
+fewer products or moves work out of the kernel (such as a quotient taken
+by long division instead of a product with a Newton inverse): the products
+such a change no longer makes are still replayed, and its new work is not.
+
     python3 tools/replay_products.py --parent ../parent --change . --seed 3
 """
 
