@@ -25,17 +25,20 @@ n-weighted sum share ``_bilateral``, ``pf_sum`` writes its terms through it,
 and ``lambert_sum`` sums a list of one-sided terms (c, M, x, s, W, r0) for
 ``generalized_lambert``, ``l_func``, ``char_lambert`` and the identity
 builders.  ``phi_minus`` is ``theta_sum`` at z = q^m in base q^{2m}.  Finite
-and infinite Pochhammer products share ``_factors``, which applies each
-factor to one coefficient list in place; ``poch_pair`` is the two-sided
-product (x)(q^m/x).  ``check_base`` is the one base-scale check.
+and infinite Pochhammer products share ``_factors``, which multiplies on one
+packed int: each factor (1 - u q^d) is one shift and one add, in digits as
+wide as a saddle-point bound on the product's coefficients, 2*exp(pi *
+sqrt(order/(3m))); ``poch_pair`` is the two-sided product (x)(q^m/x).
+``check_base`` is the one base-scale check.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from fractions import Fraction
-from itertools import count, cycle, repeat
+from itertools import accumulate, count, cycle, repeat, takewhile
 from typing import Sequence, Union
 
 from .errors import (
@@ -56,7 +59,7 @@ from .exactalg import (
     mono_str,
     normalize_scalar,
 )
-from .qring import QSeries, _coerce
+from .qring import QSeries, _column, _unpack
 
 _LOOP_LIMIT = 200_000
 MAX_ORDER = 10_000  # no series may start below q^-MAX_ORDER (see ``qidx.exprs``)
@@ -380,24 +383,31 @@ def times_spec_monomial(qs: QSeries, x: SpecMonomial, weight: Scalar = 1) -> QSe
 
 
 def _factors(x: SpecMonomial, n: int, m: int, order: int) -> QSeries:
-    """The product of (1 - x*q^{m*i}) for 0 <= i < n through q^order: the
-    factors past q^order are 1 there.  Each factor (1 - u q^d) updates one
-    fresh list in place: a[k] -= u * a[k - d] for k >= d, from old values."""
+    """The product of (1 - x*q^{m*i}) for 0 <= i < n through q^order (the
+    factors past q^order are 1 there), for x = sign * mono * q^e, on one int
+    of signed W-bit digits: digit k*S + j is the coefficient of mono^j q^k,
+    S = 1 for a sign unit, else one more than the most factors whose
+    exponents sum inside the window.  Each factor is one shift and one add
+    of the digits that stay inside; what lands above is never read."""
     if order < 0:
         return QSeries.zero(order)
-    a = [1] + [0] * order
     exps = range(x.qexp, order + 1, m)[:n]
-    if exps:
-        u = x.unit.value()
-        for d in exps:
-            if u == 1:
-                a[d:] = map(operator.sub, a[d:], a[: order + 1 - d])
-            elif u == -1:
-                a[d:] = map(operator.add, a[d:], a[: order + 1 - d])
-            else:
-                a[d:] = [c - u * b if b else c for c, b in zip(a[d:], a)]
-        if type(u) is LaurentPoly:
-            a = [_coerce(c) for c in a]
+    mono, op = x.unit.mono, operator.sub if x.unit.sign == 1 else operator.add
+    tau = mono != MONO_ONE
+    S = 1 + len(list(takewhile(order.__ge__, accumulate(exps)))) if tau else 1
+    # |digit| <= [q^k] prod_i (1 + q^(e+m*i)) < 2*exp(pi*sqrt(order/(3m))), the
+    # product at q = e^-s over e^(-s*order), with s = pi/sqrt(12*m*order) and
+    # sum_i log(1 + e^(-s(e+m*i))) <= log 2 + pi^2/(12*m*s); a sign bit, a float bit
+    nbytes = (int(math.pi * math.sqrt(order / (3 * m)) / math.log(2)) + 11) // 8
+    W = 8 * nbytes
+    a, window = 1, (1 << (order + 1) * S * W) - 1
+    for d in exps:
+        a = op(a, (a & (window >> d * S * W)) << (d * S + tau) * W)
+    a = _unpack(a, (order + 1) * S, nbytes)
+    if tau:
+        pows = [mono_pow(mono, j) for j in reversed(range(S))]
+        a = [_column({p: c for p, c in zip(pows, reversed(a[k : k + S])) if c})
+             for k in range(0, len(a), S)]
     return QSeries(0, a, order)
 
 

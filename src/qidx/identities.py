@@ -104,7 +104,6 @@ class ParamAssignment:
         return ",".join(parts)
 
 
-@lru_cache(maxsize=512)  # a symbolic region filter asks for each value many times
 def symbolic_param(name: str, qexp: int) -> SpecMonomial:
     """Parameter value tau_name * q^qexp with a fresh commuting unit."""
     return SpecMonomial.symbolic(_PARAM_VARS[name], qexp)
@@ -709,16 +708,12 @@ def check_identity(
 @lru_cache(maxsize=256)
 def _feasible(ident: str, base: int, symbolic: bool) -> Tuple[Tuple[int, ...], ...]:
     """The region's exponent tuples in region order; with ``symbolic``, only
-    those whose symbolic-unit assignment satisfies the constraint."""
+    those with every THETA parameter at q^0: in a region of strict sums that
+    is the one rule of the constraint a symbolic assignment can break."""
     c = get_descriptor(ident).constraint
-    region = c.region(base)
-    if symbolic:
-        return tuple(t for t in region if c.violation(_symbolic_params(c, t), base) is None)
-    return tuple(region)
-
-
-def _symbolic_params(c: Constraint, expos: Tuple[int, ...]) -> Dict[str, SpecMonomial]:
-    return {name: symbolic_param(name, e) for name, e in zip(c.names, expos)}
+    region = _feasible(ident, base, False) if symbolic else tuple(c.region(base))
+    theta = [i for i, bound in enumerate(c.bounds) if bound == THETA]
+    return tuple(t for t in region if not any(t[i] for i in theta)) if symbolic and theta else region
 
 
 def random_spec(
@@ -748,7 +743,7 @@ def random_spec(
     rng = random.Random(f"qidx:{ident}:{base}:{seed}:{tag}")
     expos = rng.choice(feasible)
     if symbolic:
-        return ParamAssignment(base, _symbolic_params(c, expos))
+        return ParamAssignment(base, dict(zip(c.names, map(symbolic_param, c.names, expos))))
     params = {
         name: SpecMonomial.signed(rng.choice((1, -1)), e) for name, e in zip(c.names, expos)
     }

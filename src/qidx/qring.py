@@ -29,14 +29,16 @@ Multiplication picks one of two exact kernels from what the operands hold:
     C: little-endian int64 words from ``struct``, strided slice copies and
     byte tables, with no digit touched in Python.
 
-Inversion is Newton's iteration b <- b*(2 - a*b), which doubles the number
-of known coefficients of 1/a with each step; its products go through the
-same two kernels.  Division x / y has the window and values of x * y.inv().
-With a tau-coefficient on either side it is sparse long division, whose
-cost follows the terms of the quotient, not those of a dense inverse;
-scalar windows divide through Newton's inverse and the packed kernel.
+Division x / y has the window and values of x * y.inv().  With a
+tau-coefficient on either side it is sparse long division, whose cost
+follows the terms of the quotient, not those of a dense inverse, and the
+inverse of a window with a tau-coefficient is the quotient 1 / a.  A scalar
+window is inverted by Newton's iteration b <- b*(2 - a*b), which doubles the
+number of known coefficients of 1/a with each step through the packed
+kernel, and scalar windows divide through that inverse.
 Pochhammer factors (1 - u q^d) do not come here: the constructors apply
-them to one coefficient list in place.
+them to one packed int of their own, in digits as wide as a bound on the
+product's coefficients, and read it back through ``_unpack``.
 """
 
 from __future__ import annotations
@@ -465,6 +467,8 @@ class QSeries:
                 f"cannot invert a series with no nonzero coefficient through q^{self.order}"
             )
         a = self.coeffs
+        if LaurentPoly in map(type, a):
+            return QSeries.const(1, self.order - self.offset) / self
         b = QSeries(0, [_inv_coeff(a[0])], 0)
         k = 1
         while k < len(a):

@@ -1,11 +1,14 @@
-"""Naive references for the series product and inverse.
+"""Naive references for the series product, the inverse and Pochhammer
+products.
 
 Every coefficient of the product window is the plain sum of
 ``x.coeff(i) * y.coeff(n - i)`` over the window, and every coefficient of
 the inverse comes from the one before it by the convolution recurrence;
 both are computed with ``coeff()`` and the coefficients' own ``*`` and ``+``.
-They share no code with the kernels in ``qidx.qring``, so the differential
-tests compare the two.
+A Pochhammer product is the naive product of its two-term factors, one at
+a time.  They share no code with the kernels in ``qidx.qring`` or with the
+packed factor loop in ``qidx.constructors``, so the differential tests
+compare the two.
 """
 
 from __future__ import annotations
@@ -46,3 +49,18 @@ def naive_inv(x: QSeries) -> QSeries:
             total = total + x.coeff(v + i) * b[k - i]
         b.append(-(u * total))
     return QSeries.make(-v, b, x.order - 2 * v)
+
+
+def naive_poch(x, n: int, m: int, order: int) -> QSeries:
+    """The product of (1 - x q^(m*i)) for 0 <= i < n through q^order, for
+    x = u q^e with e >= 0: ``naive_mul`` of the two-term series
+    1 - u q^(e + m*i) into 1, one factor at a time.  Factors above q^order
+    are 1 there."""
+    out = QSeries.const(1, order)
+    u = x.unit.value()
+    for i in range(n):
+        d = x.qexp + m * i
+        if d > order:
+            break
+        out = naive_mul(out, QSeries.const(1, order) - QSeries.monomial(u, d, order))
+    return out

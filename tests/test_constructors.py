@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from naive_product import naive_poch
 
 from qidx import constructors
 from qidx.constructors import (
@@ -230,6 +233,84 @@ def test_poch_functional_equation_randomized():
         rhs = poch_fin(x, 1, m, order) * poch_inf(x.times_qpow(m), m, order)
         ok, bad = lhs.eq_upto(rhs, order)
         assert ok, (x, m, bad)
+
+
+def exact_values(qs):
+    """The window and every coefficient with its exact type and terms."""
+    return qs.offset, qs.order, [
+        (type(c), dict(c.terms) if isinstance(c, LaurentPoly) else c) for c in qs.coeffs
+    ]
+
+
+poch_units = st.one_of(
+    st.builds(Unit, st.sampled_from([1, -1])),
+    # a tau-unit over one to four variables, exponents of either sign
+    st.builds(Unit, st.sampled_from([1, -1]), st.tuples(*[st.integers(-3, 3)] * 4).filter(any)),
+)
+
+
+@settings(
+    max_examples=150, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(poch_units, st.integers(0, 12), st.integers(1, 13), st.integers(-1, 300),
+       st.one_of(st.none(), st.integers(0, 330)))
+def test_packed_factors_match_the_naive_product(unit, e, m, order, n):
+    # n = None is the cached infinite product; a finite n may be 0 or reach
+    # past the window, and u = -1 at e = 0 doubles every coefficient
+    x = SpecMonomial(unit, e)
+    inside = len(range(e, order + 1, m))
+    factors = inside if n is None else min(n, inside)
+    # the naive product costs about factors * order^2 / 2 coefficient products
+    assume(factors * (order + 2) ** 2 * (8 if unit.symbolic else 1) <= 2_000_000)
+    got = poch_inf(x, m, order) if n is None else poch_fin(x, n, m, order)
+    before = exact_values(got)
+    assert before == exact_values(naive_poch(x, order + 1 if n is None else n, m, order))
+    if n is None:
+        # the cached series is shared: products and sums of it leave it as it was
+        [got * got, got + got, got - got.shifted(1), got.scale(Fraction(1, 3))]
+        assert poch_inf(x, m, order) is got
+        assert exact_values(got) == before
+
+
+def distinct_partitions(order):
+    """q(k) for k <= order, counted as partitions into odd parts (Euler)."""
+    c = [1] + [0] * order
+    for part in range(1, order + 1, 2):
+        for k in range(part, order + 1):
+            c[k] += c[k - part]
+    return c
+
+
+@pytest.mark.parametrize("order", [24, 64, 543, 544])
+def test_packed_factors_at_the_width_edges(order):
+    # base 1: at orders 24 and 64 the coefficients 2 q(k) of (-1; q)_inf
+    # fill the top byte of the digit width; from order 544 the digits are
+    # 9 bytes wide, past the 8-byte words of the packed conversion
+    q = distinct_partitions(order)
+    assert poch_inf(sm(-1, 0), 1, order).coeffs == [2 * c for c in q]
+    assert poch_inf(sm(-1, 1), 1, order).coeffs == q
+    # Euler's pentagonal theorem for (q; q)_inf
+    pentagonal = {}
+    for j in range(-order, order + 1):
+        k = j * (3 * j - 1) // 2
+        if k <= order:
+            pentagonal[k] = (-1) ** j
+    assert series_dict(poch_inf(sm(1, 1), 1, order)) == pentagonal
+    # (ta q; q)_inf: the coefficient of ta^j q^k is (-1)^j times the number
+    # of partitions of k - j(j+1)/2 into parts of at most j
+    want = [{} for _ in range(order + 1)]
+    bounded, j = [1] + [0] * order, 0
+    while j * (j + 1) // 2 <= order:
+        low = j * (j + 1) // 2
+        for k in range(low, order + 1):
+            if bounded[k - low]:
+                want[k][(j, 0, 0, 0)] = (-1) ** j * bounded[k - low]
+        j += 1
+        for k in range(j, order + 1):
+            bounded[k] += bounded[k - j]
+    got = poch_inf(sym(0, 1), 1, order)
+    assert [c.terms if isinstance(c, LaurentPoly) else {(0, 0, 0, 0): c} for c in got.coeffs] == want
 
 
 # ---------------------------------------------------------------------------

@@ -249,32 +249,32 @@ def test_random_spec_symbolic_mode():
     assert rep.status == "equal"
 
 
-def test_symbolic_draws_validate_each_region_tuple_once(monkeypatch):
-    calls = {}
+def test_symbolic_tuples_are_the_violation_filtered_region(monkeypatch):
+    # symbolic draws read the signed region with every THETA exponent at 0
+    # and validate no tuple; that is the violation-filtered region in
+    # content and order, so every seeded draw is unchanged
     original = identities.Constraint.violation
-
-    def counting(self, params, base):
-        expos = tuple(x.qexp for x in params.values())
-        calls[expos] = calls.get(expos, 0) + 1
-        return original(self, params, base)
-
-    monkeypatch.setattr(identities.Constraint, "violation", counting)
+    calls = []
+    monkeypatch.setattr(
+        identities.Constraint, "violation", lambda *args: calls.append(args) or original(*args)
+    )
     identities._feasible.cache_clear()
     try:
         for t in range(20):
             random_spec("2.7", 11, f"s{t}", symbolic=True)
-        feasible = identities._feasible("2.7", 11, True)
+        assert calls == []
+        for ident in PARAMETERISED:
+            c = get_descriptor(ident).constraint
+            values = [[symbolic_param(name, e) for e in range(30)] for name in c.names]
+            for base in range(1, 30):
+                region = c.region(base)
+                assert list(identities._feasible(ident, base, True)) == [
+                    t for t in region
+                    if original(c, dict(zip(c.names, map(list.__getitem__, values, t))), base)
+                    is None
+                ], (ident, base)
     finally:
         identities._feasible.cache_clear()
-    c = get_descriptor("2.7").constraint
-    region = c.region(11)
-    assert sorted(calls) == sorted(region)
-    assert set(calls.values()) == {1}
-    # the filter keeps region order, so every seeded draw is unchanged
-    symbolic = [dict(zip("ab", map(symbolic_param, "ab", t))) for t in region]
-    assert list(feasible) == [
-        t for t, params in zip(region, symbolic) if original(c, params, 11) is None
-    ]
 
 
 def test_random_spec_symbolic_theta_forces_origin():

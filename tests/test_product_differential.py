@@ -555,6 +555,20 @@ def test_quotient_matches_the_naive_inverse(tau_dividend, tau_divisor, data):
     check_quotient(x, y)
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_inverse_of_a_tau_lead_is_the_quotient_of_one(data):
+    # a window holding a tau-coefficient inverts by long division, 1 / y in
+    # the window of the naive inverse, with its values and storage types
+    y = data.draw(divisors(True))
+    before = snapshot(y)
+    got = y.inv()
+    assert exact(got) == exact(naive_inv(y))
+    assert exact(got) == exact(QSeries.const(1, y.order - y.offset) / y)
+    assert_storage_form(got.coeffs)
+    assert snapshot(y) == before
+
+
 def test_quotient_of_zero_and_of_a_short_dividend():
     ta, tb = LaurentPoly.var(0), LaurentPoly.var(1)
     y = QSeries.make(-2, [2 * ta, tb, 0, ta**-1 + 3, Fraction(1, 2), tb * tb], 3)
