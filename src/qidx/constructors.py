@@ -25,10 +25,9 @@ n-weighted sum share ``_bilateral``, ``pf_sum`` writes its terms through it,
 and ``lambert_sum`` sums a list of one-sided terms (c, M, x, s, W, r0) for
 ``generalized_lambert``, ``l_func``, ``char_lambert`` and the identity
 builders.  ``phi_minus`` is ``theta_sum`` at z = q^m in base q^{2m}.  Finite
-and infinite Pochhammer products share ``_factors``, which multiplies on one
-packed int: each factor (1 - u q^d) is one shift and one add, in digits as
-wide as a saddle-point bound on the product's coefficients, 2*exp(pi *
-sqrt(order/(3m))); ``poch_pair`` is the two-sided product (x)(q^m/x).
+and infinite Pochhammer products share ``_factors``: one shift and one add
+per factor on one packed int, in digits as wide as a bound on the product's
+coefficients; ``poch_pair`` is the two-sided product (x)(q^m/x).
 ``check_base`` is the one base-scale check.
 """
 
@@ -400,7 +399,10 @@ def _factors(x: SpecMonomial, n: int, m: int, order: int) -> QSeries:
     # sum_i log(1 + e^(-s(e+m*i))) <= log 2 + pi^2/(12*m*s); a sign bit, a float bit
     nbytes = (int(math.pi * math.sqrt(order / (3 * m)) / math.log(2)) + 11) // 8
     W = 8 * nbytes
-    a, window = 1, (1 << (order + 1) * S * W) - 1
+    # a bit above all the factors can add or take keeps a positive (& is slower on
+    # a negative int); it is never shifted and never read
+    a = 1 + (1 << (order + 2) * S * W + len(exps).bit_length())
+    window = (1 << (order + 1) * S * W) - 1
     for d in exps:
         a = op(a, (a & (window >> d * S * W)) << (d * S + tau) * W)
     a = _unpack(a, (order + 1) * S, nbytes)

@@ -711,9 +711,11 @@ def _feasible(ident: str, base: int, symbolic: bool) -> Tuple[Tuple[int, ...], .
     those with every THETA parameter at q^0: in a region of strict sums that
     is the one rule of the constraint a symbolic assignment can break."""
     c = get_descriptor(ident).constraint
-    region = _feasible(ident, base, False) if symbolic else tuple(c.region(base))
+    if not symbolic:
+        return tuple(c.region(base))
     theta = [i for i, bound in enumerate(c.bounds) if bound == THETA]
-    return tuple(t for t in region if not any(t[i] for i in theta)) if symbolic and theta else region
+    region = _feasible(ident, base, False)
+    return tuple(t for t in region if not any(t[i] for i in theta)) if theta else region
 
 
 def random_spec(

@@ -37,8 +37,7 @@ window is inverted by Newton's iteration b <- b*(2 - a*b), which doubles the
 number of known coefficients of 1/a with each step through the packed
 kernel, and scalar windows divide through that inverse.
 Pochhammer factors (1 - u q^d) do not come here: the constructors apply
-them to one packed int of their own, in digits as wide as a bound on the
-product's coefficients, and read it back through ``_unpack``.
+them to one packed int of their own and read it back through ``_unpack``.
 """
 
 from __future__ import annotations
