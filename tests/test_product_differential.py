@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from naive_product import naive_inv, naive_mul
+from naive_product import naive_inv, naive_mul, naive_poch
 from qidx.constructors import SpecMonomial, Unit, poch_fin, poch_inf
 from qidx.errors import NonUnitLeadingError
 from qidx.exactalg import MONO_ONE, LaurentPoly
@@ -378,20 +378,6 @@ def test_products_leave_cached_pochhammer_series_intact():
 # Pochhammer products against a factor-by-factor reference
 
 
-def naive_factors(x, m, n, order):
-    """The product of the first n factors (1 - x q^{m i}), each made with
-    ``QSeries.make`` and multiplied in with ``naive_mul``."""
-    result = QSeries.const(1, order)
-    for i in range(n):
-        e = x.qexp + m * i
-        if e > order:
-            break
-        coeffs = [1] + [0] * order
-        coeffs[e] = coeffs[e] - x.unit.value()
-        result = naive_mul(result, QSeries.make(0, coeffs, order))
-    return result
-
-
 # tau-units as the registry builds them: one symbol, its inverse (the second
 # factor of poch_pair) or a product of several, such as a*b
 tau_monomials = st.one_of(
@@ -417,8 +403,8 @@ def poch_arguments(draw):
 def test_pochhammer_products_match_factor_by_factor(args, n):
     x, m, order = args
     # the factors past q^order are 1 there: order + 1 of them cover every base
-    assert exact(poch_inf(x, m, order)) == exact(naive_factors(x, m, order + 1, order))
-    assert exact(poch_fin(x, n, m, order)) == exact(naive_factors(x, m, n, order))
+    assert exact(poch_inf(x, m, order)) == exact(naive_poch(x, order + 1, m, order))
+    assert exact(poch_fin(x, n, m, order)) == exact(naive_poch(x, n, m, order))
 
 
 # ---------------------------------------------------------------------------
