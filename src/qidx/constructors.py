@@ -26,9 +26,9 @@ and ``lambert_sum`` sums a list of one-sided terms (c, M, x, s, W, r0) for
 ``generalized_lambert``, ``l_func``, ``char_lambert`` and the identity
 builders.  ``phi_minus`` is ``theta_sum`` at z = q^m in base q^{2m}.  Finite
 and infinite Pochhammer products share ``_factors``: one shift and one add
-per factor on one packed int, in digits as wide as a bound on the product's
-coefficients; ``poch_pair`` is the two-sided product (x)(q^m/x).
-``check_base`` is the one base-scale check.
+per factor on one packed int, in digits as wide as the coefficient bound
+2*exp(pi*sqrt(order/(3m))); ``poch_pair`` is the two-sided product
+(x)(q^m/x).  ``check_base`` is the one base-scale check.
 """
 
 from __future__ import annotations
