@@ -12,12 +12,11 @@ Every reciprocal 1/(1-v)^s goes through one three-case expansion:
   ord(v) < 0   flipped expansion in v^-1 (series in positive powers of q),
   ord(v) = 0   exact constants for u = -1, an error for u = +1 or symbolic.
 
-Bilateral sums enumerate a finite window of indices; the first excluded term
-on each side provably exceeds the truncation order.  Every such constructor
-takes a ``pad`` argument adding extra window terms, so tests can double the
-window and check the result does not move.  Every sum writes each term's
-expansion straight into one per-exponent accumulator (``_Acc``), so it
-builds its series once; one integer walker serves every Lambert window.
+Bilateral sums enumerate a finite window of indices; each side stops at its
+first index whose term lies wholly above the truncation order, and every
+index past it lies higher still.  Every sum writes each term's expansion
+straight into one per-exponent accumulator (``_Acc``), so it builds its
+series once; one integer walker serves every Lambert window.
 
 Each shape of series has one code path.  Sums of W(n) A^n / (1 - x q^{mn})^s
 go through ``_lambert_window``: f(a, b), its a-derivative form and the
@@ -290,15 +289,15 @@ class _Acc:
         return QSeries(lo, coeffs, self.order)
 
 
-def _lambert_window(order, pad, starts, what, x, m, k, s, R, W=W_ONE, c=1, P=_Q0, h=0):
+def _lambert_window(order, starts, what, x, m, k, s, R, W=W_ONE, c=1, P=_Q0, h=0):
     """The function that adds to an accumulator the sum over the window of
     c * W(n) * P * R^n * q^(h n(n+1)/2) * v^k / (1-v)^s with v = x q^(m n).
 
     Each (start, step) of ``starts`` walks one direction.  At each index n
     the walker computes g = ord(v), the term's lowest exponent and the close
     test from ints: a direction closes at the first index whose term lies
-    wholly above ``order`` while g has the sign of the step (every later
-    term lies higher still), and ``pad`` more indices are walked past it.
+    wholly above ``order`` while g has the sign of the step; every later
+    term lies higher still, so the walk stops there.
     Where every unit is a sign and g != 0, the term's expansion is one
     progression of step |g| and ratio +-1, added into ``_Acc.num`` as one
     slice; tau-units and the g = 0 constant go through ``_Acc.add_term``.
@@ -307,12 +306,12 @@ def _lambert_window(order, pad, starts, what, x, m, k, s, R, W=W_ONE, c=1, P=_Q0
     steps."""
     g0, e0, mu, wu, wv = x.qexp, P.qexp, R.qexp, W.u, W.v
     for n, step in starts:
-        # past its turn a walk's terms only rise, so it closes in time, pad
-        # included, exactly when the index _LOOP_LIMIT - pad steps out closes it
-        n += (_LOOP_LIMIT - pad) * step
+        # past its turn a walk's terms only rise, so it closes in time
+        # exactly when the index _LOOP_LIMIT steps out closes it
+        n += _LOOP_LIMIT * step
         g = g0 + m * n
         low = e0 + mu * n + h * (n * n + n) // 2 + (k * g if g > 0 else (k - s) * g)
-        if pad > _LOOP_LIMIT or g * step <= 0 or low <= order:
+        if g * step <= 0 or low <= order:
             raise DivergentTailError(f"{what} failed to close")
     xs, rs = x.unit.sign, R.unit.sign
     signed = not (x.unit.symbolic or R.unit.symbolic or P.unit.symbolic)
@@ -323,7 +322,6 @@ def _lambert_window(order, pad, starts, what, x, m, k, s, R, W=W_ONE, c=1, P=_Q0
     def write(acc: _Acc) -> None:
         num = acc.num
         for n, step in starts:
-            extra = pad
             sign = P.unit.sign * rs ** (n % 2)
             while True:
                 g = g0 + m * n
@@ -331,9 +329,7 @@ def _lambert_window(order, pad, starts, what, x, m, k, s, R, W=W_ONE, c=1, P=_Q0
                 # the lowest exponent in the expansion of v^k/(1-v)^s
                 low = shift + (k * g if g > 0 else (k - s) * g)
                 if g * step > 0 and low > order:
-                    if not extra:
-                        break
-                    extra -= 1
+                    break
                 w = c * (wu * n + wv)
                 if signed and g:
                     if w and low <= order:
@@ -368,12 +364,9 @@ def recip_series(v: SpecMonomial, s: int, order: int) -> QSeries:
     return acc.series()
 
 
-def times_spec_monomial(qs: QSeries, x: SpecMonomial, weight: Scalar = 1) -> QSeries:
-    """Multiply a series by weight * u * q^e."""
-    c = x.unit.value()
-    if weight != 1:
-        c = c * weight
-    return qs.scale(c).shifted(x.qexp)
+def times_spec_monomial(qs: QSeries, x: SpecMonomial) -> QSeries:
+    """Multiply a series by u * q^e."""
+    return qs.scale(x.unit.value()).shifted(x.qexp)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +445,7 @@ def poch_pair(x: SpecMonomial, m: int, order: int) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def theta_sum(z: SpecMonomial, m: int, order: int, pad: int = 0) -> QSeries:
+def theta_sum(z: SpecMonomial, m: int, order: int) -> QSeries:
     """The alternating bilateral sum of z^n * q^{m(n^2-n)/2}."""
     check_base(m)
     e = z.qexp
@@ -462,14 +455,12 @@ def theta_sum(z: SpecMonomial, m: int, order: int, pad: int = 0) -> QSeries:
 
     # the lowest term sits at an integer next to the vertex n = 1/2 - e/m;
     # each step out from it raises the exponent, so a walk closes at the
-    # first term above ``order`` and takes ``pad`` more indices past it
+    # first term above ``order``
     vertex = (m - 2 * e) // (2 * m)
     _check_window(min(expo(vertex), expo(vertex + 1)))
     acc = _Acc(order)
     for n, step in ((vertex + 1, 1), (vertex, -1)):
-        extra = pad
-        while (x := expo(n)) <= order or extra:
-            extra -= x > order
+        while (x := expo(n)) <= order:
             u = z.unit.pow(n)
             acc.add(x, u.sign if n % 2 == 0 else -u.sign, u.mono)
             n += step
@@ -482,13 +473,7 @@ def phi_minus(m: int, order: int) -> QSeries:
     return theta_sum(SpecMonomial.signed(1, m), 2 * m, order)
 
 
-def pf_sum(
-    z: SpecMonomial,
-    m: int,
-    order: int,
-    cleared: bool = True,
-    pad: int = 0,
-) -> QSeries:
+def pf_sum(z: SpecMonomial, m: int, order: int, cleared: bool = True) -> QSeries:
     """The partial-fraction bilateral sum over n of
     (-1)^n q^{m(n^2+n)/2} * (1-z) / (1 - z q^{mn}).
 
@@ -511,7 +496,7 @@ def pf_sum(
     starts = ((1, 1), (-1, -1)) if cleared else _BILATERAL
     writes = [
         _lambert_window(
-            order, pad, starts, "partial-fraction window", z, m, 0, 1, _MINUS, c=c, P=P, h=m
+            order, starts, "partial-fraction window", z, m, 0, 1, _MINUS, c=c, P=P, h=m
         )
         for c, P in parts
     ]
@@ -542,20 +527,14 @@ def _check_pole_guard(b: SpecMonomial, m: int, name: str):
             raise PoleError(f"{name} = {b} hits a pole of the sum")
 
 
-def _bilateral(W, A, x, s, m, order, pad) -> QSeries:
+def _bilateral(W, A, x, s, m, order) -> QSeries:
     """The bilateral sum of W(n) * A^n / (1 - x q^{mn})^s."""
     acc = _Acc(order)
-    _lambert_window(order, pad, _BILATERAL, "bilateral window", x, m, 0, s, A, W)(acc)
+    _lambert_window(order, _BILATERAL, "bilateral window", x, m, 0, s, A, W)(acc)
     return acc.series()
 
 
-def jordan_kronecker(
-    a: SpecMonomial,
-    b: SpecMonomial,
-    m: int,
-    order: int,
-    pad: int = 2,
-) -> QSeries:
+def jordan_kronecker(a: SpecMonomial, b: SpecMonomial, m: int, order: int) -> QSeries:
     """The bilateral sum of a^n / (1 - b q^{mn}).
 
     Requires 0 < ord(a) < m; ord(b) may be any integer whose pole guard
@@ -563,29 +542,17 @@ def jordan_kronecker(
     """
     _check_f_args(a, m, "first argument")
     _check_pole_guard(b, m, "second argument")
-    return _bilateral(W_ONE, a, b, 1, m, order, pad)
+    return _bilateral(W_ONE, a, b, 1, m, order)
 
 
-def jk_partial_a(
-    a: SpecMonomial,
-    b: SpecMonomial,
-    m: int,
-    order: int,
-    pad: int = 2,
-) -> QSeries:
+def jk_partial_a(a: SpecMonomial, b: SpecMonomial, m: int, order: int) -> QSeries:
     """The bilateral sum of b^n q^{mn} / (1 - a q^{mn})^2."""
     _check_f_args(a, m, "first argument")
     _check_f_args(b, m, "second argument")
-    return _bilateral(W_ONE, b.times_qpow(m), a, 2, m, order, pad)
+    return _bilateral(W_ONE, b.times_qpow(m), a, 2, m, order)
 
 
-def n_weighted_sum(
-    a: SpecMonomial,
-    x: SpecMonomial,
-    m: int,
-    order: int,
-    pad: int = 2,
-) -> QSeries:
+def n_weighted_sum(a: SpecMonomial, x: SpecMonomial, m: int, order: int) -> QSeries:
     """The bilateral sum of n * a^n / (1 - x q^{mn})."""
     _check_f_args(a, m, "first argument")
     if x.qexp <= 0:
@@ -593,10 +560,10 @@ def n_weighted_sum(
             f"second argument needs positive order, got {x.qexp}"
         )
     _check_pole_guard(x, m, "second argument")
-    return _bilateral(W_R, a, x, 1, m, order, pad)
+    return _bilateral(W_R, a, x, 1, m, order)
 
 
-def lambert_sum(terms: Sequence[tuple], m: int, order: int, pad: int = 2) -> QSeries:
+def lambert_sum(terms: Sequence[tuple], m: int, order: int) -> QSeries:
     """The sum over terms (c, M, x, s, W, r0) of c times the one-sided
     Lambert sum of W(r) * M^r * x q^{mr} / (1 - x q^{mr})^s over r >= r0.
 
@@ -605,12 +572,12 @@ def lambert_sum(terms: Sequence[tuple], m: int, order: int, pad: int = 2) -> QSe
     """
     check_base(m)
     acc = _Acc(order)
-    for write in [_lambert_term(term, m, order, pad) for term in terms]:
+    for write in [_lambert_term(term, m, order) for term in terms]:
         write(acc)
     return acc.series()
 
 
-def _lambert_term(term: tuple, m: int, order: int, pad: int):
+def _lambert_term(term: tuple, m: int, order: int):
     """Check one ``lambert_sum`` term and return the function that writes it."""
     c, M, x, s, W, r0 = term
     if r0 not in (0, 1):
@@ -633,7 +600,7 @@ def _lambert_term(term: tuple, m: int, order: int, pad: int):
                 )
             if x.unit.sign == 1:
                 raise PoleError(f"Lambert term at r = {rstar} hits the pole at 1")
-    return _lambert_window(order, pad, ((r0, 1),), "Lambert tail", x, m, 1, s, M, W, c)
+    return _lambert_window(order, ((r0, 1),), "Lambert tail", x, m, 1, s, M, W, c)
 
 
 def generalized_lambert(
@@ -644,11 +611,10 @@ def generalized_lambert(
     r0: int,
     m: int,
     order: int,
-    pad: int = 2,
 ) -> QSeries:
     """The one-sided Lambert sum of W(r) * M^r * x q^{mr} / (1 - x q^{mr})^s
     over r >= r0."""
-    return lambert_sum([(1, M, x, s, W, r0)], m, order, pad)
+    return lambert_sum([(1, M, x, s, W, r0)], m, order)
 
 
 def _l_terms(m: int, weighted) -> list:
@@ -666,9 +632,9 @@ def _l_terms(m: int, weighted) -> list:
     return terms
 
 
-def l_func(b: SpecMonomial, m: int, order: int, pad: int = 2) -> QSeries:
+def l_func(b: SpecMonomial, m: int, order: int) -> QSeries:
     """l(b): the difference of the two one-sided Lambert sums of b and 1/b."""
-    return lambert_sum(_l_terms(m, [(b, 1)]), m, order, pad)
+    return lambert_sum(_l_terms(m, [(b, 1)]), m, order)
 
 
 def char_lambert(table: Sequence[int], s: int, order: int) -> QSeries:

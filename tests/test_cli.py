@@ -677,11 +677,10 @@ def test_cli_expand_coefficient_at_the_digit_bound(capsys):
     "expr, what",
     [
         ("l(q^99999999)", "Lambert tail"),
-        # l(b) turns 199,999 steps out and takes 2 more past that
-        ("l(q^999999)", "Lambert tail"),
-        # these turn just inside the limit but close a step later, past it
-        ("l(q^999994)", "Lambert tail"),
-        ("l(q^999991)", "Lambert tail"),
+        # at base 5 the walk of 1/b closes at the first r with 5r - E > 5:
+        # E = 1000001 and 1000004 close one step past the limit
+        ("l(q^1000001)", "Lambert tail"),
+        ("l(q^1000004)", "Lambert tail"),
         ("pf(q^99999999)", "partial-fraction window"),
         ("f(q, q^-99999999)", "bilateral window"),
     ],
@@ -692,6 +691,12 @@ def test_cli_expand_window_that_cannot_close_fails_before_walking(capsys, expr, 
     assert time.perf_counter() - t0 < 0.1
     assert (code, out) == (2, "")
     assert err == f"error: {what} failed to close\n"
+
+
+def test_cli_expand_window_that_closes_at_the_loop_limit(capsys):
+    # E = 999999 closes on the last step the limit allows, so it builds
+    code, out, _ = run_cli(capsys, "expand", "l(q^999999)", "--base", "5", "--order", "5")
+    assert (code, out) == (0, "199999 - q - q^2 - q^3 - q^5 + O(q^6)\n")
 
 
 def test_glam_argument_order_is_m_x_u_v_s_r0():

@@ -87,13 +87,13 @@ class Mutator:
     def reset(self, position=None, mutation=None):
         self.position, self.mutation, self.terms = position, mutation, []
 
-    def __call__(self, terms, m, order, pad=2):
+    def __call__(self, terms, m, order):
         terms = list(terms)
         for i, term in enumerate(terms):
             if len(self.terms) == self.position:
                 terms[i] = self.mutation(term)
             self.terms.append(term)
-        return self.real(terms, m, order, pad)
+        return self.real(terms, m, order)
 
 
 def same_sides(a, b):
