@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import List, Optional
 
 from .errors import ExprSyntaxError, QidxError
 from .exprs import MAX_ORDER, eval_expr, parse_expr, parse_spec_string
@@ -39,7 +38,7 @@ class UsageError(QidxError):
     """A problem with the command line itself (reported on stderr, exit 2)."""
 
 
-def _assignment_for(ident: str, base: Optional[int], spec_text: str) -> ParamAssignment:
+def _assignment_for(ident: str, base: int | None, spec_text: str) -> ParamAssignment:
     try:
         desc = get_descriptor(ident)
     except KeyError:
@@ -65,7 +64,7 @@ def _assignment_for(ident: str, base: Optional[int], spec_text: str) -> ParamAss
     return ParamAssignment(base, params)
 
 
-def _check_range(flag: str, value: int, lo: int, hi: Optional[int] = MAX_ORDER) -> None:
+def _check_range(flag: str, value: int, lo: int, hi: int | None = MAX_ORDER) -> None:
     if value < lo:
         raise UsageError(f"{flag} must be at least {lo}, got {value}")
     if hi is not None and value > hi:
@@ -93,7 +92,7 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
-def _print_reports(reports: List[CheckReport], as_json: bool) -> None:
+def _print_reports(reports: list[CheckReport], as_json: bool) -> None:
     if as_json:
         _print_json([r.to_json_dict() for r in reports])
         return
@@ -238,7 +237,7 @@ def _cmd_help(args) -> int:
     return 0
 
 
-def _read(argv: List[str]):
+def _read(argv: list[str]):
     """The handler and the values of one command line, read against _COMMANDS."""
     command = argv[0] if argv else None
     if command in _HELP:
@@ -278,7 +277,7 @@ def _read(argv: List[str]):
     return fn, SimpleNamespace(**values, **dict(zip(names, given)))
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         fn, args = _read(sys.argv[1:] if argv is None else argv)
         return fn(args)

@@ -37,7 +37,6 @@ import math
 import operator
 from fractions import Fraction
 from itertools import accumulate, count, cycle, repeat, takewhile
-from typing import Sequence, Union
 
 from .errors import (
     ConstraintViolationError,
@@ -49,8 +48,6 @@ from .errors import (
 from .exactalg import (
     MONO_ONE,
     LaurentPoly,
-    Monomial,
-    Scalar,
     mono_inv,
     mono_mul,
     mono_pow,
@@ -74,7 +71,7 @@ class Unit:
 
     __slots__ = ("sign", "mono")
 
-    def __init__(self, sign: int = 1, mono: Monomial = MONO_ONE):
+    def __init__(self, sign: int = 1, mono: tuple[int, ...] = MONO_ONE):
         if sign not in (1, -1):
             raise ValueError("unit sign must be +1 or -1")
         self.sign, self.mono = sign, mono
@@ -102,7 +99,7 @@ class Unit:
         s = self.sign if k % 2 else 1
         return Unit(s, mono_pow(self.mono, k))
 
-    def value(self) -> Union[int, LaurentPoly]:
+    def value(self) -> int | LaurentPoly:
         """The unit as a coefficient-ring element."""
         if self.mono == MONO_ONE:
             return self.sign
@@ -172,10 +169,10 @@ class AffineWeight:
 
     __slots__ = ("u", "v")
 
-    def __init__(self, u: Scalar = 0, v: Scalar = 1):
+    def __init__(self, u: int | Fraction = 0, v: int | Fraction = 1):
         self.u, self.v = u, v
 
-    def __call__(self, r: int) -> Scalar:
+    def __call__(self, r: int) -> int | Fraction:
         return self.u * r + self.v
 
 
@@ -199,7 +196,7 @@ class _Acc:
     """Exact coefficients of a sum of terms, accumulated per exponent up to
     ``order`` and made into one series at the end.
 
-    Scalar parts live in a dense list ``num`` over [lo, order]; the walker
+    The scalar parts live in a dense list ``num`` over [lo, order]; the walker
     of ``_lambert_window`` adds each signed term into it as one slice.
     ``add_term`` writes a term one coefficient at a time into a dict ``sym``
     keyed by (exponent, monomial), whose scalar entries ``series`` folds
@@ -219,7 +216,7 @@ class _Acc:
             self.num[:0] = [0] * (self.lo - e)
             self.lo = e
 
-    def add(self, e: int, c: Scalar, mono: Monomial = MONO_ONE) -> None:
+    def add(self, e: int, c: int | Fraction, mono: tuple[int, ...] = MONO_ONE) -> None:
         """Add c * mono * q^e."""
         if e > self.order:
             return
@@ -230,7 +227,7 @@ class _Acc:
             self.sym[e, mono] = self.sym.get((e, mono), 0) + c
 
     def add_term(
-        self, c: Scalar, unit: Unit, shift: int, v: SpecMonomial, k: int, s: int
+        self, c: int | Fraction, unit: Unit, shift: int, v: SpecMonomial, k: int, s: int
     ) -> None:
         """Add c * unit * q^shift * v^k / (1-v)^s, for k in {0, 1}, s in {1, 2},
         one coefficient at a time into ``sym``.
@@ -563,7 +560,7 @@ def n_weighted_sum(a: SpecMonomial, x: SpecMonomial, m: int, order: int) -> QSer
     return _bilateral(W_R, a, x, 1, m, order)
 
 
-def lambert_sum(terms: Sequence[tuple], m: int, order: int) -> QSeries:
+def lambert_sum(terms: list[tuple], m: int, order: int) -> QSeries:
     """The sum over terms (c, M, x, s, W, r0) of c times the one-sided
     Lambert sum of W(r) * M^r * x q^{mr} / (1 - x q^{mr})^s over r >= r0.
 
@@ -637,7 +634,7 @@ def l_func(b: SpecMonomial, m: int, order: int) -> QSeries:
     return lambert_sum(_l_terms(m, [(b, 1)]), m, order)
 
 
-def char_lambert(table: Sequence[int], s: int, order: int) -> QSeries:
+def char_lambert(table: tuple[int, ...], s: int, order: int) -> QSeries:
     """The Lambert sum of table[r mod k] * q^r / (1 - q^r)^s over r >= 1."""
     k = len(table)
     if k < 1:

@@ -16,38 +16,34 @@ inverses ever taken are of single-term polynomials.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple, Union
-
-Scalar = Union[int, Fraction]
 
 NVARS = 4
 VAR_NAMES = ("ta", "tb", "tc", "td")
 VAR_A, VAR_B, VAR_C, VAR_D = range(NVARS)
 
-Monomial = Tuple[int, int, int, int]
-MONO_ONE: Monomial = (0, 0, 0, 0)
+MONO_ONE = (0, 0, 0, 0)
 
 
-def normalize_scalar(c: Scalar) -> Scalar:
+def normalize_scalar(c: int | Fraction) -> int | Fraction:
     """Collapse integral Fractions to plain ints (canonical storage form)."""
     if isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
 
 
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
 
 
-def mono_inv(a: Monomial) -> Monomial:
+def mono_inv(a: tuple[int, ...]) -> tuple[int, ...]:
     return (-a[0], -a[1], -a[2], -a[3])
 
 
-def mono_pow(a: Monomial, k: int) -> Monomial:
+def mono_pow(a: tuple[int, ...], k: int) -> tuple[int, ...]:
     return (a[0] * k, a[1] * k, a[2] * k, a[3] * k)
 
 
-def mono_str(m: Monomial) -> str:
+def mono_str(m: tuple[int, ...]) -> str:
     parts = []
     for i, e in enumerate(m):
         if e == 1:
@@ -87,7 +83,7 @@ class LaurentPoly:
         return cls._raw({})
 
     @classmethod
-    def const(cls, c: Scalar) -> "LaurentPoly":
+    def const(cls, c: int | Fraction) -> "LaurentPoly":
         c = normalize_scalar(c)
         return cls._raw({MONO_ONE: c} if c != 0 else {})
 
@@ -99,7 +95,7 @@ class LaurentPoly:
         return cls._raw({mono: 1} if exp != 0 else {MONO_ONE: 1})
 
     @classmethod
-    def monomial(cls, mono: Monomial, coeff: Scalar = 1) -> "LaurentPoly":
+    def monomial(cls, mono: tuple[int, ...], coeff: int | Fraction = 1) -> "LaurentPoly":
         coeff = normalize_scalar(coeff)
         return cls._raw({tuple(mono): coeff} if coeff != 0 else {})
 
@@ -111,10 +107,10 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coeff(self, mono: Monomial) -> Scalar:
+    def coeff(self, mono: tuple[int, ...]) -> int | Fraction:
         return self.terms.get(tuple(mono), 0)
 
-    def constant_value(self) -> Optional[Scalar]:
+    def constant_value(self) -> int | Fraction | None:
         """The scalar value if this polynomial is constant, else None."""
         if not self.terms:
             return 0
@@ -122,14 +118,15 @@ class LaurentPoly:
             return self.terms[MONO_ONE]
         return None
 
-    def as_unit(self) -> Optional[Tuple[Monomial, Scalar]]:
+    def as_unit(self) -> tuple[tuple[int, ...], int | Fraction] | None:
         """Return (monomial, coefficient) if this is a single-term unit."""
         if len(self.terms) == 1:
             ((mono, c),) = self.terms.items()
             return mono, c
         return None
 
-    def items(self) -> Iterator[Tuple[Monomial, Scalar]]:
+    def items(self):
+        """Iterate over the (monomial, coefficient) pairs."""
         return iter(self.terms.items())
 
     # -- ring operations ---------------------------------------------------

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
 
 from .constructors import (
     MAX_ORDER,
@@ -63,9 +62,10 @@ from .qring import QSeries
 
 
 class _Node:
-    """An AST node: equal to a node of its own type with equal fields, and
-    hashed alike; the source offset ``pos``, always the last slot, is not
-    compared."""
+    """An AST node, the base of ``Num``, ``QPow``, ``Ref``, ``Call``, ``Neg``,
+    ``Add``, ``Sub``, ``Mul`` and ``Pow``: equal to a node of its own type
+    with equal fields, and hashed alike; the source offset ``pos``, always
+    the last slot, is not compared."""
 
     __slots__ = ()
 
@@ -103,46 +103,43 @@ class Ref(_Node):
 class Call(_Node):
     __slots__ = ("func", "args", "pos")
 
-    def __init__(self, func: str, args: Tuple[Node, ...], pos: int = 0):
+    def __init__(self, func: str, args: tuple[_Node, ...], pos: int = 0):
         self.func, self.args, self.pos = func, args, pos
 
 
 class Neg(_Node):
     __slots__ = ("arg", "pos")
 
-    def __init__(self, arg: Node, pos: int = 0):
+    def __init__(self, arg: _Node, pos: int = 0):
         self.arg, self.pos = arg, pos
 
 
 class Add(_Node):
     __slots__ = ("left", "right", "pos")
 
-    def __init__(self, left: Node, right: Node, pos: int = 0):
+    def __init__(self, left: _Node, right: _Node, pos: int = 0):
         self.left, self.right, self.pos = left, right, pos
 
 
 class Sub(_Node):
     __slots__ = ("left", "right", "pos")
 
-    def __init__(self, left: Node, right: Node, pos: int = 0):
+    def __init__(self, left: _Node, right: _Node, pos: int = 0):
         self.left, self.right, self.pos = left, right, pos
 
 
 class Mul(_Node):
     __slots__ = ("left", "right", "pos")
 
-    def __init__(self, left: Node, right: Node, pos: int = 0):
+    def __init__(self, left: _Node, right: _Node, pos: int = 0):
         self.left, self.right, self.pos = left, right, pos
 
 
 class Pow(_Node):
     __slots__ = ("base", "exp", "pos")
 
-    def __init__(self, base: Node, exp: int, pos: int = 0):
+    def __init__(self, base: _Node, exp: int, pos: int = 0):
         self.base, self.exp, self.pos = base, exp, pos
-
-
-Node = Union[Num, QPow, Ref, Call, Neg, Add, Sub, Mul, Pow]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +154,7 @@ class _Token:
         self.kind, self.text, self.pos = kind, text, pos
 
 
-def _tokenize(text: str) -> List[_Token]:
+def _tokenize(text: str) -> list[_Token]:
     out = []
     i, n = 0, len(text)
     while i < n:
@@ -216,7 +213,7 @@ class _Parser:
 
     # -- grammar ------------------------------------------------------------
 
-    def parse_expr(self) -> Node:
+    def parse_expr(self) -> _Node:
         t = self.peek()
         if t.kind in ("+", "-"):
             self.next()
@@ -229,14 +226,14 @@ class _Parser:
             node = Add(node, rhs, op.pos) if op.kind == "+" else Sub(node, rhs, op.pos)
         return node
 
-    def parse_term(self) -> Node:
+    def parse_term(self) -> _Node:
         node = self.parse_factor()
         while self.peek().kind == "*":
             op = self.next()
             node = Mul(node, self.parse_factor(), op.pos)
         return node
 
-    def parse_exponent(self) -> Optional[Tuple[int, int]]:
+    def parse_exponent(self) -> tuple[int, int] | None:
         """An optional '^' ['-'] INT: the exponent and the INT's position."""
         if self.peek().kind != "^":
             return None
@@ -247,7 +244,7 @@ class _Parser:
         t = self.expect("NUMBER")
         return sign * int(t.text), t.pos
 
-    def parse_factor(self) -> Node:
+    def parse_factor(self) -> _Node:
         node = self.parse_atom()
         power = self.parse_exponent()
         if power is None:
@@ -257,7 +254,7 @@ class _Parser:
             return QPow(node.exp * k, node.pos)
         return Pow(node, k, pos)
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self) -> _Node:
         t = self.peek()
         if t.kind == "NUMBER":
             self.next()
@@ -273,7 +270,7 @@ class _Parser:
                 return QPow(1, t.pos)
             if self.peek().kind == "(":
                 self.next()
-                args: List[Node] = []
+                args: list[_Node] = []
                 if self.peek().kind != ")":
                     args.append(self.parse_expr())
                     while self.peek().kind == ",":
@@ -289,7 +286,7 @@ class _Parser:
         raise ExprSyntaxError(f"expected a value, found {t.text or 'end of input'!r}", t.pos + 1)
 
 
-def parse_expr(text: str) -> Node:
+def parse_expr(text: str) -> _Node:
     p = _Parser(text)
     node = p.parse_expr()
     t = p.peek()
@@ -302,7 +299,7 @@ def parse_expr(text: str) -> Node:
 # printer
 
 
-def _fmt(node: Node, level: int) -> str:
+def _fmt(node: _Node, level: int) -> str:
     # levels: 1 add/sub, 2 mul, 3 pow/neg operand, 4 atom
     if isinstance(node, Num):
         return str(node.value)
@@ -327,7 +324,7 @@ def _fmt(node: Node, level: int) -> str:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def format_expr(node: Node) -> str:
+def format_expr(node: _Node) -> str:
     return _fmt(node, 1)
 
 
@@ -365,7 +362,7 @@ def _series(v, order: int) -> QSeries:
     return v
 
 
-def _unit_mono(v) -> Optional[SpecMonomial]:
+def _unit_mono(v) -> SpecMonomial | None:
     """A monomial as itself, the number +-1 as the monomial +-q^0."""
     if isinstance(v, SpecMonomial):
         return v
@@ -430,7 +427,7 @@ _SIGNATURES = {
 _ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 
 
-def _eval(node: Node, assign, order: int):
+def _eval(node: _Node, assign, order: int):
     """The value of ``node``: a Fraction or a SpecMonomial while the
     arithmetic keeps it one, otherwise a QSeries through ``order``."""
     if isinstance(node, Num):
@@ -486,7 +483,7 @@ def _eval(node: Node, assign, order: int):
     return op(left, right)
 
 
-def eval_expr(node: Node, assign, order: int) -> QSeries:
+def eval_expr(node: _Node, assign, order: int) -> QSeries:
     """Evaluate a parsed expression to an exact truncated series, every
     coefficient of which has at most MAX_DIGITS digits."""
     series = _series(_eval(node, assign, order), order)
@@ -503,13 +500,13 @@ def eval_expr(node: Node, assign, order: int) -> QSeries:
 # spec strings
 
 
-def parse_spec_string(text: str) -> Dict[str, SpecMonomial]:
+def parse_spec_string(text: str) -> dict[str, SpecMonomial]:
     """Parse "a=-q^1,b=~q^2"-style assignment lists.
 
     Signed values are [+|-]q^INT (bare q meaning q^1); ~q^INT binds a
     symbolic unit. Returns name -> monomial; empty text gives {}.
     """
-    params: Dict[str, SpecMonomial] = {}
+    params: dict[str, SpecMonomial] = {}
     if not text.strip():
         return params
     p = _Parser(text, " in spec string")

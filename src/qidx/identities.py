@@ -2,8 +2,9 @@
 
 Each entry pairs a builder (producing left and right truncated series for a
 parameter assignment) with a ``Constraint``: one datum per family stating the
-parameter window, from which validation, the sampling region and the note
-``qidx list`` shows are all derived.  The same descriptor drives fixed
+parameter window, from which validation and the sampling region are derived.
+The note ``qidx list`` shows is not derived: each ``Constraint`` states it as
+a literal ``note=`` string beside its rules.  The same descriptor drives fixed
 regression specs, randomized trials, and the CLI.
 
 Identity ids are short string labels ("1.1", "2.7", "phi", ...) fixed by the
@@ -29,7 +30,6 @@ import time
 from functools import lru_cache, partial, reduce
 from operator import itemgetter
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .constructors import (
     W_ONE,
@@ -87,7 +87,7 @@ class ParamAssignment:
 
     __slots__ = ("base", "params")
 
-    def __init__(self, base: int, params: Optional[Dict[str, SpecMonomial]] = None):
+    def __init__(self, base: int, params: dict[str, SpecMonomial] | None = None):
         self.base = base
         self.params = {} if params is None else params
 
@@ -124,9 +124,9 @@ class CheckReport:
 
     def __init__(
         self, identity: str, base: int, spec: str, order_requested: int,
-        order_compared: Optional[int], status: str,
-        first_mismatch: Optional[Tuple[int, str, str]], runtime_ms: float,
-        seed: Optional[str] = None, detail: Optional[str] = None,
+        order_compared: int | None, status: str,
+        first_mismatch: tuple[int, str, str] | None, runtime_ms: float,
+        seed: str | None = None, detail: str | None = None,
     ):
         self.identity, self.base, self.spec = identity, base, spec
         self.order_requested, self.order_compared = order_requested, order_compared
@@ -179,13 +179,13 @@ class Constraint:
     __slots__ = ("names", "bounds", "sums", "boundary", "pole_unit", "note")
 
     def __init__(
-        self, names: str, bounds: Tuple[str, ...], sums: Tuple[str, ...] = (),
-        boundary: Optional[str] = None, pole_unit: bool = False, note: str = "",
+        self, names: str, bounds: tuple[str, ...], sums: tuple[str, ...] = (),
+        boundary: str | None = None, pole_unit: bool = False, note: str = "",
     ):
         self.names, self.bounds, self.sums = names, bounds, sums
         self.boundary, self.pole_unit, self.note = boundary, pole_unit, note
 
-    def violation(self, params: Dict[str, SpecMonomial], m: int) -> Optional[str]:
+    def violation(self, params: dict[str, SpecMonomial], m: int) -> str | None:
         """The first rule the assignment breaks, as a message, or None."""
         for name, bound in zip(self.names, self.bounds):
             x = params[name]
@@ -217,12 +217,12 @@ class Constraint:
                 return f"at the boundary sum == base, {group} {self.boundary}"
         return None
 
-    def validate(self, params: Dict[str, SpecMonomial], m: int) -> None:
+    def validate(self, params: dict[str, SpecMonomial], m: int) -> None:
         msg = self.violation(params, m)
         if msg is not None:
             raise ConstraintViolationError(msg)
 
-    def region(self, m: int) -> List[Tuple[int, ...]]:
+    def region(self, m: int) -> list[tuple[int, ...]]:
         """Every exponent tuple with strict sums, in lexicographic order; each
         sum group prunes the tuples as soon as its last parameter is placed."""
         tuples = [()]
@@ -238,16 +238,17 @@ class Constraint:
 # ---------------------------------------------------------------------------
 # descriptor plumbing
 
-Builder = Callable[[Dict[str, SpecMonomial], int, int], Tuple[QSeries, QSeries]]
-
-
 class IdentityDescriptor:
+    """One registry entry.  ``build(params, m, order)`` takes the parameter
+    dict (name -> ``SpecMonomial``), the base and the order, and returns the
+    (left, right) pair of truncated ``QSeries``."""
+
     __slots__ = ("ident", "build", "constraint", "note", "fixed_base", "symbolic_trials")
 
     def __init__(
-        self, ident: str, build: Builder, constraint: Optional[Constraint] = None,
-        note: Optional[str] = None,  # defaults to the constraint's, else "fixed base N"
-        fixed_base: Optional[int] = None,  # corollaries pin their own base
+        self, ident: str, build, constraint: Constraint | None = None,
+        note: str | None = None,  # defaults to the constraint's, else "fixed base N"
+        fixed_base: int | None = None,  # corollaries pin their own base
         symbolic_trials: int = 5,
     ):
         self.ident, self.build, self.constraint = ident, build, constraint
@@ -256,7 +257,7 @@ class IdentityDescriptor:
         self.note, self.fixed_base, self.symbolic_trials = note, fixed_base, symbolic_trials
 
     @property
-    def params(self) -> Tuple[str, ...]:
+    def params(self) -> tuple[str, ...]:
         return tuple(self.constraint.names) if self.constraint else ()
 
 
@@ -267,7 +268,7 @@ def get_descriptor(ident: str) -> IdentityDescriptor:
         raise KeyError(f"unknown identity id {ident!r}") from None
 
 
-def list_identities() -> List[dict]:
+def list_identities() -> list[dict]:
     """Stable-order summaries of every registered identity."""
     return [
         {
@@ -612,7 +613,7 @@ _ABCD = Constraint(
     note="all orders > 0; ord(a) + ord(b) < base; ord(c) + ord(d) < base",
 )
 
-_REGISTRY: Dict[str, IdentityDescriptor] = {
+_REGISTRY: dict[str, IdentityDescriptor] = {
     d.ident: d
     for d in (
         IdentityDescriptor("1.1", _build_1_1, _THETA_Z, symbolic_trials=1),
@@ -651,7 +652,7 @@ _REGISTRY: Dict[str, IdentityDescriptor] = {
 
 def build_sides(
     ident: str, assign: ParamAssignment, order: int
-) -> Tuple[QSeries, QSeries]:
+) -> tuple[QSeries, QSeries]:
     """Build both sides, each known through at least the requested order."""
     desc = get_descriptor(ident)
     if desc.fixed_base is not None and assign.base != desc.fixed_base:
@@ -690,7 +691,7 @@ def check_identity(
     ident: str,
     assign: ParamAssignment,
     order: int,
-    seed: Optional[str] = None,
+    seed: str | None = None,
 ) -> CheckReport:
     """Build both sides and compare coefficients through the requested order,
     reporting the first mismatch if any."""
@@ -706,7 +707,7 @@ def check_identity(
 # randomized specs
 
 @lru_cache(maxsize=256)
-def _feasible(ident: str, base: int, symbolic: bool) -> Tuple[Tuple[int, ...], ...]:
+def _feasible(ident: str, base: int, symbolic: bool) -> tuple[tuple[int, ...], ...]:
     """The region's exponent tuples in region order; with ``symbolic``, only
     those with every THETA parameter at q^0: in a region of strict sums that
     is the one rule of the constraint a symbolic assignment can break."""
@@ -759,12 +760,12 @@ def random_spec(
 # ---------------------------------------------------------------------------
 # corollary derivations
 
-def _signed_spec(sign: int, **qexps: int) -> Dict[str, SpecMonomial]:
+def _signed_spec(sign: int, **qexps: int) -> dict[str, SpecMonomial]:
     return {name: SpecMonomial.signed(sign, e) for name, e in qexps.items()}
 
 
 # printed corollary -> (parent id, substitution at the corollary's own base)
-COROLLARY_PARENTS: Dict[str, Tuple[str, Dict[str, SpecMonomial]]] = {
+COROLLARY_PARENTS: dict[str, tuple[str, dict[str, SpecMonomial]]] = {
     "3.1": ("1.3", _signed_spec(-1, a=1, b=2, c=4)),
     "3.3": ("1.3", _signed_spec(1, a=1, b=2, c=3)),
     "3.4": ("1.4", _signed_spec(1, b=1, c=1)),
@@ -774,7 +775,7 @@ COROLLARY_PARENTS: Dict[str, Tuple[str, Dict[str, SpecMonomial]]] = {
 }
 
 
-def derived_corollary_reports(ident: str, order: int) -> List[CheckReport]:
+def derived_corollary_reports(ident: str, order: int) -> list[CheckReport]:
     """Re-derive a fixed-base corollary from its general parent: check the
     parent identity at the corollary's substitution, then check the printed
     form itself. "3.6" is instead compared side-by-side against the exact
@@ -802,7 +803,7 @@ def derived_corollary_reports(ident: str, order: int) -> List[CheckReport]:
 # ---------------------------------------------------------------------------
 # suite runner
 
-DEFAULT_BASES: Tuple[int, ...] = (5, 7, 9, 11, 13)
+DEFAULT_BASES: tuple[int, ...] = (5, 7, 9, 11, 13)
 
 # the fixed-base corollaries, whose registry entry is a transcription of the
 # printed source text; acceptance rests on their substitution-derived twins
@@ -811,7 +812,7 @@ PRINTED_COROLLARIES = frozenset(
 )
 
 
-def suite_ok(reports: Sequence[CheckReport]) -> bool:
+def suite_ok(reports: list[CheckReport]) -> bool:
     """Whether a suite run passes: every acceptance-bearing check is equal.
 
     As-printed transcription rows for the fixed-base corollaries do not gate
@@ -819,7 +820,7 @@ def suite_ok(reports: Sequence[CheckReport]) -> bool:
     reported in the row but tolerated as long as the corollary's
     substitution-derived twin rows all pass.
     """
-    derived_ok: Dict[str, bool] = {}
+    derived_ok: dict[str, bool] = {}
     for r in reports:
         if "<-" in r.identity or r.spec.startswith("derived-"):
             key = r.identity.split("<-")[0]
@@ -839,12 +840,12 @@ def run_suite(
     symbolic_order: int = 40,
     trials: int = 25,
     seed: str = "0",
-    bases: Sequence[int] = DEFAULT_BASES,
-    idents: Optional[Sequence[str]] = None,
-) -> List[CheckReport]:
+    bases: tuple[int, ...] = DEFAULT_BASES,
+    idents: list[str] | None = None,
+) -> list[CheckReport]:
     """Run the full verification sweep: randomized signed trials, a symbolic
     tier, the fixed-base corollaries, and the corollary re-derivations."""
-    reports: List[CheckReport] = []
+    reports: list[CheckReport] = []
     for ident in idents if idents is not None else list(_REGISTRY):
         desc = get_descriptor(ident)
         if desc.params:

@@ -8,15 +8,14 @@ series machinery so the two sides can be cross-checked against each other.
 from __future__ import annotations
 
 from math import isqrt
-from typing import List, Tuple
 
 from .errors import NonIntegerResultError
 from .qring import QSeries
 
 # sign tables indexed by residue mod 13; residue 0 maps to 0
-CHI1: Tuple[int, ...] = (0, 1, -1, 1, -1, -1, -1, 1, 1, 1, -1, 1, -1)
-CHI2: Tuple[int, ...] = (0, 1, 1, 1, -1, 1, 1, -1, -1, 1, -1, -1, -1)
-CHI3: Tuple[int, ...] = (0, 1, -1, 1, 1, -1, -1, -1, -1, 1, 1, -1, 1)
+CHI1: tuple[int, ...] = (0, 1, -1, 1, -1, -1, -1, 1, 1, 1, -1, 1, -1)
+CHI2: tuple[int, ...] = (0, 1, 1, 1, -1, 1, 1, -1, -1, 1, -1, -1, -1)
+CHI3: tuple[int, ...] = (0, 1, -1, 1, 1, -1, -1, -1, -1, 1, 1, -1, 1)
 
 # residue classes mod 7 entering the signed divisor sum with weight +1 / -1
 _PLUS_RESIDUES = frozenset({1, 2, 4})
@@ -106,8 +105,8 @@ class RangeReport:
 
     def __init__(self, n_max: int):
         self.n_max = n_max
-        self.mismatches: List[int] = []
-        self.theta_mismatches: List[int] = []
+        self.mismatches: list[int] = []
+        self.theta_mismatches: list[int] = []
 
     @property
     def ok(self) -> bool:

@@ -47,7 +47,6 @@ import struct
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import List, Tuple
 
 from .errors import NonUnitLeadingError, OrderExceededError
 from .exactalg import (
@@ -96,7 +95,7 @@ def _canon(c):
 # ---------------------------------------------------------------------------
 
 
-def _integral(x: List) -> Tuple[List[int], int]:
+def _integral(x: list) -> tuple[list[int], int]:
     """A scalar window scaled to ints by its common denominator, and that
     denominator; any Fraction, even an integral one, is converted."""
     if Fraction not in map(type, x):
@@ -116,7 +115,7 @@ _FLIP = bytes(range(128, 256)) + bytes(range(128))
 _SIGN_FILL = bytes(128) + b"\xff" * 128
 
 
-def _pack(arr: List[int], nbytes: int) -> int:
+def _pack(arr: list[int], nbytes: int) -> int:
     """sum(arr[i] * 256**(nbytes*i)) for digits |arr[i]| < 2**(8*nbytes-1).
 
     Each digit is biased by 2**(8*nbytes-1) to be non-negative, so the
@@ -139,7 +138,7 @@ def _pack(arr: List[int], nbytes: int) -> int:
     return int.from_bytes(raw, "little") - _bias(len(arr), nbytes)
 
 
-def _unpack(v: int, count: int, nbytes: int) -> List[int]:
+def _unpack(v: int, count: int, nbytes: int) -> list[int]:
     """The lowest ``count`` signed base-256**nbytes digits of ``v``, each of
     which must satisfy |digit| < 2**(8*nbytes-1).
 
@@ -167,7 +166,7 @@ def _unpack(v: int, count: int, nbytes: int) -> List[int]:
     return list(struct.unpack("<%dq" % count, words))
 
 
-def _packed_product(x: List, y: List, out_len: int) -> List:
+def _packed_product(x: list, y: list, out_len: int) -> list:
     """The first out_len coefficients of the product of two scalar windows:
     both are scaled to integers, packed into one int each and multiplied
     once (Kronecker substitution).  When x is y the window is packed once
@@ -188,7 +187,7 @@ def _packed_product(x: List, y: List, out_len: int) -> List:
     return [normalize_scalar(Fraction(d, den)) if d else 0 for d in digits]
 
 
-def _term_product(x: List, y: List, out_len: int) -> List:
+def _term_product(x: list, y: list, out_len: int) -> list:
     """The first out_len coefficients of the product of two windows with
     tau-Laurent coefficients, by sparse term accumulation.
 
@@ -261,7 +260,7 @@ def _column(terms: dict):
             else LaurentPoly._raw(terms))
 
 
-def _term_quotient(x: List, y: List, out_len: int) -> List:
+def _term_quotient(x: list, y: list, out_len: int) -> list:
     """x / y through out_len terms, y[0] a unit, by sparse long division:
     out[k] = (x[k] - sum_{j>=1} y[j] * out[k-j]) * inv, with inv = 1/y[0]
     coded as a third window.  Codes sum(e_i * R**i) add as monomials multiply;
@@ -540,7 +539,7 @@ class QSeries:
         return f"QSeries[window {self.offset}..{self.order}]({self})"
 
 
-def format_coeff(c) -> Tuple[str, bool]:
+def format_coeff(c) -> tuple[str, bool]:
     """Render one coefficient; returns (body-without-sign, is_negative)."""
     if isinstance(c, LaurentPoly):
         cv = c.constant_value()
@@ -554,7 +553,7 @@ def format_coeff(c) -> Tuple[str, bool]:
 
 def format_series(qs: QSeries) -> str:
     tail = f"O(q^{qs.order + 1})"
-    parts: List[str] = []
+    parts: list[str] = []
     for e, c in qs.nonzero_items():
         body, neg = format_coeff(c)
         if e == 0:

@@ -571,6 +571,26 @@ def test_cli_commands_run_without_argparse_gettext_or_locale():
     assert proc.stdout.splitlines()[-1] == "[0, 0] []"
 
 
+def test_cli_commands_run_without_typing_or_contextlib():
+    """Annotations are postponed (PEP 563) and spelled with builtins, so no
+    command should load ``typing``, nor ``contextlib``, which only ``typing``
+    pulled in.  ``-S`` matters here too: a ``.pth`` file may preload
+    ``typing``."""
+    src = os.path.dirname(os.path.dirname(exprs.__file__))
+    verify = ["verify", "1.3", "--base", "7", "--spec", "a=-q^1,b=-q^2,c=-q^4", "--order", "10"]
+    suite = ["verify-all", "--order", "10", "--trials", "1", "--json"]
+    expand = ["expand", "poch(a)*theta(-q)^-1", "--spec", "a=q^2", "--order", "10"]
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); from qidx.cli import main; "
+        f"codes = [main(['list']), main({verify!r}), main({suite!r}), main({expand!r})]; "
+        "print(codes, sorted({'typing', 'contextlib'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
 def test_cli_order_ceiling_is_the_expression_window_bound():
     assert MAX_ORDER is exprs.MAX_ORDER
 

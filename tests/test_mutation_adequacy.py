@@ -10,6 +10,11 @@ builder passes to ``identities.lambert_sum`` is mutated in turn: c negated,
 s flipped (1 <-> 2), r0 flipped (0 <-> 1).  Every mutant must end in a
 mismatch or a domain error, except the equivalent mutants named below.
 
+The terms that ``l_func`` (2.11, 2.12) and ``char_lambert`` (3.9) pass to
+``constructors.lambert_sum`` never reach ``identities.lambert_sum``; the
+same three mutations are applied to them, at the same seed, orders and base,
+by tests of their own.
+
 The printed rows of 3.4 and 3.5 mismatch at q^10 before any mutation, so a
 mismatch kills nothing there: one of their mutants is killed when it builds
 sides that differ from the unmutated ones through the order.
@@ -19,7 +24,7 @@ import time
 
 import pytest
 
-from qidx import identities
+from qidx import constructors, identities
 from qidx.identities import (
     build_sides,
     check_identity,
@@ -71,13 +76,17 @@ LAMBERT_IDS = (
     "3.1", "3.3", "3.4", "3.5", "3.6", "3.7", "3.8",
 )
 
+# the ids whose builders reach constructors.lambert_sum through l_func or
+# char_lambert
+INNER_IDS = {"2.11", "2.12", "3.9"}
+
 # the printed 3.4 and 3.5 drop the square of their last term's denominator
 PRINTED_MISMATCH = {"3.4", "3.5"}
 REPAIRS = {("3.4", 10, "flip s"), ("3.5", 10, "flip s")}
 
 
 class Mutator:
-    """Stands in for ``identities.lambert_sum``: counts the terms passed to
+    """Stands in for ``lambert_sum``: counts the terms passed to
     it since ``reset`` and applies ``mutation`` to the one at ``position``."""
 
     def __init__(self):
@@ -105,6 +114,56 @@ def mutator(monkeypatch):
     mut = Mutator()
     monkeypatch.setattr(identities, "lambert_sum", mut)
     return mut
+
+
+@pytest.fixture
+def inner_mutator(monkeypatch):
+    """A ``Mutator`` for the terms that ``l_func`` and ``char_lambert`` pass
+    to ``constructors.lambert_sum``; ``identities.lambert_sum`` stays real."""
+    mut = Mutator()
+    monkeypatch.setattr(constructors, "lambert_sum", mut)
+    return mut
+
+
+def inner_mutants(mutator, symbolic, order):
+    """Check every id (with parameters, if ``symbolic``) at its seeded spec,
+    then once per mutant of each term it passes to ``constructors.lambert_sum``.
+    Returns the ids that pass such terms, the mutant count and the survivors."""
+    ids, count, survivors = set(), 0, set()
+    for row in list_identities():
+        ident = row["identity"]
+        if symbolic and not row["params"]:
+            continue
+        assign = random_spec(ident, BASE, SEED, symbolic=symbolic)
+        mutator.reset()
+        base = check_identity(ident, assign, order)
+        if not mutator.terms:
+            continue
+        assert base.ok, (ident, base.status, base.first_mismatch)
+        ids.add(ident)
+        for pos in range(len(mutator.terms)):
+            for name, mutation in MUTATIONS.items():
+                mutator.reset(pos, mutation)
+                count += 1
+                if check_identity(ident, assign, order).ok:
+                    survivors.add((ident, pos, name))
+    return ids, count, survivors
+
+
+def test_every_signed_check_kills_its_l_func_and_char_lambert_mutants(inner_mutator):
+    ids, count, survivors = inner_mutants(inner_mutator, False, ORDER)
+    assert ids == INNER_IDS
+    # 2.11: l(b), l(c), l(bc); 2.12: l(b); each l two terms.  3.9: the
+    # nonzero residues of three tables mod 13, twelve terms each
+    assert count == 3 * (4 * 2 + 3 * 12)
+    assert survivors == set()
+
+
+def test_every_symbolic_check_kills_its_l_func_mutants(inner_mutator):
+    ids, count, survivors = inner_mutants(inner_mutator, True, SYMBOLIC_ORDER)
+    assert ids == INNER_IDS - {"3.9"}
+    assert count == 3 * 4 * 2
+    assert survivors == set()
 
 
 def test_every_signed_check_kills_its_lambert_term_mutants(mutator):
