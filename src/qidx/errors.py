@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.  A ``QidxError`` that
+reaches ``qidx.cli.main`` exits 2; ``identities.check_identity`` reports a
+``DomainError`` as a ``constraint-violation`` row instead of raising it."""
 
 from __future__ import annotations
 
@@ -11,31 +13,35 @@ class OrderExceededError(QidxError):
     """A coefficient beyond a series' known truncation order was requested."""
 
 
+class DomainError(QidxError):
+    """A check's parameters, base or terms lie outside the identity's domain."""
+
+
 class NonUnitLeadingError(QidxError):
     """Series inversion requires an invertible lowest coefficient."""
 
 
-class PoleError(QidxError):
+class PoleError(DomainError):
     """A term of the form 1/(1-v) was evaluated at v = 1."""
 
 
-class SymbolicNonUnitError(QidxError):
+class SymbolicNonUnitError(DomainError):
     """1/(1-v) with v a symbolic unit at q-order zero is not a Laurent series."""
 
 
-class NegativeOrderArgumentError(QidxError):
+class NegativeOrderArgumentError(DomainError):
     """An infinite product was given an argument of negative q-order."""
 
 
-class ConstraintViolationError(QidxError):
+class ConstraintViolationError(DomainError):
     """A constructor or identity precondition does not hold."""
 
 
-class DivergentTailError(QidxError):
+class DivergentTailError(DomainError):
     """A Lambert-type sum whose term orders do not increase cannot be truncated."""
 
 
-class EmptyConstraintSetError(QidxError):
+class EmptyConstraintSetError(DomainError):
     """No parameter assignment satisfies an identity's constraints at this base."""
 
 

@@ -140,7 +140,8 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        cv = self.constant_value()  # a constant equals, so hashes as, its scalar
+        return hash(frozenset(self.terms.items()) if cv is None else cv)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -19,9 +19,11 @@ on the finished series, the two-sided products (x)(q^m/x) through
 ``poch_pair``.  Term coefficients stay integers: a fractional factor scales
 the combined series once.
 
-``_report`` makes and times every ``CheckReport``, for ``check_identity``
-and for the two rows of the 3.6 derivation.  The printed corollaries are the
-fixed-base rows; each parent is checked at its corollary's base.
+``_report`` makes and times every ``CheckReport``; ``check_identity``
+reports a ``DomainError`` as a ``constraint-violation`` row, and every other
+error propagates.  The printed corollaries are the fixed-base rows, and
+``derived_corollary_reports`` makes every row that checks one: the printed
+form and its derivation from the general parent, at the corollary's base.
 """
 
 from __future__ import annotations
@@ -57,12 +59,9 @@ from .constructors import (
 )
 from .errors import (
     ConstraintViolationError,
-    DivergentTailError,
+    DomainError,
     EmptyConstraintSetError,
-    NegativeOrderArgumentError,
     OrderExceededError,
-    PoleError,
-    SymbolicNonUnitError,
 )
 from .numtheory import CHI1, CHI2, CHI3
 from .qring import QSeries
@@ -71,15 +70,6 @@ from .qring import QSeries
 # parameter assignments
 
 _PARAM_VARS = {"a": 0, "b": 1, "c": 2, "d": 3, "z": 0}
-
-_DOMAIN_ERRORS = (
-    ConstraintViolationError,
-    DivergentTailError,
-    EmptyConstraintSetError,
-    NegativeOrderArgumentError,
-    PoleError,
-    SymbolicNonUnitError,
-)
 
 
 class ParamAssignment:
@@ -698,7 +688,7 @@ def check_identity(
     t0 = time.perf_counter()
     try:
         sides = build_sides(ident, assign, order)
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         sides = exc
     return _report(ident, assign.base, assign.spec_string(), order, t0, sides, seed)
 
@@ -776,28 +766,26 @@ COROLLARY_PARENTS: dict[str, tuple[str, dict[str, SpecMonomial]]] = {
 
 
 def derived_corollary_reports(ident: str, order: int) -> list[CheckReport]:
-    """Re-derive a fixed-base corollary from its general parent: check the
-    parent identity at the corollary's substitution, then check the printed
-    form itself. "3.6" is instead compared side-by-side against the exact
-    combination -1/4 (parent at b=c=q  minus  parent at b=c=q^2)."""
+    """Every row that checks the fixed-base corollary ``ident``: its parent at
+    its substitution in ``COROLLARY_PARENTS``, then its printed form; for 3.6,
+    its printed form, then each printed side against the same side of -1/4
+    (1.4 at the 3.4 substitution minus 1.4 at the 3.5 one)."""
     base = get_descriptor(ident).fixed_base
-    if ident == "3.6":
-        t0 = time.perf_counter()
-        l1, r1 = build_sides("1.4", ParamAssignment(base, COROLLARY_PARENTS["3.4"][1]), order)
-        l2, r2 = build_sides("1.4", ParamAssignment(base, COROLLARY_PARENTS["3.5"][1]), order)
-        lp, rp = build_sides(ident, ParamAssignment(base, {}), order)
-        quarter = Fraction(-1, 4)
-        sides = {"lhs": (lp, (l1 - l2).scale(quarter)), "rhs": (rp, (r1 - r2).scale(quarter))}
-        return [
-            _report(ident, base, f"derived-{tag}", order, t0, pair) for tag, pair in sides.items()
-        ]
-
-    parent, sub = COROLLARY_PARENTS[ident]
-    rep = check_identity(parent, ParamAssignment(base, dict(sub)), order)
-    rep.identity = f"{ident}<-{parent}"
     printed = check_identity(ident, ParamAssignment(base, {}), order)
     printed.spec = "printed"
-    return [rep, printed]
+    if ident != "3.6":
+        parent, sub = COROLLARY_PARENTS[ident]
+        rep = check_identity(parent, ParamAssignment(base, dict(sub)), order)
+        rep.identity = f"{ident}<-{parent}"
+        return [rep, printed]
+    t0 = time.perf_counter()
+    l1, r1 = build_sides("1.4", ParamAssignment(base, COROLLARY_PARENTS["3.4"][1]), order)
+    l2, r2 = build_sides("1.4", ParamAssignment(base, COROLLARY_PARENTS["3.5"][1]), order)
+    lp, rp = build_sides(ident, ParamAssignment(base, {}), order)
+    quarter = Fraction(-1, 4)
+    sides = {"lhs": (lp, (l1 - l2).scale(quarter)), "rhs": (rp, (r1 - r2).scale(quarter))}
+    derived = [_report(ident, base, f"derived-{tag}", order, t0, p) for tag, p in sides.items()]
+    return [printed] + derived
 
 
 # ---------------------------------------------------------------------------
@@ -862,18 +850,10 @@ def run_suite(
                     except EmptyConstraintSetError:
                         continue
                     reports.append(check_identity(ident, assign, tier_order, seed=tag))
-        elif ident not in COROLLARY_PARENTS:
-            # a corollary with a parent gets its printed row from the derivation
-            base = desc.fixed_base if desc.fixed_base is not None else bases[0]
-            rep = check_identity(ident, ParamAssignment(base, {}), order)
-            if ident in PRINTED_COROLLARIES:
-                rep.spec = "printed"
-            reports.append(rep)
-            if ident == "phi":
-                for extra in (1, 2):
-                    reports.append(
-                        check_identity(ident, ParamAssignment(extra, {}), order)
-                    )
-        if ident in COROLLARY_PARENTS or ident == "3.6":
+        elif desc.fixed_base is not None:
             reports.extend(derived_corollary_reports(ident, order))
+        else:
+            # no parameters and no pinned base: the first base, then 1 and 2
+            for base in (bases[0], 1, 2):
+                reports.append(check_identity(ident, ParamAssignment(base, {}), order))
     return reports

@@ -12,10 +12,16 @@ from hypothesis import strategies as st
 from qidx import identities
 from qidx.cli import main
 from qidx.constructors import SpecMonomial
-from qidx.errors import ConstraintViolationError, EmptyConstraintSetError, OrderExceededError
+from qidx.errors import (
+    ConstraintViolationError,
+    DomainError,
+    EmptyConstraintSetError,
+    OrderExceededError,
+)
 from qidx.exprs import parse_spec_string
 from qidx.identities import (
     COROLLARY_PARENTS,
+    PRINTED_COROLLARIES,
     ParamAssignment,
     build_sides,
     check_identity,
@@ -118,6 +124,34 @@ def test_derived_twins_pass_where_printed_does_not():
 
 def test_corollary_parent_map_is_total():
     assert set(COROLLARY_PARENTS) == {"3.1", "3.3", "3.4", "3.5", "3.7", "3.9"}
+
+
+@pytest.mark.parametrize("ident", sorted(PRINTED_COROLLARIES))
+def test_each_corollary_derivation_has_one_printed_row(ident):
+    printed = [r for r in derived_corollary_reports(ident, 12) if r.spec == "printed"]
+    assert [(r.identity, r.base) for r in printed] == [(ident, get_descriptor(ident).fixed_base)]
+
+
+@pytest.mark.parametrize("error", DomainError.__subclasses__(), ids=lambda e: e.__name__)
+def test_a_domain_error_from_a_builder_is_a_constraint_row(monkeypatch, error):
+    def failing_build(params, m, order):
+        raise error(f"{error.__name__} from the builder")
+
+    monkeypatch.setattr(get_descriptor("2.1"), "build", failing_build)
+    spec = assign(5, a=SpecMonomial.signed(1, 1), b=SpecMonomial.signed(1, 2))
+    rep = check_identity("2.1", spec, 20)
+    assert (rep.status, rep.order_compared, rep.first_mismatch) == (
+        "constraint-violation", None, None,
+    )
+    assert rep.detail == f"{error.__name__} from the builder"
+
+
+def test_the_domain_errors_are_the_six_refusals():
+    names = {e.__name__ for e in DomainError.__subclasses__()}
+    assert names == {
+        "ConstraintViolationError", "DivergentTailError", "EmptyConstraintSetError",
+        "NegativeOrderArgumentError", "PoleError", "SymbolicNonUnitError",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +461,7 @@ def test_suite_emits_each_printed_row_once():
     reports = run_suite(order=12, symbolic_order=8, trials=1, seed="once")
     printed = [(r.identity, r.spec) for r in reports if r.spec == "printed"]
     assert len(printed) == len(set(printed))
-    assert {ident for ident, _ in printed} == set(COROLLARY_PARENTS) | {"3.6"}
+    assert {ident for ident, _ in printed} == PRINTED_COROLLARIES
 
 
 def test_suite_deterministic():
@@ -503,7 +537,7 @@ def test_symbolic_build_specializes_to_the_signed_build(case):
     signed = {n: SpecMonomial.signed(s, e) for n, s, e in zip(names, signs, expos)}
     try:
         signed_sides = build_sides(ident, ParamAssignment(base, signed), order)
-    except identities._DOMAIN_ERRORS:
+    except DomainError:
         reject()
     symbolic = {n: symbolic_param(n, e) for n, e in zip(names, expos)}
     symbolic_sides = build_sides(ident, ParamAssignment(base, symbolic), order)

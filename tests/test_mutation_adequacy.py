@@ -18,14 +18,22 @@ by tests of their own.
 The printed rows of 3.4 and 3.5 mismatch at q^10 before any mutation, so a
 mismatch kills nothing there: one of their mutants is killed when it builds
 sides that differ from the unmutated ones through the order.
+
+Each argument x that a builder passes to ``poch_inf``, ``poch_pair`` or
+``poch_fin`` (base m) is mutated the same way in both tiers: its unit's
+sign flipped, and x replaced by x q^m.  None survives at the seeded specs.
 """
 
 import time
+from functools import partial
 
 import pytest
 
 from qidx import constructors, identities
+from qidx.constructors import SpecMonomial
+from qidx.errors import DomainError
 from qidx.identities import (
+    ParamAssignment,
     build_sides,
     check_identity,
     get_descriptor,
@@ -194,7 +202,7 @@ def test_every_signed_check_kills_its_lambert_term_mutants(mutator):
                     mutator.reset(pos, mutation)
                     try:
                         killed = not same_sides(build_sides(ident, assign, ORDER), base_sides)
-                    except identities._DOMAIN_ERRORS:
+                    except DomainError:
                         killed = True
                 else:
                     killed = not report.ok
@@ -266,3 +274,111 @@ def test_late_symbolic_mutants_flip_s_of_a_term_that_starts_high(mutator, key):
     v = x.qexp + BASE * r0
     lowest = M.qexp * r0 + v
     assert name == "flip s" and LATE[key] == lowest + v
+
+
+# ---------------------------------------------------------------------------
+# Pochhammer arguments
+
+POCH_MUTATIONS = {
+    "flip sign": lambda x, m: x.mul(SpecMonomial.signed(-1, 0)),
+    "times q^m": lambda x, m: x.times_qpow(m),
+}
+
+# the ids whose builders call poch_inf, poch_pair or poch_fin themselves
+POCH_IDS = {"1.1", "1.2", "1.3", "2.3", "2.7", "3.1", "3.3", "phi"}
+
+
+class PochMutator:
+    """Stands in for ``poch_inf``, ``poch_pair`` and ``poch_fin`` in
+    ``identities``: records each call's (name, x, m) since ``reset`` and
+    applies ``mutation`` to x in the call at ``position``."""
+
+    def __init__(self, monkeypatch):
+        self.reset()
+        for name in ("poch_inf", "poch_pair", "poch_fin"):
+            real = getattr(identities, name)
+            monkeypatch.setattr(identities, name, partial(self.call, name, real))
+
+    def reset(self, position=None, mutation=None):
+        self.position, self.mutation, self.calls = position, mutation, []
+
+    def call(self, name, real, x, *rest):
+        m = rest[-2]  # rest is (m, order), or (n, m, order) for poch_fin
+        hit = len(self.calls) == self.position
+        self.calls.append((name, x, m))
+        return real(self.mutation(x, m) if hit else x, *rest)
+
+
+@pytest.fixture
+def poch_mutator(monkeypatch):
+    return PochMutator(monkeypatch)
+
+
+def poch_mutants(mutator, symbolic, order):
+    """Check every id (with parameters, if ``symbolic``) at its seeded spec,
+    then once per mutant of each Pochhammer argument its builder passes.
+    Returns the mutant count, the survivors and the mutants refused with a
+    domain error, each as (id, position, mutation), and each id's calls."""
+    count, survivors, refused, calls = 0, set(), set(), {}
+    for row in list_identities():
+        ident = row["identity"]
+        if symbolic and not row["params"]:
+            continue
+        assign = random_spec(ident, BASE, SEED, symbolic=symbolic)
+        mutator.reset()
+        base = check_identity(ident, assign, order)
+        if not mutator.calls:
+            continue
+        assert base.ok, (ident, base.status, base.first_mismatch)
+        calls[ident] = mutator.calls
+        for pos in range(len(calls[ident])):
+            for name, mutation in POCH_MUTATIONS.items():
+                mutator.reset(pos, mutation)
+                count += 1
+                report = check_identity(ident, assign, order)
+                if report.ok:
+                    survivors.add((ident, pos, name))
+                elif report.status != "mismatch":
+                    refused.add((ident, pos, name))
+    return count, survivors, refused, calls
+
+
+def shifted_pairs_of_positive_order(calls):
+    """The x -> x q^m mutants of a poch_pair whose x has positive order:
+    the pair's second factor (x^-1 q^m; q^m) then takes a negative order."""
+    return {
+        (ident, pos, "times q^m")
+        for ident, rows in calls.items()
+        for pos, (name, x, m) in enumerate(rows)
+        if name == "poch_pair" and x.qexp > 0
+    }
+
+
+def test_every_signed_check_kills_its_pochhammer_mutants(poch_mutator):
+    count, survivors, refused, calls = poch_mutants(poch_mutator, False, ORDER)
+    assert set(calls) == POCH_IDS
+    # calls: 1.1 2, 1.2 3, 1.3 8, 2.3 3, 2.7 4, 3.1 4, 3.3 4, phi 2
+    assert count == 2 * 30
+    assert survivors == set()
+    assert refused == shifted_pairs_of_positive_order(calls)
+
+
+def test_every_symbolic_check_kills_its_pochhammer_mutants(poch_mutator):
+    count, survivors, refused, calls = poch_mutants(poch_mutator, True, SYMBOLIC_ORDER)
+    assert set(calls) == {ident for ident in POCH_IDS if get_descriptor(ident).params}
+    assert count == 2 * 20
+    assert survivors == set()
+    # 1.1's symbolic z sits at q^0, so its shifted pair is a mismatch
+    assert refused == shifted_pairs_of_positive_order(calls)
+
+
+def test_the_shifted_pair_at_minus_one_is_equivalent(poch_mutator):
+    # poch_pair(x q^m) = -x^-1 * poch_pair(x), which is poch_pair(x) at
+    # x = -1; the seeded specs do not draw 1.1 at z = -q^0
+    assign = ParamAssignment(BASE, {"z": SpecMonomial.signed(-1, 0)})
+    check_identity("1.1", assign, ORDER)
+    pos = [name for name, _, _ in poch_mutator.calls].index("poch_pair")
+    poch_mutator.reset(pos, POCH_MUTATIONS["times q^m"])
+    assert check_identity("1.1", assign, ORDER).ok
+    poch_mutator.reset(pos, POCH_MUTATIONS["flip sign"])
+    assert check_identity("1.1", assign, ORDER).status == "mismatch"

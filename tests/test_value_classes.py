@@ -4,9 +4,12 @@ value, which reject bad input, and which hold fresh containers per instance.
 The parser, the ``poch_inf`` cache and the constraint rules rely on these
 properties, so this file pins them."""
 
+from fractions import Fraction
+
 import pytest
 
 from qidx.constructors import AffineWeight, SpecMonomial, Unit, _poch_inf_cached, poch_inf
+from qidx.exactalg import LaurentPoly
 from qidx.exprs import Add, Call, Mul, Neg, Num, Pow, QPow, Ref, Sub, parse_expr
 from qidx.identities import CheckReport, IdentityDescriptor, ParamAssignment, get_descriptor
 from qidx.numtheory import RangeReport
@@ -51,6 +54,16 @@ def test_units_and_monomials_compare_and_hash_by_value():
     assert len({x, y, SpecMonomial.signed(-1, 3), SpecMonomial.signed(-1, 3)}) == 2
     assert SpecMonomial.signed(1, 2).mul(SpecMonomial.signed(-1, 1)) == SpecMonomial.signed(-1, 3)
     assert AffineWeight(1, 0)(5) == 5
+
+
+def test_a_constant_polynomial_hashes_as_the_scalar_it_equals():
+    for scalar in (1, 0, Fraction(1, 2), -7):
+        poly = LaurentPoly.const(scalar)
+        assert poly == scalar and hash(poly) == hash(scalar)
+        assert len({poly, scalar}) == 1
+    assert len({LaurentPoly.zero(), 0, Fraction(0)}) == 1
+    tau_a = LaurentPoly.var(0)
+    assert tau_a != 1 and hash(tau_a) == hash(LaurentPoly.monomial((1, 0, 0, 0)))
 
 
 def test_an_equal_monomial_hits_the_poch_inf_cache():

@@ -1,19 +1,20 @@
-"""Replay the symbolic term products of one workload seed in two checkouts.
+"""Replay the symbolic term kernels of one workload seed in two checkouts.
 
-Records every ``qidx.qring._term_product`` call that one ``symbolic`` deck
-and one 5-trial ``verify-all`` pass of ``perfbench/workloads.py`` make for
-the seed, by wrapping the kernel in the parent checkout (the ``poch_inf``
-cache is cleared before each request, as a fresh CLI process would have
-it).  The two checkouts then replay the calls in turn, each in a fresh
-interpreter that times ``PASSES`` passes, for ``ROUNDS`` rounds, so that a
-change in the host's speed reaches both; each side reports its fastest
-pass of the kernel alone.  Exits 1 if any result differs between the two
-in value or type.
+Records every call of the two term kernels, ``qidx.qring._term_product``
+(products) and ``qidx.qring._term_quotient`` (long division), that one
+``symbolic`` deck and one 5-trial ``verify-all`` pass of
+``perfbench/workloads.py`` make for the seed, by wrapping both kernels in
+the parent checkout (the ``poch_inf`` cache is cleared before each request,
+as a fresh CLI process would have it).  The two checkouts then replay the
+calls in turn, each in a fresh interpreter that times ``PASSES`` passes of
+each kernel, for ``ROUNDS`` rounds, so that a change in the host's speed
+reaches both; each side reports its fastest pass of each kernel alone.
+Exits 1 if any result of either kernel differs between the two in value or
+type.
 
 Only the parent's calls are recorded, and both sides replay all of them.
-So the tool times a change to the kernel itself, not a change that makes
-fewer products or moves work out of the kernel (such as a quotient taken
-by long division instead of a product with a Newton inverse): the products
+So the tool times a change to a kernel itself, not a change that makes
+fewer kernel calls or moves work from one kernel to the other: the calls
 such a change no longer makes are still replayed, and its new work is not.
 
     python3 tools/replay_products.py --parent ../parent --change . --seed 3
@@ -33,6 +34,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 ROUNDS, PASSES = 5, 3
+KERNELS = ("_term_product", "_term_quotient")
 
 
 def plain(window):
@@ -49,13 +51,16 @@ def record(checkout: str, seed: str, out: str) -> None:
     from qidx import cli, constructors, qring
     from workloads import build_deck
 
-    calls, real = [], qring._term_product
+    calls = {name: [] for name in KERNELS}
 
-    def wrapped(x, y, out_len):
-        calls.append((plain(x), plain(y), out_len))
-        return real(x, y, out_len)
+    def wrap(name, real):
+        def wrapped(x, y, out_len):
+            calls[name].append((plain(x), plain(y), out_len))
+            return real(x, y, out_len)
+        return wrapped
 
-    qring._term_product = wrapped
+    for name in KERNELS:
+        setattr(qring, name, wrap(name, getattr(qring, name)))
     for request in build_deck("symbolic", int(seed)) + build_deck("suite", int(seed)):
         constructors._poch_inf_cached.cache_clear()
         with redirect_stdout(io.StringIO()):
@@ -65,20 +70,23 @@ def record(checkout: str, seed: str, out: str) -> None:
 
 def replay(checkout: str, calls_file: str, out: str) -> None:
     sys.path.insert(0, f"{checkout}/src")
+    from qidx import qring
     from qidx.exactalg import LaurentPoly
-    from qidx.qring import _term_product
 
     def build(window):
         return [LaurentPoly._raw({m: v for m, _, v in c}) if kind == "poly" else c
                 for kind, c in window]
 
-    calls = [(build(x), build(y), n) for x, y, n in pickle.loads(Path(calls_file).read_bytes())]
-    best = float("inf")
-    for _ in range(PASSES):
-        t0 = time.perf_counter()
-        results = [_term_product(x, y, n) for x, y, n in calls]
-        best = min(best, time.perf_counter() - t0)
-    Path(out).write_bytes(pickle.dumps((best, [plain(r) for r in results])))
+    best, results = {}, {}
+    for name, recorded in pickle.loads(Path(calls_file).read_bytes()).items():
+        kernel, calls = getattr(qring, name), [(build(x), build(y), n) for x, y, n in recorded]
+        best[name] = float("inf")
+        for _ in range(PASSES):
+            t0 = time.perf_counter()
+            out_windows = [kernel(x, y, n) for x, y, n in calls]
+            best[name] = min(best[name], time.perf_counter() - t0)
+        results[name] = [plain(r) for r in out_windows]
+    Path(out).write_bytes(pickle.dumps((best, results)))
 
 
 def main(argv=None) -> int:
@@ -97,16 +105,21 @@ def main(argv=None) -> int:
             subprocess.run([sys.executable, "-I", __file__, *map(str, step)], check=True)
             if step[0] == "replay":
                 side = step[3].name
-                seconds, results[side] = pickle.loads(step[3].read_bytes())
-                best[side].append(seconds)
-        count = len(pickle.loads(calls.read_bytes()))
-    tp, tc = min(best["parent"]), min(best["change"])
+                timings, results[side] = pickle.loads(step[3].read_bytes())
+                best[side].append(timings)
+        counts = {name: len(c) for name, c in pickle.loads(calls.read_bytes()).items()}
+    kernels = {}
+    for name, count in counts.items():
+        tp, tc = (min(run[name] for run in runs) for runs in best.values())
+        kernels[name] = {
+            "calls": count, "parent_s": round(tp, 4), "change_s": round(tc, 4),
+            "ratio": round(tc / tp, 3),
+        }
+    identical = results["parent"] == results["change"]
     print(json.dumps({
-        "seed": args.seed, "calls": count, "rounds": ROUNDS, "parent_s": round(tp, 4),
-        "change_s": round(tc, 4), "ratio": round(tc / tp, 3),
-        "identical": results["parent"] == results["change"],
+        "seed": args.seed, "rounds": ROUNDS, "kernels": kernels, "identical": identical,
     }))
-    return 0 if results["parent"] == results["change"] else 1
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
