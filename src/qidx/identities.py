@@ -64,7 +64,7 @@ from .errors import (
     OrderExceededError,
 )
 from .numtheory import CHI1, CHI2, CHI3
-from .qring import QSeries
+from .qring import QSeries, product
 
 # ---------------------------------------------------------------------------
 # parameter assignments
@@ -309,12 +309,8 @@ def _build_1_2(params, m, order):
     z = params["z"]
     pq = _Pq(m, order)
     lhs = pq * pq
-    rhs = (
-        pf_sum(z, m, order)
-        * poch_inf(z.times_qpow(m), m, order)
-        * poch_inf(z.inv().times_qpow(m), m, order)
-    )
-    return lhs, rhs
+    shifted = (poch_inf(x.times_qpow(m), m, order) for x in (z, z.inv()))
+    return lhs, product(pf_sum(z, m, order), *shifted)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +321,10 @@ def _build_1_3(params, m, order):
     a, b, c = params["a"], params["b"], params["c"]
     abc = a.mul(b).mul(c)
     pq = _Pq(m, order)
-    lhs = pq * pq
-    for pairarg in (a.mul(b), a.mul(c), b.mul(c)):
-        lhs = lhs * poch_pair(pairarg, m, order)
+    lhs = product(pq, pq, *(poch_pair(x, m, order) for x in (a.mul(b), a.mul(c), b.mul(c))))
     brace = _l_terms(m, [(a, 1), (b, 1), (c, 1), (abc, -1)])
-    rhs = QSeries.const(1, order) + lambert_sum(brace, m, order)
-    for x in (a, b, c, abc):
-        rhs = rhs * poch_pair(x, m, order)
-    return lhs, rhs
+    brace = QSeries.const(1, order) + lambert_sum(brace, m, order)
+    return lhs, product(brace, *(poch_pair(x, m, order) for x in (a, b, c, abc)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +392,10 @@ def _build_2_2(params, m, order):
 def _build_2_3(params, m, order):
     a, b = params["a"], params["b"]
     pad = order + m
-    oma = poch_fin(a, 1, m, pad)
-    omb = poch_fin(b, 1, m, pad)
-    lhs = jordan_kronecker(a, b, m, pad) * oma * omb
+    oma, omb = (poch_fin(x, 1, m, pad) for x in (a, b))
+    lhs = product(jordan_kronecker(a, b, m, pad), oma, omb)
     terms = [(1, a, b, 1, W_ONE, 1), (-1, a.inv(), b.inv(), 1, W_ONE, 1)]
-    rhs = poch_fin(a.mul(b), 1, m, pad) + oma * omb * lambert_sum(terms, m, pad)
+    rhs = poch_fin(a.mul(b), 1, m, pad) + product(oma, omb, lambert_sum(terms, m, pad))
     return lhs, rhs
 
 
@@ -427,9 +418,10 @@ def _build_2_6(params, m, order):
 def _build_2_7(params, m, order):
     a, b = params["a"], params["b"]
     pq = _Pq(m, order)
-    lhs = pq * poch_pair(a, m, order) * poch_pair(b, m, order)
-    lhs = lhs * jordan_kronecker(a, b, m, order)
-    rhs = pq * pq * pq * poch_pair(a.mul(b), m, order)
+    lhs = product(
+        pq, poch_pair(a, m, order), poch_pair(b, m, order), jordan_kronecker(a, b, m, order)
+    )
+    rhs = product(pq, pq, pq, poch_pair(a.mul(b), m, order))
     return lhs, rhs
 
 
@@ -769,19 +761,21 @@ def derived_corollary_reports(ident: str, order: int) -> list[CheckReport]:
     """Every row that checks the fixed-base corollary ``ident``: its parent at
     its substitution in ``COROLLARY_PARENTS``, then its printed form; for 3.6,
     its printed form, then each printed side against the same side of -1/4
-    (1.4 at the 3.4 substitution minus 1.4 at the 3.5 one)."""
+    (1.4 at the 3.4 substitution minus 1.4 at the 3.5 one), all three rows
+    from one build of the printed sides."""
     base = get_descriptor(ident).fixed_base
-    printed = check_identity(ident, ParamAssignment(base, {}), order)
-    printed.spec = "printed"
     if ident != "3.6":
+        printed = check_identity(ident, ParamAssignment(base, {}), order)
+        printed.spec = "printed"
         parent, sub = COROLLARY_PARENTS[ident]
         rep = check_identity(parent, ParamAssignment(base, dict(sub)), order)
         rep.identity = f"{ident}<-{parent}"
         return [rep, printed]
     t0 = time.perf_counter()
+    lp, rp = build_sides(ident, ParamAssignment(base, {}), order)
+    printed = _report(ident, base, "printed", order, t0, (lp, rp))
     l1, r1 = build_sides("1.4", ParamAssignment(base, COROLLARY_PARENTS["3.4"][1]), order)
     l2, r2 = build_sides("1.4", ParamAssignment(base, COROLLARY_PARENTS["3.5"][1]), order)
-    lp, rp = build_sides(ident, ParamAssignment(base, {}), order)
     quarter = Fraction(-1, 4)
     sides = {"lhs": (lp, (l1 - l2).scale(quarter)), "rhs": (rp, (r1 - r2).scale(quarter))}
     derived = [_report(ident, base, f"derived-{tag}", order, t0, p) for tag, p in sides.items()]

@@ -14,13 +14,15 @@ the series is built.
 
 Multiplication picks one of two exact kernels from what the operands hold:
 
-  * either operand has a tau-monomial coefficient: a sparse term product.
-    Symbolic windows are sparse in q and in tau (a slow product pairs some
-    thousand terms with a few dozen), so every pair of nonzero terms whose
-    q exponents land inside the window is multiplied once, the shorter side
-    walked outside, and accumulated under one int key that folds the q
-    exponent and the four tau exponents; the strides and each monomial's
-    code are found, and each code decoded, once per distinct tau-monomial;
+  * a tau-monomial coefficient in any factor: ``_term_chain``, the one tau
+    kernel, multiplies a chain of factors (``product(*series)``; x * y is a
+    chain of two) by sparse term accumulation: symbolic windows are sparse
+    in q and in tau, so each pair of nonzero terms whose q exponents land in
+    the window is multiplied once, the side with fewer terms walked outside.
+    Each factor is coded once: q index i and tau exponents e_v make the key
+    i + n*sum_v e_v*S_v, n the window length, S_v = prod_{u<v} (2*B_u + 1),
+    B_v the sum over the factors of their largest |e_v|.  No partial product
+    passes B_v: the balanced digits never carry, and only the result is decoded;
   * scalar coefficients: Kronecker substitution.  Both windows are scaled
     to a common denominator, packed into one big integer each with
     byte-aligned signed digits, and multiplied once; a window multiplied by
@@ -45,6 +47,7 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from operator import mul
 
@@ -187,67 +190,64 @@ def _packed_product(x: list, y: list, out_len: int) -> list:
     return [normalize_scalar(Fraction(d, den)) if d else 0 for d in digits]
 
 
-def _term_product(x: list, y: list, out_len: int) -> list:
-    """The first out_len coefficients of the product of two windows with
-    tau-Laurent coefficients, by sparse term accumulation.
+def _bucketed(pairs, n: int) -> tuple[list[int], list[int], list]:
+    """The indices that hold a term, the count of terms below each index and
+    the terms in index order, of coded terms (key, c) at q index key % n."""
+    cols = [[] for _ in range(n)]
+    for k, c in pairs:
+        if c:
+            cols[k % n].append((k, c))
+    indices = [i for i, col in enumerate(cols) if col]
+    return indices, list(accumulate(map(len, cols), initial=0)), [t for col in cols for t in col]
 
-    A term's q index and four tau exponents fold into one int key, a mixed-
-    radix number whose strides span twice the range of each exponent over
-    the distinct tau-monomials of both sides, so the key of a product of two
-    terms is the sum of their keys.  Each side's terms become one list of
-    (key, coefficient), scaled to ints by the side's common denominator.
-    The side with fewer terms is walked outside, over the prefix of the
-    other side that stays inside the window.  Each product key is split
-    once into index and monomial code, and each code is decoded once.
-    """
-    sides, monos = [], set()
-    for w in (x, y):
-        cols = [(i, c.terms if type(c) is LaurentPoly else {MONO_ONE: c})
-                for i, c in enumerate(w[:out_len]) if c]
-        monos.update(*[terms for _, terms in cols])
-        sides.append(cols)
-    if not sides[0] or not sides[1]:
-        # a window whose leading zeros fill the product window
-        return [0] * out_len
-    # every product of two of the monomials has its exponents in this box
-    lows = [2 * min(es) for es in zip(*monos)]
-    spans = [2 * (max(es) - min(es)) + 1 for es in zip(*monos)]
-    strides = list(accumulate(spans[:-1], mul, initial=1))
-    code = {mono: out_len * sum(map(mul, mono, strides)) for mono in monos}
-    keyed, den = [], 1
-    for cols in sides:
+
+def _term_chain(windows: list, out_len: int) -> list:
+    """The first out_len coefficients of the product of one or more windows
+    under one coding (see the module docstring).  Each factor is scaled to
+    ints by its common denominator, and the result divided once."""
+    factors = [[(i, c.terms if type(c) is LaurentPoly else {MONO_ONE: c})
+                for i, c in enumerate(w[:out_len]) if c] for w in windows]
+    if not all(factors):
+        return [0] * out_len  # a window whose leading zeros fill the product window
+    monos = [{mono for _, terms in cols for mono in terms} for cols in factors]
+    bounds = [sum(max(abs(mono[v]) for mono in ms) for ms in monos) for v in range(4)]
+    radices = [2 * b + 1 for b in bounds]
+    strides = list(accumulate(radices[:-1], mul, initial=1))
+    coded, den = [], 1
+    for cols, ms in zip(factors, monos):
         coeffs, d = _integral([c for _, terms in cols for c in terms.values()])
-        pairs = zip([i + code[mono] for i, terms in cols for mono in terms], coeffs)
-        # ends[i]: how many of the side's terms have an index below i
-        ends = [0] * (out_len + 1)
-        for i, terms in cols:
-            ends[i + 1] = len(terms)
-        keyed.append((cols, list(accumulate(ends)), list(pairs)))
         den *= d
-    (cx, ex, kx), (_, ey, ky) = sorted(keyed, key=lambda side: len(side[2]))
-    acc = {}
-    get = acc.get
-    for i, _ in cx:
-        # the long side is in index order: stop where i + j leaves the window
-        inner = ky[: ey[out_len - i]]
-        for k1, c1 in kx[ex[i] : ex[i + 1]]:
-            for k2, c2 in inner:
-                k = k1 + k2
-                acc[k] = get(k, 0) + c1 * c2
-    base = sum(map(mul, lows, strides))
+        code = {mono: out_len * sum(map(mul, mono, strides)) for mono in ms}
+        coded.append(list(zip([i + code[mono] for i, terms in cols for mono in terms], coeffs)))
+    running = coded[0]
+    for factor in coded[1:]:
+        sides = _bucketed(running, out_len), _bucketed(factor, out_len)
+        (cx, ex, kx), (_, ey, ky) = sorted(sides, key=lambda side: len(side[2]))
+        acc = {}
+        get = acc.get
+        for i in cx:
+            # the long side is in index order: stop where i + j leaves the window
+            inner = ky[: ey[out_len - i]]
+            for k1, c1 in kx[ex[i] : ex[i + 1]]:
+                for k2, c2 in inner:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        running = acc.items()
+    # with every digit shifted up by its bound, divmod peels them off
+    shift = out_len * sum(map(mul, bounds, strides))
+    (r0, r1, r2, _), (b0, b1, b2, b3) = radices, bounds
     decoded = {}
     out = [{} for _ in range(out_len)]
-    for k, c in acc.items():
+    for k, c in running:
         if not c:
             continue
-        k, i = divmod(k, out_len)
+        k, i = divmod(k + shift, out_len)
         mono = decoded.get(k)
         if mono is None:
-            rest, mono = k - base, []
-            for low, span in zip(lows, spans):
-                rest, e = divmod(rest, span)
-                mono.append(low + e)
-            mono = decoded[k] = tuple(mono)
+            rest, e0 = divmod(k, r0)
+            rest, e1 = divmod(rest, r1)
+            e3, e2 = divmod(rest, r2)
+            mono = decoded[k] = (e0 - b0, e1 - b1, e2 - b2, e3 - b3)
         if den > 1:
             c = normalize_scalar(Fraction(c, den))
         out[i][mono] = c
@@ -401,21 +401,15 @@ class QSeries:
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            if not self.coeffs:
-                order = self.order + other.offset
-            else:
-                order = other.order + self.offset
-            return QSeries.zero(order)
-        out_offset = self.offset + other.offset
-        order = min(self.order + other.offset, other.order + self.offset)
-        out_len = order - out_offset + 1
         x, y = self.coeffs, other.coeffs
+        if not x or not y:
+            return QSeries.zero(self.order + other.offset if not x else other.order + self.offset)
+        offset, out_len = self.offset + other.offset, min(len(x), len(y))
         if LaurentPoly in map(type, x) or LaurentPoly in map(type, y):
-            out = _term_product(x, y, out_len)
+            out = _term_chain([x, y], out_len)
         else:
             out = _packed_product(x, y, out_len)
-        return QSeries(out_offset, out, order)
+        return QSeries(offset, out, offset + out_len - 1)
 
     __rmul__ = __mul__
 
@@ -537,6 +531,18 @@ class QSeries:
 
     def __repr__(self):
         return f"QSeries[window {self.offset}..{self.order}]({self})"
+
+
+def product(*series: QSeries) -> QSeries:
+    """reduce(operator.mul, series) in window and values; one _term_chain
+    when a factor holds a tau-coefficient.  Leading coefficients live in an
+    integral domain, so the window runs from the sum of the offsets through
+    the shortest window's length."""
+    windows = [s.coeffs for s in series]
+    if not all(windows) or not any(LaurentPoly in map(type, w) for w in windows):
+        return reduce(mul, series)
+    offset, out_len = sum(s.offset for s in series), min(map(len, windows))
+    return QSeries(offset, _term_chain(windows, out_len), offset + out_len - 1)
 
 
 def format_coeff(c) -> tuple[str, bool]:

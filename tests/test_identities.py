@@ -122,6 +122,22 @@ def test_derived_twins_pass_where_printed_does_not():
         assert printed and all(r.status == "mismatch" for r in printed)
 
 
+def test_3_6_rows_build_the_printed_sides_once(monkeypatch):
+    desc = get_descriptor("3.6")
+    real, calls = desc.build, []
+
+    def counting_build(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(desc, "build", counting_build)
+    reports = derived_corollary_reports("3.6", 30)
+    assert [(r.spec, r.status) for r in reports] == [
+        ("printed", "equal"), ("derived-lhs", "equal"), ("derived-rhs", "equal")
+    ]
+    assert len(calls) == 1
+
+
 def test_corollary_parent_map_is_total():
     assert set(COROLLARY_PARENTS) == {"3.1", "3.3", "3.4", "3.5", "3.7", "3.9"}
 

@@ -21,7 +21,9 @@ sides that differ from the unmutated ones through the order.
 
 Each argument x that a builder passes to ``poch_inf``, ``poch_pair`` or
 ``poch_fin`` (base m) is mutated the same way in both tiers: its unit's
-sign flipped, and x replaced by x q^m.  None survives at the seeded specs.
+sign flipped, and x replaced by x q^m.  Each constant c that a builder adds
+through ``QSeries.const`` is negated, and replaced by c + 1.  None of these
+survives at the seeded specs.
 """
 
 import time
@@ -314,11 +316,12 @@ def poch_mutator(monkeypatch):
     return PochMutator(monkeypatch)
 
 
-def poch_mutants(mutator, symbolic, order):
+def call_mutants(mutator, mutations, symbolic, order):
     """Check every id (with parameters, if ``symbolic``) at its seeded spec,
-    then once per mutant of each Pochhammer argument its builder passes.
-    Returns the mutant count, the survivors and the mutants refused with a
-    domain error, each as (id, position, mutation), and each id's calls."""
+    then once per mutant in ``mutations`` of each call its builder makes to
+    what ``mutator`` stands in for.  Returns the mutant count, the survivors
+    and the mutants refused with a domain error, each as (id, position,
+    mutation), and each id's calls."""
     count, survivors, refused, calls = 0, set(), set(), {}
     for row in list_identities():
         ident = row["identity"]
@@ -332,7 +335,7 @@ def poch_mutants(mutator, symbolic, order):
         assert base.ok, (ident, base.status, base.first_mismatch)
         calls[ident] = mutator.calls
         for pos in range(len(calls[ident])):
-            for name, mutation in POCH_MUTATIONS.items():
+            for name, mutation in mutations.items():
                 mutator.reset(pos, mutation)
                 count += 1
                 report = check_identity(ident, assign, order)
@@ -355,7 +358,7 @@ def shifted_pairs_of_positive_order(calls):
 
 
 def test_every_signed_check_kills_its_pochhammer_mutants(poch_mutator):
-    count, survivors, refused, calls = poch_mutants(poch_mutator, False, ORDER)
+    count, survivors, refused, calls = call_mutants(poch_mutator, POCH_MUTATIONS, False, ORDER)
     assert set(calls) == POCH_IDS
     # calls: 1.1 2, 1.2 3, 1.3 8, 2.3 3, 2.7 4, 3.1 4, 3.3 4, phi 2
     assert count == 2 * 30
@@ -364,7 +367,9 @@ def test_every_signed_check_kills_its_pochhammer_mutants(poch_mutator):
 
 
 def test_every_symbolic_check_kills_its_pochhammer_mutants(poch_mutator):
-    count, survivors, refused, calls = poch_mutants(poch_mutator, True, SYMBOLIC_ORDER)
+    count, survivors, refused, calls = call_mutants(
+        poch_mutator, POCH_MUTATIONS, True, SYMBOLIC_ORDER
+    )
     assert set(calls) == {ident for ident in POCH_IDS if get_descriptor(ident).params}
     assert count == 2 * 20
     assert survivors == set()
@@ -382,3 +387,58 @@ def test_the_shifted_pair_at_minus_one_is_equivalent(poch_mutator):
     assert check_identity("1.1", assign, ORDER).ok
     poch_mutator.reset(pos, POCH_MUTATIONS["flip sign"])
     assert check_identity("1.1", assign, ORDER).status == "mismatch"
+
+
+# ---------------------------------------------------------------------------
+# constants
+
+CONST_MUTATIONS = {
+    "negate": lambda c: -c,
+    "add 1": lambda c: c + 1,
+}
+
+# the ids whose builders add a constant through QSeries.const, and how many
+CONST_IDS = {
+    "1.3": 1, "1.5": 2, "2.10": 1, "2.13": 2, "3.1": 1, "3.3": 1, "3.7": 2, "3.8": 1, "3.9": 1,
+}
+
+
+class ConstMutator:
+    """Stands in for ``QSeries`` in ``identities``, whose builders use it only
+    for ``QSeries.const``: records each call's constant since ``reset`` and
+    applies ``mutation`` to the one at ``position``."""
+
+    def __init__(self, monkeypatch):
+        self.real = identities.QSeries
+        self.reset()
+        monkeypatch.setattr(identities, "QSeries", self)
+
+    def reset(self, position=None, mutation=None):
+        self.position, self.mutation, self.calls = position, mutation, []
+
+    def const(self, c, order):
+        hit = len(self.calls) == self.position
+        self.calls.append(c)
+        return self.real.const(self.mutation(c) if hit else c, order)
+
+
+@pytest.fixture
+def const_mutator(monkeypatch):
+    return ConstMutator(monkeypatch)
+
+
+def test_every_signed_check_kills_its_constant_mutants(const_mutator):
+    count, survivors, refused, calls = call_mutants(const_mutator, CONST_MUTATIONS, False, ORDER)
+    assert {ident: len(c) for ident, c in calls.items()} == CONST_IDS
+    assert count == 2 * sum(CONST_IDS.values())
+    assert survivors == refused == set()
+
+
+def test_every_symbolic_check_kills_its_constant_mutants(const_mutator):
+    count, survivors, refused, calls = call_mutants(
+        const_mutator, CONST_MUTATIONS, True, SYMBOLIC_ORDER
+    )
+    with_params = {ident: n for ident, n in CONST_IDS.items() if get_descriptor(ident).params}
+    assert {ident: len(c) for ident, c in calls.items()} == with_params
+    assert count == 2 * sum(with_params.values())
+    assert survivors == refused == set()

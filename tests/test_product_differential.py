@@ -1,20 +1,23 @@
 """Differential tests: the two ``QSeries.__mul__`` kernels (sparse term
-product, packed scalar product), the Pochhammer products, the Newton
-inverse and series division against the naive per-coefficient product and
-inverse in ``naive_product``, and a check that no series operation mutates
-its operands."""
+chain, packed scalar product), ``qring.product`` of several factors, the
+Pochhammer products, the Newton inverse and series division against the
+naive per-coefficient product and inverse in ``naive_product``, and a check
+that no series operation mutates its operands."""
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from naive_product import naive_inv, naive_mul, naive_poch
+from qidx import qring
 from qidx.constructors import SpecMonomial, Unit, poch_fin, poch_inf
 from qidx.errors import NonUnitLeadingError
 from qidx.exactalg import MONO_ONE, LaurentPoly
-from qidx.qring import QSeries, _coerce, _inv_coeff, _pack, _packed_product, _term_product, _unpack
+from qidx.qring import QSeries, _coerce, _inv_coeff, _pack, _packed_product, _term_chain, _unpack
 
 SETTINGS = settings(
     max_examples=300,
@@ -151,6 +154,45 @@ def test_short_side_product_matches_naive(pair):
     assert product.coeffs is not dense.coeffs and product.coeffs is not short.coeffs
 
 
+def alternated(x):
+    """x with every odd-index coefficient negated: the odd columns of x
+    times this series cancel to 0."""
+    return QSeries.make(x.offset, [-c if i % 2 else c for i, c in enumerate(x.coeffs)], x.order)
+
+
+@st.composite
+def chains(draw):
+    """1-5 factors, each of scalars and Fractions or also of tau-polynomials,
+    at offsets -4..6, some of them empty; now and then one factor is another
+    one alternated, so that columns of the chain cancel to 0."""
+    count = draw(st.integers(1, 5))
+    factors = [draw(series(draw(st.booleans()), max_len=10)) for _ in range(count)]
+    if count > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(count)))[:2]
+        factors[j] = alternated(factors[i])
+    return factors
+
+
+@SETTINGS
+@given(chains())
+def test_product_of_a_chain_matches_the_naive_fold(factors):
+    # with a tau-coefficient anywhere, one chain kernel multiplies every
+    # factor; the result has the window and storage types of the plain fold
+    before = [snapshot(f) for f in factors]
+    calls, real = [], qring._term_chain
+    qring._term_chain = lambda windows, n: calls.append(len(windows)) or real(windows, n)
+    try:
+        got = exact(qring.product(*factors))
+    finally:
+        qring._term_chain = real
+    if all(f.coeffs for f in factors):
+        tau = any(type(c) is LaurentPoly for f in factors for c in f.coeffs)
+        assert calls == ([len(factors)] if tau else [])
+    assert got == exact(reduce(naive_mul, factors))
+    assert got == exact(reduce(operator.mul, factors))
+    assert [snapshot(f) for f in factors] == before
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([*range(1, 11), 16]), st.data())
 def test_pack_round_trips_edge_digits(nbytes, data):
@@ -209,11 +251,11 @@ def test_packed_product_accepts_every_qseries_window():
     check_product(x, QSeries.make(0, [5, 7, 1, 2], 3))
 
 
-def test_term_product_accepts_every_qseries_window():
+def test_term_chain_accepts_every_qseries_window():
     # the part of y inside the product window is all zero, which only a
     # direct call can hand to the kernel
     td = LaurentPoly.var(3)
-    assert _term_product([td**2], [0, td, 0], 1) == [0]
+    assert _term_chain([[td**2], [0, td, 0]], 1) == [0]
     y = QSeries(-1, [0, td, 0], 1)
     check_product(QSeries.make(2, [td**2], 2), y)
     check_product(y, y)
@@ -244,13 +286,13 @@ def assert_storage_form(window):
             assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
 
 
-def check_term_product(x, y, out_len):
-    got = _term_product(x, y, out_len)
+def check_term_chain(x, y, out_len):
+    got = _term_chain([x, y], out_len)
     assert len(got) == out_len
     assert_storage_form(got)
     assert exact_coeffs(got) == exact_coeffs(naive_window_product(x, y, out_len))
     # the kernel walks the side with fewer terms outside: both orders agree
-    assert exact_coeffs(_term_product(y, x, out_len)) == exact_coeffs(got)
+    assert exact_coeffs(_term_chain([y, x], out_len)) == exact_coeffs(got)
     return got
 
 
@@ -294,7 +336,7 @@ def test_term_kernel_matches_a_naive_convolution(fraction_sides, data):
     if data.draw(st.booleans()):
         x, y = y, x
     out_len = data.draw(st.integers(1, long_len + short_len + 2))
-    check_term_product(x, y, out_len)
+    check_term_chain(x, y, out_len)
 
 
 @settings(max_examples=80, deadline=None)
@@ -305,7 +347,7 @@ def test_term_kernel_of_an_all_zero_window_is_zero(nx, ny, out_len, data):
         # a nonzero term past the product window
         x.append(LaurentPoly.var(data.draw(st.integers(0, 3)), -2))
     y = data.draw(term_windows(ny, data.draw(st.booleans())) | st.just([0] * ny))
-    assert check_term_product(x, y, out_len) == [0] * out_len
+    assert check_term_chain(x, y, out_len) == [0] * out_len
 
 
 unit_coefficients = st.builds(
@@ -322,10 +364,10 @@ polys = st.dictionaries(
 def test_term_kernel_columns_cancel_to_zero_and_to_a_bare_scalar(p, q, r, k, out_len):
     # (p + q t)(p - q t) has 0 at t^1, and (p + q t)(r + s t) with
     # s = (k - q r) / p has the scalar k there
-    zero = check_term_product([p, q], [p, -q], out_len)[1]
+    zero = check_term_chain([p, q], [p, -q], out_len)[1]
     assert zero == 0 and type(zero) is int
     s = _coerce((k - q * r) * _inv_coeff(p))
-    column = check_term_product([p, q], [r, s], out_len)[1]
+    column = check_term_chain([p, q], [r, s], out_len)[1]
     assert column == k and type(column) is type(_coerce(k))
 
 
@@ -333,9 +375,9 @@ def test_term_kernel_with_negative_exponents_in_every_variable():
     inv = [LaurentPoly.var(v, -3) for v in range(4)]
     x = [inv[0] * inv[1], Fraction(1, 2), inv[2] + inv[3], 0, inv[0] * inv[3]]
     y = [LaurentPoly.var(1, 2) + 1, inv[2] * inv[2]]
-    got = check_term_product(x, y, 5)
+    got = check_term_chain(x, y, 5)
     assert got[0].terms == {(-3, -1, 0, 0): 1, (-3, -3, 0, 0): 1}
-    assert check_term_product(x, y, 2)[1] == got[1]
+    assert check_term_chain(x, y, 2)[1] == got[1]
 
 
 def test_term_kernel_scales_an_integral_fraction_to_an_int():
@@ -343,10 +385,10 @@ def test_term_kernel_scales_an_integral_fraction_to_an_int():
     # hands one to the kernel; it is scaled to an int like any coefficient
     # (skipping the scaling when the common denominator is 1 gives Fraction(6, 1))
     ta2 = LaurentPoly._raw({(1, 0, 0, 0): Fraction(2, 1)})
-    got = _term_product([ta2], [Fraction(3, 1)], 1)
+    got = _term_chain([[ta2], [Fraction(3, 1)]], 1)
     assert type(got[0]) is LaurentPoly and got[0].terms == {(1, 0, 0, 0): 6}
     assert_storage_form(got)
-    got = _term_product([Fraction(2, 1), ta2], [Fraction(3, 1)], 2)
+    got = _term_chain([[Fraction(2, 1), ta2], [Fraction(3, 1)]], 2)
     assert type(got[0]) is int and got[0] == 6 and got[1].terms == {(1, 0, 0, 0): 6}
     assert_storage_form(got)
 

@@ -1,11 +1,14 @@
 """Replay the symbolic term kernels of one workload seed in two checkouts.
 
-Records every call of the two term kernels, ``qidx.qring._term_product``
-(products) and ``qidx.qring._term_quotient`` (long division), that one
-``symbolic`` deck and one 5-trial ``verify-all`` pass of
+Records every call of the two term kernels, ``qidx.qring._term_chain``
+(products of one or more windows) and ``qidx.qring._term_quotient`` (long
+division), that one ``symbolic`` deck and one 5-trial ``verify-all`` pass of
 ``perfbench/workloads.py`` make for the seed, by wrapping both kernels in
 the parent checkout (the ``poch_inf`` cache is cleared before each request,
-as a fresh CLI process would have it).  The two checkouts then replay the
+as a fresh CLI process would have it).  A checkout whose product kernel is
+the two-window ``_term_product(x, y, out_len)`` is recorded, and replays,
+each of its products as the chain of two windows ``[x, y]``: so a chain
+kernel can be timed on a parent's pair products alone.  The two checkouts then replay the
 calls in turn, each in a fresh interpreter that times ``PASSES`` passes of
 each kernel, for ``ROUNDS`` rounds, so that a change in the host's speed
 reaches both; each side reports its fastest pass of each kernel alone.
@@ -34,7 +37,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 ROUNDS, PASSES = 5, 3
-KERNELS = ("_term_product", "_term_quotient")
+KERNELS = ("_term_chain", "_term_quotient")
 
 
 def plain(window):
@@ -46,21 +49,40 @@ def plain(window):
     ]
 
 
+def kernels(qring) -> dict:
+    """Each kernel of a checkout, as it is now, as a call on (windows,
+    out_len); a product kernel of two windows takes a chain of two."""
+    pair, quotient = getattr(qring, "_term_product", None), qring._term_quotient
+    return {
+        "_term_chain": getattr(qring, "_term_chain", None) or (lambda w, n: pair(*w, n)),
+        "_term_quotient": lambda w, n: quotient(*w, n),
+    }
+
+
 def record(checkout: str, seed: str, out: str) -> None:
     sys.path[:0] = [f"{checkout}/src", f"{checkout}/perfbench"]
     from qidx import cli, constructors, qring
     from workloads import build_deck
 
     calls = {name: [] for name in KERNELS}
+    real = kernels(qring)
 
-    def wrap(name, real):
-        def wrapped(x, y, out_len):
-            calls[name].append((plain(x), plain(y), out_len))
-            return real(x, y, out_len)
-        return wrapped
+    def chain(windows, out_len):
+        calls["_term_chain"].append(([plain(w) for w in windows], out_len))
+        return real["_term_chain"](windows, out_len)
 
-    for name in KERNELS:
-        setattr(qring, name, wrap(name, getattr(qring, name)))
+    def pair(x, y, out_len):
+        return chain([x, y], out_len)
+
+    def quotient(x, y, out_len):
+        calls["_term_quotient"].append(([plain(x), plain(y)], out_len))
+        return real["_term_quotient"]([x, y], out_len)
+
+    qring._term_quotient = quotient
+    if hasattr(qring, "_term_chain"):
+        qring._term_chain = chain
+    else:
+        qring._term_product = pair
     for request in build_deck("symbolic", int(seed)) + build_deck("suite", int(seed)):
         constructors._poch_inf_cached.cache_clear()
         with redirect_stdout(io.StringIO()):
@@ -79,11 +101,12 @@ def replay(checkout: str, calls_file: str, out: str) -> None:
 
     best, results = {}, {}
     for name, recorded in pickle.loads(Path(calls_file).read_bytes()).items():
-        kernel, calls = getattr(qring, name), [(build(x), build(y), n) for x, y, n in recorded]
+        kernel = kernels(qring)[name]
+        calls = [([build(w) for w in windows], n) for windows, n in recorded]
         best[name] = float("inf")
         for _ in range(PASSES):
             t0 = time.perf_counter()
-            out_windows = [kernel(x, y, n) for x, y, n in calls]
+            out_windows = [kernel(windows, n) for windows, n in calls]
             best[name] = min(best[name], time.perf_counter() - t0)
         results[name] = [plain(r) for r in out_windows]
     Path(out).write_bytes(pickle.dumps((best, results)))
