@@ -5,7 +5,8 @@ Parameters are specialized to monomials u * q^e where the unit u is a sign or
 a symbolic unit monomial (an invertible generator of the coefficient ring).
 There is one coefficient ring, so no constructor takes a ring: a series
 holds tau-coefficients exactly where its arguments' symbolic units put them,
-and mixes freely with series that hold none.
+and mixes freely with series that hold none.  Its coefficients are put in
+storage form by ``exactalg`` (``canon``, ``column``).
 Every reciprocal 1/(1-v)^s goes through one three-case expansion:
 
   ord(v) > 0   geometric/binomial expansion in v,
@@ -45,16 +46,8 @@ from .errors import (
     PoleError,
     SymbolicNonUnitError,
 )
-from .exactalg import (
-    MONO_ONE,
-    LaurentPoly,
-    mono_inv,
-    mono_mul,
-    mono_pow,
-    mono_str,
-    normalize_scalar,
-)
-from .qring import QSeries, _column, _unpack
+from .exactalg import MONO_ONE, LaurentPoly, canon, column, mono_inv, mono_mul, mono_pow, mono_str
+from .qring import QSeries, _unpack
 
 _LOOP_LIMIT = 200_000
 MAX_ORDER = 10_000  # no series may start below q^-MAX_ORDER (see ``qidx.exprs``)
@@ -101,9 +94,7 @@ class Unit:
 
     def value(self) -> int | LaurentPoly:
         """The unit as a coefficient-ring element."""
-        if self.mono == MONO_ONE:
-            return self.sign
-        return LaurentPoly.monomial(self.mono, self.sign)
+        return column({self.mono: self.sign})
 
     def __str__(self):
         if self.mono == MONO_ONE:
@@ -277,12 +268,12 @@ class _Acc:
             if mono == MONO_ONE:
                 num[e - lo] += c
             elif c:
-                cols.setdefault(e, {})[mono] = normalize_scalar(c)
-        coeffs = [c if type(c) is int else normalize_scalar(c) for c in num]
+                cols.setdefault(e, {})[mono] = canon(c)
+        coeffs = [c if type(c) is int else canon(c) for c in num]
         for e, terms in cols.items():
             if coeffs[e - lo]:
                 terms[MONO_ONE] = coeffs[e - lo]
-            coeffs[e - lo] = LaurentPoly._raw(terms)
+            coeffs[e - lo] = column(terms)
         return QSeries(lo, coeffs, self.order)
 
 
@@ -398,7 +389,7 @@ def _factors(x: SpecMonomial, n: int, m: int, order: int) -> QSeries:
     a = _unpack(a, (order + 1) * S, nbytes)
     if tau:
         pows = [mono_pow(mono, j) for j in reversed(range(S))]
-        a = [_column({p: c for p, c in zip(pows, reversed(a[k : k + S])) if c})
+        a = [column({p: c for p, c in zip(pows, reversed(a[k : k + S])) if c})
              for k in range(0, len(a), S)]
     return QSeries(0, a, order)
 

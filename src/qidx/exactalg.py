@@ -11,24 +11,27 @@ A Laurent polynomial is a dict mapping an exponent 4-tuple (one signed
 integer per symbol) to a nonzero rational coefficient.  The empty dict is
 zero.  No greatest-common-divisor machinery exists or is needed: the only
 inverses ever taken are of single-term polynomials.
+
+A series stores each coefficient in one *storage form*: an integral
+``Fraction`` is an ``int`` and a constant ``LaurentPoly`` is its scalar.
+This module is that rule's one home: ``canon`` puts a coefficient an
+arithmetic operation produced into storage form, ``coerce`` does the same
+for a coefficient from outside (``TypeError`` if it is not in the ring),
+``column`` builds one from its nonzero canonical terms, and ``inverse``
+inverts a unit (``NonUnitLeadingError`` otherwise).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import NonUnitLeadingError
+
 NVARS = 4
 VAR_NAMES = ("ta", "tb", "tc", "td")
 VAR_A, VAR_B, VAR_C, VAR_D = range(NVARS)
 
 MONO_ONE = (0, 0, 0, 0)
-
-
-def normalize_scalar(c: int | Fraction) -> int | Fraction:
-    """Collapse integral Fractions to plain ints (canonical storage form)."""
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
 
 
 def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -66,7 +69,7 @@ class LaurentPoly:
         clean = {}
         if terms:
             for mono, c in terms.items():
-                c = normalize_scalar(c)
+                c = canon(c)
                 if c != 0:
                     clean[mono] = c
         self.terms = clean
@@ -84,7 +87,7 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c: int | Fraction) -> "LaurentPoly":
-        c = normalize_scalar(c)
+        c = canon(c)
         return cls._raw({MONO_ONE: c} if c != 0 else {})
 
     @classmethod
@@ -96,7 +99,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, mono: tuple[int, ...], coeff: int | Fraction = 1) -> "LaurentPoly":
-        coeff = normalize_scalar(coeff)
+        coeff = canon(coeff)
         return cls._raw({tuple(mono): coeff} if coeff != 0 else {})
 
     # -- structure --------------------------------------------------------
@@ -154,7 +157,7 @@ class LaurentPoly:
             if s == 0:
                 out.pop(mono, None)
             else:
-                out[mono] = normalize_scalar(s)
+                out[mono] = canon(s)
         return LaurentPoly._raw(out)
 
     __radd__ = __add__
@@ -179,7 +182,7 @@ class LaurentPoly:
             if other == 1:
                 return self
             return LaurentPoly._raw(
-                {m: normalize_scalar(c * other) for m, c in self.terms.items()}
+                {m: canon(c * other) for m, c in self.terms.items()}
             )
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -196,7 +199,7 @@ class LaurentPoly:
                 else:
                     out[mono] = s
         for mono, c in out.items():
-            out[mono] = normalize_scalar(c)
+            out[mono] = canon(c)
         return LaurentPoly._raw(out)
 
     __rmul__ = __mul__
@@ -234,7 +237,7 @@ class LaurentPoly:
         for mono, c in self.terms.items():
             e = mono[var]
             if e:
-                out[mono] = normalize_scalar(e * c)
+                out[mono] = canon(e * c)
         return LaurentPoly._raw(out)
 
     def subst_unit(self, var: int, sign: int) -> "LaurentPoly":
@@ -253,7 +256,7 @@ class LaurentPoly:
             if s == 0:
                 out.pop(new, None)
             else:
-                out[new] = normalize_scalar(s)
+                out[new] = canon(s)
         return LaurentPoly._raw(out)
 
     # -- presentation -------------------------------------------------------
@@ -284,3 +287,43 @@ class LaurentPoly:
     def __repr__(self) -> str:
         return f"LaurentPoly({self})"
 
+
+# ---------------------------------------------------------------------------
+# the storage form (see the module docstring)
+
+
+def canon(c):
+    """The storage form of a coefficient an arithmetic op produced: an
+    integral Fraction becomes an int, a constant LaurentPoly its scalar."""
+    if type(c) is Fraction:
+        return c.numerator if c.denominator == 1 else c
+    if type(c) is LaurentPoly:
+        cv = c.constant_value()
+        return c if cv is None else cv
+    return c
+
+
+def coerce(c):
+    """The storage form of a coefficient from outside."""
+    if not isinstance(c, (int, Fraction, LaurentPoly)):
+        raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
+    return canon(c)
+
+
+def column(terms: dict):
+    """A coefficient in storage form from its nonzero canonical terms."""
+    return (0 if not terms else terms[MONO_ONE] if len(terms) == 1 and MONO_ONE in terms
+            else LaurentPoly._raw(terms))
+
+
+def inverse(c):
+    """1/c in storage form; NonUnitLeadingError if c is not a unit."""
+    mono = MONO_ONE
+    if isinstance(c, LaurentPoly):
+        u = c.as_unit()
+        if u is None:
+            raise NonUnitLeadingError(f"leading coefficient is not a single-term unit: {c}")
+        mono, c = u
+    elif c == 0:
+        raise NonUnitLeadingError("leading coefficient is zero")
+    return column({mono_inv(mono): canon(Fraction(1, 1) / c)})

@@ -105,11 +105,13 @@ def symbolic_param(name: str, qexp: int) -> SpecMonomial:
 
 class CheckReport:
     """One check's outcome; ``status`` is "equal", "mismatch" or
-    "constraint-violation", and ``first_mismatch`` (exponent, lhs, rhs)."""
+    "constraint-violation", and ``first_mismatch`` (exponent, lhs, rhs).
+    ``derives`` is the printed corollary a derivation row stands for (set
+    only by ``derived_corollary_reports``), None on every other row."""
 
     __slots__ = (
         "identity", "base", "spec", "order_requested", "order_compared", "status",
-        "first_mismatch", "runtime_ms", "seed", "detail",
+        "first_mismatch", "runtime_ms", "seed", "detail", "derives",
     )
 
     def __init__(
@@ -121,15 +123,15 @@ class CheckReport:
         self.identity, self.base, self.spec = identity, base, spec
         self.order_requested, self.order_compared = order_requested, order_compared
         self.status, self.first_mismatch, self.runtime_ms = status, first_mismatch, runtime_ms
-        self.seed, self.detail = seed, detail
+        self.seed, self.detail, self.derives = seed, detail, None
 
     @property
     def ok(self) -> bool:
         return self.status == "equal"
 
     def to_json_dict(self) -> dict:
-        """The fields in slot order, ``detail`` only when set."""
-        out = {name: getattr(self, name) for name in self.__slots__}
+        """The fields in slot order but ``derives``, ``detail`` only when set."""
+        out = {name: getattr(self, name) for name in self.__slots__ if name != "derives"}
         if (fm := self.first_mismatch) is not None:
             out["first_mismatch"] = {"exponent": fm[0], "lhs": fm[1], "rhs": fm[2]}
         out["runtime_ms"] = round(self.runtime_ms, 3)
@@ -769,7 +771,7 @@ def derived_corollary_reports(ident: str, order: int) -> list[CheckReport]:
         printed.spec = "printed"
         parent, sub = COROLLARY_PARENTS[ident]
         rep = check_identity(parent, ParamAssignment(base, dict(sub)), order)
-        rep.identity = f"{ident}<-{parent}"
+        rep.identity, rep.derives = f"{ident}<-{parent}", ident
         return [rep, printed]
     t0 = time.perf_counter()
     lp, rp = build_sides(ident, ParamAssignment(base, {}), order)
@@ -779,6 +781,8 @@ def derived_corollary_reports(ident: str, order: int) -> list[CheckReport]:
     quarter = Fraction(-1, 4)
     sides = {"lhs": (lp, (l1 - l2).scale(quarter)), "rhs": (rp, (r1 - r2).scale(quarter))}
     derived = [_report(ident, base, f"derived-{tag}", order, t0, p) for tag, p in sides.items()]
+    for rep in derived:
+        rep.derives = ident
     return [printed] + derived
 
 
@@ -804,9 +808,8 @@ def suite_ok(reports: list[CheckReport]) -> bool:
     """
     derived_ok: dict[str, bool] = {}
     for r in reports:
-        if "<-" in r.identity or r.spec.startswith("derived-"):
-            key = r.identity.split("<-")[0]
-            derived_ok[key] = derived_ok.get(key, True) and r.ok
+        if r.derives is not None:
+            derived_ok[r.derives] = derived_ok.get(r.derives, True) and r.ok
     for r in reports:
         if r.ok:
             continue

@@ -5,12 +5,12 @@ A QSeries stores exact coefficients for every exponent in [offset, order]
 above the order are unknown.  ``offset <= order + 1`` always holds, with the
 empty window encoding the zero series known through ``order``.
 
-Coefficients live in one ring (see ``exactalg``): Laurent polynomials over
-the rationals in the four unit symbols.  A scalar coefficient is stored as
-int/Fraction and any other as a LaurentPoly, so a series of scalars and one
-of tau-coefficients combine freely.  Every window is canonical: its
-coefficients are in storage form and its leading zeros are trimmed when
-the series is built.
+Coefficients live in one ring: Laurent polynomials over the rationals in
+the four unit symbols, so a series of scalars and one of tau-coefficients
+combine freely.  Every window is canonical: its coefficients are in the
+storage form that ``exactalg`` defines and builds (``canon``, ``coerce``,
+``column``, ``inverse``), and its leading zeros are trimmed when the series
+is built.
 
 Multiplication picks one of two exact kernels from what the operands hold:
 
@@ -52,45 +52,7 @@ from itertools import accumulate
 from operator import mul
 
 from .errors import NonUnitLeadingError, OrderExceededError
-from .exactalg import (
-    MONO_ONE,
-    LaurentPoly,
-    mono_inv,
-    normalize_scalar,
-)
-
-
-def _coerce(c):
-    """The storage form (``_canon``) of a coefficient from outside."""
-    if not isinstance(c, (int, Fraction, LaurentPoly)):
-        raise TypeError(f"unsupported coefficient type: {type(c).__name__}")
-    return _canon(c)
-
-
-def _inv_coeff(c):
-    """Invert a coefficient; NonUnitLeadingError if it is not a unit."""
-    if isinstance(c, LaurentPoly):
-        u = c.as_unit()
-        if u is None:
-            raise NonUnitLeadingError(
-                f"leading coefficient is not a single-term unit: {c}"
-            )
-        mono, cc = u
-        return LaurentPoly.monomial(mono_inv(mono), Fraction(1, 1) / cc)
-    if c == 0:
-        raise NonUnitLeadingError("leading coefficient is zero")
-    return normalize_scalar(Fraction(1, 1) / Fraction(c))
-
-
-def _canon(c):
-    """The storage form of a coefficient an arithmetic op produced: an
-    integral Fraction becomes an int, a constant LaurentPoly its scalar."""
-    if type(c) is Fraction:
-        return c.numerator if c.denominator == 1 else c
-    if type(c) is LaurentPoly:
-        cv = c.constant_value()
-        return c if cv is None else cv
-    return c
+from .exactalg import MONO_ONE, LaurentPoly, canon, coerce, column, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +149,7 @@ def _packed_product(x: list, y: list, out_len: int) -> list:
     den = dx * dy
     if den == 1:
         return digits
-    return [normalize_scalar(Fraction(d, den)) if d else 0 for d in digits]
+    return [canon(Fraction(d, den)) if d else 0 for d in digits]
 
 
 def _bucketed(pairs, n: int) -> tuple[list[int], list[int], list]:
@@ -249,15 +211,9 @@ def _term_chain(windows: list, out_len: int) -> list:
             e3, e2 = divmod(rest, r2)
             mono = decoded[k] = (e0 - b0, e1 - b1, e2 - b2, e3 - b3)
         if den > 1:
-            c = normalize_scalar(Fraction(c, den))
+            c = canon(Fraction(c, den))
         out[i][mono] = c
-    return [_column(col) for col in out]
-
-
-def _column(terms: dict):
-    """A coefficient in storage form from its nonzero canonical terms."""
-    return (0 if not terms else terms[MONO_ONE] if len(terms) == 1 and MONO_ONE in terms
-            else LaurentPoly._raw(terms))
+    return [column(col) for col in out]
 
 
 def _term_quotient(x: list, y: list, out_len: int) -> list:
@@ -266,7 +222,7 @@ def _term_quotient(x: list, y: list, out_len: int) -> list:
     coded as a third window.  Codes sum(e_i * R**i) add as monomials multiply;
     no exponent met passes E = (2*out_len + 2)*b, b the largest in x and y."""
     sides = [[(i, c.terms if type(c) is LaurentPoly else {MONO_ONE: c})
-              for i, c in enumerate(w[:out_len]) if c] for w in (x, y, [_inv_coeff(y[0])])]
+              for i, c in enumerate(w[:out_len]) if c] for w in (x, y, [inverse(y[0])])]
     E = (2 * out_len + 2) * max(abs(e) for cols in sides for _, t in cols for m in t for e in m)
     R = 2 * E + 1
     strides = (1, R, R * R, R**3)
@@ -284,7 +240,7 @@ def _term_quotient(x: list, y: list, out_len: int) -> list:
                     acc[k1 + k2] = get(k1 + k2, 0) - c1 * c2
         out.append([(key + ikey, c * ic) for key, c in acc.items() if c])
     shift = E * sum(strides)
-    return [_column({tuple((key + shift) // s % R - E for s in strides): normalize_scalar(c)
+    return [column({tuple((key + shift) // s % R - E for s in strides): canon(c)
                      for key, c in col}) for col in out]
 
 
@@ -320,7 +276,7 @@ class QSeries:
                 f"window [{offset},{order}] needs {order - offset + 1} "
                 f"coefficients, got {len(coeffs)}"
             )
-        return cls(offset, [_coerce(c) for c in coeffs], order)
+        return cls(offset, [coerce(c) for c in coeffs], order)
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
@@ -330,13 +286,13 @@ class QSeries:
     def const(cls, c, order: int) -> "QSeries":
         if order < 0:
             return cls.zero(order)
-        return cls(0, [_coerce(c)] + [0] * order, order)
+        return cls(0, [coerce(c)] + [0] * order, order)
 
     @classmethod
     def monomial(cls, c, exp: int, order: int) -> "QSeries":
         if exp > order:
             return cls.zero(order)
-        return cls(exp, [_coerce(c)] + [0] * (order - exp), order)
+        return cls(exp, [coerce(c)] + [0] * (order - exp), order)
 
     # -- inspection ---------------------------------------------------------
 
@@ -384,7 +340,7 @@ class QSeries:
                 if prev:
                     c = prev + c
                     if type(c) is not int:
-                        c = _canon(c)
+                        c = canon(c)
                 out[i] = c
         return QSeries(lo, out, order)
 
@@ -425,12 +381,12 @@ class QSeries:
 
     def scale(self, c):
         """Multiply every coefficient by a scalar or unit polynomial."""
-        c = _coerce(c)
+        c = coerce(c)
         if c == 0:
             return QSeries.zero(self.order)
         if c == 1:
             return self
-        return QSeries(self.offset, [_canon(c * cc) for cc in self.coeffs], self.order)
+        return QSeries(self.offset, [canon(c * cc) for cc in self.coeffs], self.order)
 
     def shifted(self, k: int) -> "QSeries":
         """Multiply by q^k (shift the window by k)."""
@@ -461,7 +417,7 @@ class QSeries:
         a = self.coeffs
         if LaurentPoly in map(type, a):
             return QSeries.const(1, self.order - self.offset) / self
-        b = QSeries(0, [_inv_coeff(a[0])], 0)
+        b = QSeries(0, [inverse(a[0])], 0)
         k = 1
         while k < len(a):
             # b is 1/a through q^(k-1); with a*b = 1 - r, the step b + b*r

@@ -156,8 +156,7 @@ def test_criterion_06_pinned_corollaries():
     localized = {}
     for ident in sorted(PRINTED_COROLLARIES):
         for report in derived_corollary_reports(ident, 200):
-            is_derived = "<-" in report.identity or report.spec.startswith("derived-")
-            if is_derived and not report.ok:
+            if report.derives is not None and not report.ok:
                 derived_bad.append((report.identity, report.spec, report.first_mismatch))
             if report.spec == "printed" and report.first_mismatch:
                 localized[ident] = report.first_mismatch[0]

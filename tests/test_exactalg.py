@@ -1,19 +1,29 @@
-"""Property tests for the exact Laurent-polynomial coefficient ring."""
+"""Property tests for the exact Laurent-polynomial coefficient ring and its
+storage form."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qidx
+from qidx.errors import NonUnitLeadingError
 from qidx.exactalg import (
     MONO_ONE,
     NVARS,
     VAR_A,
     VAR_B,
     LaurentPoly,
+    canon,
+    coerce,
+    column,
+    inverse,
     mono_inv,
     mono_mul,
-    normalize_scalar,
 )
 
 
@@ -54,9 +64,9 @@ def test_canonical_form():
     p = LaurentPoly({(1, 0, 0, 0): Fraction(4, 2), (0, 1, 0, 0): 0})
     assert p.terms == {(1, 0, 0, 0): 2}
     assert isinstance(p.terms[(1, 0, 0, 0)], int)
-    assert normalize_scalar(Fraction(6, 3)) == 2
-    assert isinstance(normalize_scalar(Fraction(6, 3)), int)
-    assert normalize_scalar(Fraction(1, 2)) == Fraction(1, 2)
+    assert canon(Fraction(6, 3)) == 2
+    assert isinstance(canon(Fraction(6, 3)), int)
+    assert canon(Fraction(1, 2)) == Fraction(1, 2)
 
 
 def test_equality_with_scalars():
@@ -140,3 +150,66 @@ def test_str_rendering():
     assert str(LaurentPoly.zero()) == "0"
     assert str(LaurentPoly.var(VAR_A) - 1) == "-1 + ta"
     assert str(LaurentPoly.const(Fraction(-1, 2))) == "-1/2"
+
+
+# ---------------------------------------------------------------------------
+# the storage form
+
+monomials = st.tuples(*[st.integers(-2, 2)] * NVARS) | st.just(MONO_ONE)
+scalars = st.integers(-6, 6) | st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3]))
+nonzero = scalars.filter(bool)
+pairs = st.lists(st.tuples(monomials, scalars), max_size=4)
+
+
+@st.composite
+def term_dicts(draw):
+    """Terms as arithmetic leaves them: zero and integral Fraction values,
+    terms that cancel, and dicts of the constant monomial alone."""
+    terms = draw(pairs | pairs.map(lambda ps: [(MONO_ONE, c) for _, c in ps]))
+    terms += [(mono, -c) for mono, c in terms if draw(st.booleans())]
+    out = {}
+    for mono, c in terms:
+        out[mono] = out.get(mono, 0) + c
+    return out
+
+
+def typed(c):
+    """A coefficient with its exact type, and each term's type if a polynomial."""
+    if type(c) is LaurentPoly:
+        return LaurentPoly, sorted((mono, type(v), v) for mono, v in c.terms.items())
+    return type(c), c
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts())
+def test_column_of_the_nonzero_terms_is_the_coerced_polynomial(raw):
+    poly = LaurentPoly(raw)
+    built = column({mono: canon(c) for mono, c in raw.items() if c})
+    assert typed(built) == typed(coerce(poly))
+    for c in [poly, built, *raw.values()]:
+        assert typed(canon(canon(c))) == typed(canon(c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomials, nonzero, monomials, nonzero)
+def test_inverse_inverts_exactly_the_units(mono, c, other, d):
+    u = coerce(LaurentPoly({mono: c}))
+    assert typed(canon(inverse(u) * u)) == (int, 1)
+    for zero in (0, Fraction(0), LaurentPoly.zero()):
+        with pytest.raises(NonUnitLeadingError):
+            inverse(zero)
+    if other != mono:
+        with pytest.raises(NonUnitLeadingError):
+            inverse(LaurentPoly({mono: c, other: d}))
+
+
+def test_only_exactalg_builds_polynomials_from_raw_terms():
+    callers = {
+        path.name
+        for path in Path(qidx.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_raw"
+    }
+    assert callers == {"exactalg.py"}

@@ -22,6 +22,7 @@ from qidx.exprs import parse_spec_string
 from qidx.identities import (
     COROLLARY_PARENTS,
     PRINTED_COROLLARIES,
+    CheckReport,
     ParamAssignment,
     build_sides,
     check_identity,
@@ -116,10 +117,10 @@ def test_printed_3_5_transcription_discrepancy():
 def test_derived_twins_pass_where_printed_does_not():
     for ident in ("3.4", "3.5"):
         reps = derived_corollary_reports(ident, 60)
-        derived = [r for r in reps if "<-" in r.identity]
+        derived = [r for r in reps if r.derives == ident]
         printed = [r for r in reps if r.spec == "printed"]
         assert derived and all(r.status == "equal" for r in derived)
-        assert printed and all(r.status == "mismatch" for r in printed)
+        assert printed and all(r.status == "mismatch" and r.derives is None for r in printed)
 
 
 def test_3_6_rows_build_the_printed_sides_once(monkeypatch):
@@ -132,8 +133,10 @@ def test_3_6_rows_build_the_printed_sides_once(monkeypatch):
 
     monkeypatch.setattr(desc, "build", counting_build)
     reports = derived_corollary_reports("3.6", 30)
-    assert [(r.spec, r.status) for r in reports] == [
-        ("printed", "equal"), ("derived-lhs", "equal"), ("derived-rhs", "equal")
+    assert [(r.spec, r.status, r.derives) for r in reports] == [
+        ("printed", "equal", None),
+        ("derived-lhs", "equal", "3.6"),
+        ("derived-rhs", "equal", "3.6"),
     ]
     assert len(calls) == 1
 
@@ -452,6 +455,24 @@ def test_suite_gating():
         )
     )
     assert not suite_ok(poisoned)
+
+
+def _row(identity, spec, status, derives=None):
+    rep = CheckReport(identity, 5, spec, 20, 20, status, None, 0.0)
+    rep.derives = derives
+    return rep
+
+
+def test_a_printed_row_is_tolerated_only_when_its_derivations_pass():
+    printed = _row("3.4", "printed", "mismatch")
+    passing, failing = (_row("3.4<-1.4", "", status, "3.4") for status in ("equal", "mismatch"))
+    other = _row("3.5<-1.4", "", "equal", "3.5")
+    assert suite_ok([passing, printed])
+    assert not suite_ok([printed])
+    assert not suite_ok([other, printed])
+    assert not suite_ok([passing, failing, printed])
+    # a row that looks like a derivation but derives nothing tolerates nothing
+    assert not suite_ok([_row("3.4<-1.4", "derived-lhs", "equal"), printed])
 
 
 def test_build_sides_rejects_a_short_builder(monkeypatch, capsys):

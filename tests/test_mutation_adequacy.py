@@ -24,6 +24,14 @@ Each argument x that a builder passes to ``poch_inf``, ``poch_pair`` or
 sign flipped, and x replaced by x q^m.  Each constant c that a builder adds
 through ``QSeries.const`` is negated, and replaced by c + 1.  None of these
 survives at the seeded specs.
+
+Each monomial argument that a builder passes to ``jordan_kronecker``,
+``jk_partial_a``, ``n_weighted_sum``, ``theta_sum`` or ``pf_sum`` gets the
+same two mutations.  Three signed mutants survive, each equivalent at its
+seeded spec (named below); the symbolic tier has no survivor.  A mutant
+that makes a builder's side fall short of the order ends in the
+OrderExceededError of ``build_sides``, which fails the check as surely as a
+domain error, and counts with the refused mutants.
 """
 
 import time
@@ -32,8 +40,8 @@ from functools import partial
 import pytest
 
 from qidx import constructors, identities
-from qidx.constructors import SpecMonomial
-from qidx.errors import DomainError
+from qidx.constructors import SpecMonomial, jordan_kronecker
+from qidx.errors import DomainError, OrderExceededError
 from qidx.identities import (
     ParamAssignment,
     build_sides,
@@ -279,9 +287,9 @@ def test_late_symbolic_mutants_flip_s_of_a_term_that_starts_high(mutator, key):
 
 
 # ---------------------------------------------------------------------------
-# Pochhammer arguments
+# monomial arguments: Pochhammer products
 
-POCH_MUTATIONS = {
+ARG_MUTATIONS = {
     "flip sign": lambda x, m: x.mul(SpecMonomial.signed(-1, 0)),
     "times q^m": lambda x, m: x.times_qpow(m),
 }
@@ -290,38 +298,44 @@ POCH_MUTATIONS = {
 POCH_IDS = {"1.1", "1.2", "1.3", "2.3", "2.7", "3.1", "3.3", "phi"}
 
 
-class PochMutator:
-    """Stands in for ``poch_inf``, ``poch_pair`` and ``poch_fin`` in
-    ``identities``: records each call's (name, x, m) since ``reset`` and
-    applies ``mutation`` to x in the call at ``position``."""
+class ArgMutator:
+    """Stands in for the functions ``names`` in ``identities``: records each
+    monomial argument x of each call as (name, index, x, m), m the call's
+    base, since ``reset`` and applies ``mutation`` to the one at
+    ``position``."""
 
-    def __init__(self, monkeypatch):
+    def __init__(self, monkeypatch, names):
         self.reset()
-        for name in ("poch_inf", "poch_pair", "poch_fin"):
+        for name in names:
             real = getattr(identities, name)
             monkeypatch.setattr(identities, name, partial(self.call, name, real))
 
     def reset(self, position=None, mutation=None):
         self.position, self.mutation, self.calls = position, mutation, []
 
-    def call(self, name, real, x, *rest):
-        m = rest[-2]  # rest is (m, order), or (n, m, order) for poch_fin
-        hit = len(self.calls) == self.position
-        self.calls.append((name, x, m))
-        return real(self.mutation(x, m) if hit else x, *rest)
+    def call(self, name, real, *args):
+        args, m = list(args), args[-2]  # each function stood in for ends in (m, order)
+        for i, x in enumerate(args):
+            if isinstance(x, SpecMonomial):
+                if len(self.calls) == self.position:
+                    args[i] = self.mutation(x, m)
+                self.calls.append((name, i, x, m))
+        return real(*args)
 
 
 @pytest.fixture
 def poch_mutator(monkeypatch):
-    return PochMutator(monkeypatch)
+    return ArgMutator(monkeypatch, ("poch_inf", "poch_pair", "poch_fin"))
 
 
 def call_mutants(mutator, mutations, symbolic, order):
     """Check every id (with parameters, if ``symbolic``) at its seeded spec,
-    then once per mutant in ``mutations`` of each call its builder makes to
-    what ``mutator`` stands in for.  Returns the mutant count, the survivors
-    and the mutants refused with a domain error, each as (id, position,
-    mutation), and each id's calls."""
+    then once per mutant in ``mutations`` of each value ``mutator`` records
+    in its builder's calls (a constant, or a monomial argument).  Returns the
+    mutant count, the survivors and the refused mutants, each as (id,
+    position, mutation), and each id's records.  A mutant is refused with a
+    domain error, or with the OrderExceededError of a side built short of
+    the order."""
     count, survivors, refused, calls = 0, set(), set(), {}
     for row in list_identities():
         ident = row["identity"]
@@ -338,7 +352,11 @@ def call_mutants(mutator, mutations, symbolic, order):
             for name, mutation in mutations.items():
                 mutator.reset(pos, mutation)
                 count += 1
-                report = check_identity(ident, assign, order)
+                try:
+                    report = check_identity(ident, assign, order)
+                except OrderExceededError:
+                    refused.add((ident, pos, name))
+                    continue
                 if report.ok:
                     survivors.add((ident, pos, name))
                 elif report.status != "mismatch":
@@ -352,13 +370,13 @@ def shifted_pairs_of_positive_order(calls):
     return {
         (ident, pos, "times q^m")
         for ident, rows in calls.items()
-        for pos, (name, x, m) in enumerate(rows)
+        for pos, (name, _, x, m) in enumerate(rows)
         if name == "poch_pair" and x.qexp > 0
     }
 
 
 def test_every_signed_check_kills_its_pochhammer_mutants(poch_mutator):
-    count, survivors, refused, calls = call_mutants(poch_mutator, POCH_MUTATIONS, False, ORDER)
+    count, survivors, refused, calls = call_mutants(poch_mutator, ARG_MUTATIONS, False, ORDER)
     assert set(calls) == POCH_IDS
     # calls: 1.1 2, 1.2 3, 1.3 8, 2.3 3, 2.7 4, 3.1 4, 3.3 4, phi 2
     assert count == 2 * 30
@@ -368,7 +386,7 @@ def test_every_signed_check_kills_its_pochhammer_mutants(poch_mutator):
 
 def test_every_symbolic_check_kills_its_pochhammer_mutants(poch_mutator):
     count, survivors, refused, calls = call_mutants(
-        poch_mutator, POCH_MUTATIONS, True, SYMBOLIC_ORDER
+        poch_mutator, ARG_MUTATIONS, True, SYMBOLIC_ORDER
     )
     assert set(calls) == {ident for ident in POCH_IDS if get_descriptor(ident).params}
     assert count == 2 * 20
@@ -382,11 +400,96 @@ def test_the_shifted_pair_at_minus_one_is_equivalent(poch_mutator):
     # x = -1; the seeded specs do not draw 1.1 at z = -q^0
     assign = ParamAssignment(BASE, {"z": SpecMonomial.signed(-1, 0)})
     check_identity("1.1", assign, ORDER)
-    pos = [name for name, _, _ in poch_mutator.calls].index("poch_pair")
-    poch_mutator.reset(pos, POCH_MUTATIONS["times q^m"])
+    pos = [name for name, *_ in poch_mutator.calls].index("poch_pair")
+    poch_mutator.reset(pos, ARG_MUTATIONS["times q^m"])
     assert check_identity("1.1", assign, ORDER).ok
-    poch_mutator.reset(pos, POCH_MUTATIONS["flip sign"])
+    poch_mutator.reset(pos, ARG_MUTATIONS["flip sign"])
     assert check_identity("1.1", assign, ORDER).status == "mismatch"
+
+
+# ---------------------------------------------------------------------------
+# theta, partial-fraction and bilateral sum arguments
+
+SUM_FUNCTIONS = ("jordan_kronecker", "jk_partial_a", "n_weighted_sum", "theta_sum", "pf_sum")
+
+# the ids whose builders call one of SUM_FUNCTIONS themselves
+SUM_IDS = {"1.1", "1.2", "2.1", "2.2", "2.3", "2.5", "2.6", "2.7", "2.8", "2.9", "2.10"}
+
+# the arguments (function, index) whose order must lie strictly between 0
+# and m, so that x q^m is refused
+INTERIOR_ARGS = {
+    ("jordan_kronecker", 0), ("jk_partial_a", 0), ("jk_partial_a", 1), ("n_weighted_sum", 0),
+}
+
+# f(a, b q^m) = a^-1 f(a, b) starts ord(a) lower, so a product of it is known
+# through ord(a) fewer terms: these builders multiply f(a, b) at the order
+# asked (2.3 builds it m terms further), and their side falls short
+SHORT_IDS = {"2.7", "2.9", "2.10"}
+
+# signed tier, at the seeded specs: (id, position among the check's sum
+# arguments, mutation) -> why the mutant builds the sides the check builds
+_F_VANISHES = (
+    "f(a, b q^m) = a^-1 f(a, b), and f(a, b) = 0: ord(a) + ord(b) = m with unit(ab) = +1 "
+    "(a = q^3, b = q^4, m = 7) puts (q^m/(ab); q^m) = (1; q^m) = 0 in its product form"
+)
+_SIGN_CANCELS = (
+    "f(a, x) - f(a, -x) = 2x f(a q^m, x^2) in base q^(2m), which is 0 when ord(a) + 2 ord(x) "
+    "= m mod 2m with unit(a) = +1 (a = q^3 and x = q^2 or q^9, m = 7)"
+)
+SUM_EQUIVALENT = {
+    ("2.3", 1, "times q^m"): _F_VANISHES,
+    ("2.5", 1, "flip sign"): _SIGN_CANCELS,
+    ("2.5", 3, "flip sign"): _SIGN_CANCELS,
+}
+
+
+@pytest.fixture
+def sum_mutator(monkeypatch):
+    return ArgMutator(monkeypatch, SUM_FUNCTIONS)
+
+
+def refused_sum_mutants(calls):
+    """The x -> x q^m mutants of an argument whose order must lie in (0, m),
+    and of the second argument of an f(a, b) that SHORT_IDS multiply."""
+    return {
+        (ident, pos, "times q^m")
+        for ident, rows in calls.items()
+        for pos, (name, i, x, m) in enumerate(rows)
+        if (name, i) in INTERIOR_ARGS
+        or (ident in SHORT_IDS and (name, i) == ("jordan_kronecker", 1))
+    }
+
+
+def test_every_signed_check_kills_its_sum_argument_mutants(sum_mutator):
+    count, survivors, refused, calls = call_mutants(sum_mutator, ARG_MUTATIONS, False, ORDER)
+    assert set(calls) == SUM_IDS
+    # arguments: 1.1 and 1.2 one each; 2.3, 2.7 and 2.8 two; 2.1, 2.2, 2.5,
+    # 2.6 and 2.9 four; 2.10 six
+    assert count == 2 * 34
+    assert survivors == set(SUM_EQUIVALENT)
+    # 1.2's z = -q^7: with its sign flipped the n = -1 term hits the pole at 1
+    assert refused == refused_sum_mutants(calls) | {("1.2", 0, "flip sign")}
+
+
+def test_every_symbolic_check_kills_its_sum_argument_mutants(sum_mutator):
+    count, survivors, refused, calls = call_mutants(
+        sum_mutator, ARG_MUTATIONS, True, SYMBOLIC_ORDER
+    )
+    assert set(calls) == SUM_IDS
+    assert count == 2 * 34
+    assert survivors == set()
+    # a symbolic partial-fraction argument must sit at q^0
+    assert refused == refused_sum_mutants(calls) | {("1.2", 0, "times q^m")}
+
+
+@pytest.mark.parametrize("key", sorted(SUM_EQUIVALENT))
+def test_equivalent_sum_mutants_leave_f_unchanged(sum_mutator, key):
+    ident, pos, name = key
+    check_identity(ident, random_spec(ident, BASE, SEED), ORDER)
+    (_, _, a, m), (fn, i, x, _) = sum_mutator.calls[pos - 1 : pos + 1]
+    assert fn == "jordan_kronecker" and i == 1
+    mutant = ARG_MUTATIONS[name](x, m)
+    assert same_sides([jordan_kronecker(a, x, m, ORDER)], [jordan_kronecker(a, mutant, m, ORDER)])
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ from naive_product import naive_inv, naive_mul, naive_poch
 from qidx import qring
 from qidx.constructors import SpecMonomial, Unit, poch_fin, poch_inf
 from qidx.errors import NonUnitLeadingError
-from qidx.exactalg import MONO_ONE, LaurentPoly
-from qidx.qring import QSeries, _coerce, _inv_coeff, _pack, _packed_product, _term_chain, _unpack
+from qidx.exactalg import MONO_ONE, LaurentPoly, coerce, inverse
+from qidx.qring import QSeries, _pack, _packed_product, _term_chain, _unpack
 
 SETTINGS = settings(
     max_examples=300,
@@ -314,7 +314,7 @@ def term_windows(draw, length, fraction):
         st.just(0),
         values,
         st.dictionaries(negative_monomials, values, min_size=1, max_size=4).map(
-            lambda terms: _coerce(LaurentPoly(terms))
+            lambda terms: coerce(LaurentPoly(terms))
         ),
     )
     window = draw(st.lists(coefficient, min_size=length, max_size=length))
@@ -352,11 +352,11 @@ def test_term_kernel_of_an_all_zero_window_is_zero(nx, ny, out_len, data):
 
 unit_coefficients = st.builds(
     LaurentPoly.monomial, negative_monomials, st.sampled_from([1, -1, 2, Fraction(1, 3)])
-).map(_coerce)
+).map(coerce)
 scalars_or_zero = integers | proper_fractions | st.just(0)
 polys = st.dictionaries(
     negative_monomials, integers | proper_fractions, min_size=1, max_size=3
-).map(lambda terms: _coerce(LaurentPoly(terms)))
+).map(lambda terms: coerce(LaurentPoly(terms)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -366,9 +366,9 @@ def test_term_kernel_columns_cancel_to_zero_and_to_a_bare_scalar(p, q, r, k, out
     # s = (k - q r) / p has the scalar k there
     zero = check_term_chain([p, q], [p, -q], out_len)[1]
     assert zero == 0 and type(zero) is int
-    s = _coerce((k - q * r) * _inv_coeff(p))
+    s = coerce((k - q * r) * inverse(p))
     column = check_term_chain([p, q], [r, s], out_len)[1]
-    assert column == k and type(column) is type(_coerce(k))
+    assert column == k and type(column) is type(coerce(k))
 
 
 def test_term_kernel_with_negative_exponents_in_every_variable():
@@ -568,7 +568,7 @@ def divisors(draw, symbolic):
     offset, n = draw(st.integers(-3, 5)), draw(st.integers(1, 8))
     lead = draw(st.sampled_from([1, -1, 2, Fraction(-2, 3), Fraction(1, 5)]))
     if symbolic:
-        lead = _coerce(LaurentPoly.monomial(draw(negative_monomials), lead))
+        lead = coerce(LaurentPoly.monomial(draw(negative_monomials), lead))
     coeffs = [lead] + division_window(draw, n - 1, symbolic)
     return QSeries.make(offset, coeffs, offset + n - 1)
 

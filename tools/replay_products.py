@@ -92,12 +92,13 @@ def record(checkout: str, seed: str, out: str) -> None:
 
 def replay(checkout: str, calls_file: str, out: str) -> None:
     sys.path.insert(0, f"{checkout}/src")
-    from qidx import qring
-    from qidx.exactalg import LaurentPoly
+    from qidx import exactalg, qring
+
+    # a checkout from before the storage form moved to exactalg builds columns in qring
+    column = getattr(exactalg, "column", None) or qring._column
 
     def build(window):
-        return [LaurentPoly._raw({m: v for m, _, v in c}) if kind == "poly" else c
-                for kind, c in window]
+        return [column({m: v for m, _, v in c}) if kind == "poly" else c for kind, c in window]
 
     best, results = {}, {}
     for name, recorded in pickle.loads(Path(calls_file).read_bytes()).items():
