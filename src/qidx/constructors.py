@@ -183,6 +183,15 @@ def check_base(m: int) -> None:
         raise ConstraintViolationError("base scale must be a positive integer")
 
 
+def _unit_pole(u: Unit, what: str) -> None:
+    """Refuse 1/(1-u) at q-order 0 unless u = -1, where it is the constant
+    1/2: u = +1 is the pole at 1, and a symbolic u is not Laurent in q."""
+    if u.symbolic:
+        raise SymbolicNonUnitError(f"{what}: 1/(1-{u}) is not Laurent in q")
+    if u.sign == 1:
+        raise PoleError(f"{what} hits the pole at 1")
+
+
 class _Acc:
     """Exact coefficients of a sum of terms, accumulated per exponent up to
     ``order`` and made into one series at the end.
@@ -232,15 +241,7 @@ class _Acc:
             raise ValueError("s must be 1 or 2")
         g, u = v.qexp, v.unit
         if g == 0:
-            what = f"term {v}/(1-{v})^{s}" if k else f"1/(1-{v})^{s}"
-            if u.symbolic:
-                raise SymbolicNonUnitError(
-                    f"{what} has a non-Laurent constant coefficient"
-                    if k
-                    else f"{what} is not Laurent in q"
-                )
-            if u.sign == 1:
-                raise PoleError(f"{what} hits the pole at 1")
+            _unit_pole(u, f"term {v}/(1-{v})^{s}" if k else f"1/(1-{v})^{s}")
             self.add(shift, c * unit.sign * Fraction((-1) ** k, 2**s), unit.mono)
             return
         if g > 0:
@@ -507,12 +508,7 @@ def _check_f_args(a: SpecMonomial, m: int, name: str):
 def _check_pole_guard(b: SpecMonomial, m: int, name: str):
     """An argument whose order is divisible by m must carry unit -1."""
     if b.qexp % m == 0:
-        if b.unit.symbolic:
-            raise SymbolicNonUnitError(
-                f"{name} has a symbolic unit at an order divisible by {m}"
-            )
-        if b.unit.sign == 1:
-            raise PoleError(f"{name} = {b} hits a pole of the sum")
+        _unit_pole(b.unit, f"{name} = {b}")
 
 
 def _bilateral(W, A, x, s, m, order) -> QSeries:
@@ -581,13 +577,7 @@ def _lambert_term(term: tuple, m: int, order: int):
     if xi % m == 0:
         rstar = -xi // m
         if rstar >= r0 and W(rstar) != 0:
-            v = SpecMonomial(x.unit, 0)
-            if x.unit.symbolic:
-                raise SymbolicNonUnitError(
-                    f"Lambert term at r = {rstar} has unit argument {v}"
-                )
-            if x.unit.sign == 1:
-                raise PoleError(f"Lambert term at r = {rstar} hits the pole at 1")
+            _unit_pole(x.unit, f"Lambert term at r = {rstar}")
     return _lambert_window(order, ((r0, 1),), "Lambert tail", x, m, 1, s, M, W, c)
 
 

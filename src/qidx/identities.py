@@ -1,11 +1,11 @@
 """Registry of two-sided series identities and the checking machinery.
 
-Each entry pairs a builder (producing left and right truncated series for a
-parameter assignment) with a ``Constraint``: one datum per family stating the
-parameter window, from which validation and the sampling region are derived.
-The note ``qidx list`` shows is not derived: each ``Constraint`` states it as
-a literal ``note=`` string beside its rules.  The same descriptor drives fixed
-regression specs, randomized trials, and the CLI.
+Each entry pairs a builder, called as ``build(m, order, **params)`` with one
+keyword argument per parameter, with a ``Constraint``: one datum per family
+stating the parameter window, from which validation and the sampling region
+are derived.  The note ``qidx list`` shows is not derived: each
+``Constraint`` states it as a literal ``note=`` string beside its rules.  The
+same descriptor drives fixed regression specs, randomized trials, and the CLI.
 
 Identity ids are short string labels ("1.1", "2.7", "phi", ...) fixed by the
 public interface; parameters are monomial substitutions q^e with a sign or a
@@ -231,22 +231,22 @@ class Constraint:
 # descriptor plumbing
 
 class IdentityDescriptor:
-    """One registry entry.  ``build(params, m, order)`` takes the parameter
-    dict (name -> ``SpecMonomial``), the base and the order, and returns the
-    (left, right) pair of truncated ``QSeries``."""
+    """One registry entry.  ``build(m, order, **params)`` takes the base, the
+    order and one ``SpecMonomial`` keyword argument per name of the
+    constraint, and returns the (left, right) pair of truncated ``QSeries``.
+    The note is the constraint's, else "fixed base N", else "any base >= 1"."""
 
     __slots__ = ("ident", "build", "constraint", "note", "fixed_base", "symbolic_trials")
 
     def __init__(
         self, ident: str, build, constraint: Constraint | None = None,
-        note: str | None = None,  # defaults to the constraint's, else "fixed base N"
         fixed_base: int | None = None,  # corollaries pin their own base
         symbolic_trials: int = 5,
     ):
         self.ident, self.build, self.constraint = ident, build, constraint
-        if note is None:
-            note = constraint.note if constraint else f"fixed base {fixed_base}"
-        self.note, self.fixed_base, self.symbolic_trials = note, fixed_base, symbolic_trials
+        pinned = "any base >= 1" if fixed_base is None else f"fixed base {fixed_base}"
+        self.note = constraint.note if constraint else pinned
+        self.fixed_base, self.symbolic_trials = fixed_base, symbolic_trials
 
     @property
     def params(self) -> tuple[str, ...]:
@@ -300,15 +300,13 @@ def _cross_terms(b: SpecMonomial, c: SpecMonomial) -> list:
 # builders: theta and partial-fraction expansions
 
 
-def _build_1_1(params, m, order):
-    z = params["z"]
+def _build_1_1(m, order, z):
     lhs = _Pq(m, order) * poch_pair(z, m, order)
     rhs = theta_sum(z, m, order)
     return lhs, rhs
 
 
-def _build_1_2(params, m, order):
-    z = params["z"]
+def _build_1_2(m, order, z):
     pq = _Pq(m, order)
     lhs = pq * pq
     shifted = (poch_inf(x.times_qpow(m), m, order) for x in (z, z.inv()))
@@ -319,8 +317,7 @@ def _build_1_2(params, m, order):
 # builders: the three-parameter product identity
 
 
-def _build_1_3(params, m, order):
-    a, b, c = params["a"], params["b"], params["c"]
+def _build_1_3(m, order, a, b, c):
     abc = a.mul(b).mul(c)
     pq = _Pq(m, order)
     lhs = product(pq, pq, *(poch_pair(x, m, order) for x in (a.mul(b), a.mul(c), b.mul(c))))
@@ -333,8 +330,7 @@ def _build_1_3(params, m, order):
 # builders: two-parameter Lambert product identities
 
 
-def _build_1_4(params, m, order):
-    b, c = params["b"], params["c"]
+def _build_1_4(m, order, b, c):
     bc = b.mul(c)
     left, right = (lambert_sum(_l_terms(m, [(x, 1), (bc, -1)]), m, order) for x in (b, c))
     terms = [(1, x, _ONE, 1, W_R, 1) for x in (bc, bc.inv())] + _cross_terms(b, c)
@@ -342,8 +338,7 @@ def _build_1_4(params, m, order):
     return left * right, rhs
 
 
-def _build_1_5(params, m, order):
-    b, c = params["b"], params["c"]
+def _build_1_5(m, order, b, c):
     bc = b.mul(c)
     brace = lambert_sum(_l_terms(m, [(b, 1), (c, 1), (bc, -1)]), m, order)
     brace = QSeries.const(Fraction(1, 2), order) + brace
@@ -354,8 +349,7 @@ def _build_1_5(params, m, order):
     return brace * brace, rhs
 
 
-def _build_2_11(params, m, order):
-    b, c = params["b"], params["c"]
+def _build_2_11(m, order, b, c):
     bc = b.mul(c)
     lb, lc, lbc = (l_func(x, m, order) for x in (b, c, bc))
     terms = _cross_terms(b, c) + [(1, _ONE, bc, 2, W_ONE, 0), (1, _ONE, bc.inv(), 2, W_ONE, 1)]
@@ -363,8 +357,7 @@ def _build_2_11(params, m, order):
     return lb * lc, rhs
 
 
-def _build_2_12(params, m, order):
-    b = params["b"]
+def _build_2_12(m, order, b):
     lb = l_func(b, m, order)
     terms = [(1, _ONE, b, 2, W_ONE, 0), (1, _ONE, b.inv(), 2, W_ONE, 1)]
     terms += _l_terms(m, [(b, -1)])
@@ -376,23 +369,20 @@ def _build_2_12(params, m, order):
 # builders: bilateral-series family
 
 
-def _build_2_1(params, m, order):
-    a, b = params["a"], params["b"]
+def _build_2_1(m, order, a, b):
     lhs = jordan_kronecker(a, b, m, order)
     rhs = jordan_kronecker(b, a, m, order)
     return lhs, rhs
 
 
-def _build_2_2(params, m, order):
-    a, b = params["a"], params["b"]
+def _build_2_2(m, order, a, b):
     lhs = jordan_kronecker(a, b, m, order)
     inner = jordan_kronecker(a.inv().times_qpow(m), b.inv(), m, order + b.qexp)
     rhs = -times_spec_monomial(inner, b.inv())
     return lhs, rhs
 
 
-def _build_2_3(params, m, order):
-    a, b = params["a"], params["b"]
+def _build_2_3(m, order, a, b):
     pad = order + m
     oma, omb = (poch_fin(x, 1, m, pad) for x in (a, b))
     lhs = product(jordan_kronecker(a, b, m, pad), oma, omb)
@@ -401,8 +391,7 @@ def _build_2_3(params, m, order):
     return lhs, rhs
 
 
-def _build_2_5(params, m, order):
-    a, b = params["a"], params["b"]
+def _build_2_5(m, order, a, b):
     lhs = times_spec_monomial(
         jordan_kronecker(a, b.times_qpow(m), m, order), a
     )
@@ -410,15 +399,13 @@ def _build_2_5(params, m, order):
     return lhs, rhs
 
 
-def _build_2_6(params, m, order):
-    a, b = params["a"], params["b"]
+def _build_2_6(m, order, a, b):
     lhs = n_weighted_sum(a, b, m, order)
     rhs = times_spec_monomial(jk_partial_a(a, b, m, order), a)
     return lhs, rhs
 
 
-def _build_2_7(params, m, order):
-    a, b = params["a"], params["b"]
+def _build_2_7(m, order, a, b):
     pq = _Pq(m, order)
     lhs = product(
         pq, poch_pair(a, m, order), poch_pair(b, m, order), jordan_kronecker(a, b, m, order)
@@ -427,15 +414,13 @@ def _build_2_7(params, m, order):
     return lhs, rhs
 
 
-def _build_2_8(params, m, order):
-    a, b = params["a"], params["b"]
+def _build_2_8(m, order, a, b):
     lhs = jordan_kronecker(a, b, m, order)
     rhs = jk_product_form(a, b, m, order)
     return lhs, rhs
 
 
-def _build_2_9(params, m, order):
-    a, b, c = params["a"], params["b"], params["c"]
+def _build_2_9(m, order, a, b, c):
     bc = b.mul(c)
     lhs = n_weighted_sum(a, bc, m, order)
     brace = lambert_sum(_l_terms(m, [(a, 1), (a.mul(bc), -1)]), m, order)
@@ -443,8 +428,7 @@ def _build_2_9(params, m, order):
     return lhs, rhs
 
 
-def _build_2_10(params, m, order):
-    a, b, c = params["a"], params["b"], params["c"]
+def _build_2_10(m, order, a, b, c):
     bc = b.mul(c)
     lhs = jordan_kronecker(a, b, m, order) * jordan_kronecker(a, c, m, order)
     brace = _l_terms(m, [(a, 1), (b, 1), (c, 1), (a.mul(bc), -1)])
@@ -457,8 +441,7 @@ def _build_2_10(params, m, order):
 # builders: four-parameter identity
 
 
-def _build_3_8(params, m, order):
-    a, b, c, d = params["a"], params["b"], params["c"], params["d"]
+def _build_3_8(m, order, a, b, c, d):
     ab, cd = a.mul(b), c.mul(d)
     first = _l_terms(m, [(a, 1), (b, 1), (c, -1), (d, -1), (ab, -1), (cd, 1)])
     second = _l_terms(m, [(a, 1), (b, 1), (c, 1), (d, 1), (ab, -1), (cd, -1)])
@@ -475,8 +458,7 @@ def _build_3_8(params, m, order):
 # builders: fixed-base corollaries
 
 
-def _build_3_1(params, m, order):
-    del params
+def _build_3_1(m, order):
     # the printed 2 * (1/2 + the signed sums), with the 2 taken into the terms
     signed = ((1, 1), (2, 1), (4, 1), (3, -1), (5, -1), (6, -1))
     terms = [(2 * sgn, _ONE, SpecMonomial.signed(-1, j), 1, W_ONE, 0) for j, sgn in signed]
@@ -488,8 +470,7 @@ def _build_3_1(params, m, order):
     return lhs, rhs
 
 
-def _build_3_3(params, m, order):
-    del params
+def _build_3_3(m, order):
     terms = []
     for j, w in ((1, 1), (2, 1), (3, 2)):
         terms += [(w, _ONE, _q(j), 1, W_ONE, 0), (-w, _ONE, _q(9 - j), 1, W_ONE, 0)]
@@ -504,11 +485,10 @@ def _build_3_3(params, m, order):
     return lhs, rhs
 
 
-def _build_3_4_5(k, params, m, order):
+def _build_3_4_5(k, m, order):
     """3.4 (k = 1) and 3.5 (k = 2): one identity under the residue map
     j -> k*j mod 5, which acts on the brace signs and on every q^j of the
     right side."""
-    del params
     signed = ((1, 1), (2, -1), (3, 1), (4, -1))
     brace = lambert_sum(
         [(sgn, _ONE, _q(k * j % 5), 1, W_ONE, 0) for j, sgn in signed], 5, order
@@ -525,8 +505,7 @@ def _build_3_4_5(k, params, m, order):
     return brace * brace, lambert_sum(terms, 5, order)
 
 
-def _build_3_6(params, m, order):
-    del params
+def _build_3_6(m, order):
 
     def g(j: int, c: int = 1):
         return (c, _ONE, _q(j), 1, W_ONE, 0)
@@ -539,8 +518,7 @@ def _build_3_6(params, m, order):
     return lhs, lambert_sum(terms, 5, order).scale(Fraction(1, 4))
 
 
-def _build_3_7(params, m, order):
-    del params
+def _build_3_7(m, order):
     signed = ((1, 1), (2, 1), (3, -1), (4, 1), (5, -1), (6, -1))
     s = lambert_sum([(sgn, _ONE, _q(j), 1, W_ONE, 0) for j, sgn in signed], 7, order)
     s = QSeries.const(Fraction(1, 2), order) + s
@@ -551,8 +529,7 @@ def _build_3_7(params, m, order):
     return s * s, rhs
 
 
-def _build_3_9(params, m, order):
-    del params
+def _build_3_9(m, order):
     s1 = char_lambert(CHI1, 1, order)
     s2 = char_lambert(CHI2, 1, order)
     s3 = char_lambert(CHI3, 2, order)
@@ -560,8 +537,7 @@ def _build_3_9(params, m, order):
     return lhs, s3
 
 
-def _build_phi(params, m, order):
-    del params
+def _build_phi(m, order):
     lhs = _Pq(m, order)
     rhs = phi_minus(m, order) * poch_inf(SpecMonomial.signed(-1, m), m, order)
     return lhs, rhs
@@ -625,7 +601,7 @@ _REGISTRY: dict[str, IdentityDescriptor] = {
         IdentityDescriptor("3.7", _build_3_7, fixed_base=7),
         IdentityDescriptor("3.8", _build_3_8, _ABCD),
         IdentityDescriptor("3.9", _build_3_9, fixed_base=13),
-        IdentityDescriptor("phi", _build_phi, note="any base >= 1"),
+        IdentityDescriptor("phi", _build_phi),
     )
 }
 
@@ -647,7 +623,7 @@ def build_sides(
     check_base(assign.base)
     if desc.constraint is not None:
         desc.constraint.validate(assign.params, assign.base)
-    lhs, rhs = desc.build(assign.params, assign.base, order)
+    lhs, rhs = desc.build(assign.base, order, **assign.params)
     known = min(lhs.order, rhs.order)
     if known < order:
         raise OrderExceededError(

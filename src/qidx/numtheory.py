@@ -43,21 +43,12 @@ def signed_divisor_sum(n: int) -> int:
     return total
 
 
-def rep_count(n: int, include_zero: bool = False) -> int:
-    """Number of pairs (a, b) with 7a^2 + b^2 = n, both positive integers
-    (or nonnegative when ``include_zero``)."""
+def rep_count(n: int) -> int:
+    """Number of pairs (a, b) of positive integers with 7a^2 + b^2 = n."""
     if n < 1:
         raise ValueError("argument must be a positive integer")
-    lo = 0 if include_zero else 1
-    count = 0
-    a = lo
-    while 7 * a * a <= n:
-        rest = n - 7 * a * a
-        b = isqrt(rest)
-        if b * b == rest and b >= lo:
-            count += 1
-        a += 1
-    return count
+    # b >= 1 leaves 7a^2 <= n - 1
+    return sum(_is_square(n - 7 * a * a) for a in range(1, isqrt((n - 1) // 7) + 1))
 
 
 def _is_square(n: int) -> bool:

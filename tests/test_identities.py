@@ -153,7 +153,7 @@ def test_each_corollary_derivation_has_one_printed_row(ident):
 
 @pytest.mark.parametrize("error", DomainError.__subclasses__(), ids=lambda e: e.__name__)
 def test_a_domain_error_from_a_builder_is_a_constraint_row(monkeypatch, error):
-    def failing_build(params, m, order):
+    def failing_build(m, order, a, b):
         raise error(f"{error.__name__} from the builder")
 
     monkeypatch.setattr(get_descriptor("2.1"), "build", failing_build)
@@ -479,8 +479,8 @@ def test_build_sides_rejects_a_short_builder(monkeypatch, capsys):
     desc = get_descriptor("2.1")
     full_build = desc.build
 
-    def short_build(params, m, order):
-        lhs, rhs = full_build(params, m, order)
+    def short_build(m, order, a, b):
+        lhs, rhs = full_build(m, order, a, b)
         return lhs, rhs.truncate(order - 1)
 
     monkeypatch.setattr(desc, "build", short_build)

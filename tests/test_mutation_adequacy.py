@@ -32,6 +32,11 @@ seeded spec (named below); the symbolic tier has no survivor.  A mutant
 that makes a builder's side fall short of the order ends in the
 OrderExceededError of ``build_sides``, which fails the check as surely as a
 domain error, and counts with the refused mutants.
+
+``phi_minus``, which only phi calls, is replaced by two mutants of its theta
+sum: z = q^m gets its sign flipped, and is replaced by z q^2m.  The first
+ends every signed phi row of the suite in a mismatch; the second starts at
+q^-m, so every row falls short of the order and is refused.
 """
 
 import time
@@ -40,7 +45,7 @@ from functools import partial
 import pytest
 
 from qidx import constructors, identities
-from qidx.constructors import SpecMonomial, jordan_kronecker
+from qidx.constructors import SpecMonomial, jordan_kronecker, theta_sum
 from qidx.errors import DomainError, OrderExceededError
 from qidx.identities import (
     ParamAssignment,
@@ -49,6 +54,7 @@ from qidx.identities import (
     get_descriptor,
     list_identities,
     random_spec,
+    run_suite,
 )
 
 ORDER = 100
@@ -545,3 +551,34 @@ def test_every_symbolic_check_kills_its_constant_mutants(const_mutator):
     assert {ident: len(c) for ident, c in calls.items()} == with_params
     assert count == 2 * sum(with_params.values())
     assert survivors == refused == set()
+
+
+# ---------------------------------------------------------------------------
+# phi
+
+
+def theta_at(sign, k):
+    """A stand-in for phi_minus(m, order) = theta_sum(q^m, 2m, order) that
+    sums at z = sign * q^(k m) instead."""
+    return lambda m, order: theta_sum(SpecMonomial.signed(sign, k * m), 2 * m, order)
+
+
+def test_every_signed_phi_row_kills_its_theta_mutants(monkeypatch):
+    rows = run_suite(order=ORDER, idents=["phi"])
+    assert [(r.base, r.status) for r in rows] == [(5, "equal"), (1, "equal"), (2, "equal")]
+
+    # phi_minus(m) is theta_sum(q^m) in base q^2m; with z = -q^m it sums
+    # q^(m n^2) unsigned, +2 at q^m where phi has -2, and the right side
+    # reads 2 + 1 there against the left side's -1
+    monkeypatch.setattr(identities, "phi_minus", theta_at(-1, 1))
+    for r in rows:
+        report = check_identity("phi", ParamAssignment(r.base, {}), ORDER)
+        assert (report.status, report.first_mismatch) == ("mismatch", (r.base, "-1", "3"))
+
+    # theta(z q^2m) = -z^-1 theta(z) in base q^2m, so z = q^3m starts at
+    # q^-m: the right side is known only through q^(order - m), and
+    # build_sides refuses the row before any comparison
+    monkeypatch.setattr(identities, "phi_minus", theta_at(1, 3))
+    for r in rows:
+        with pytest.raises(OrderExceededError, match=f"only through q\\^{ORDER - r.base},"):
+            check_identity("phi", ParamAssignment(r.base, {}), ORDER)

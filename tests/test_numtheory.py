@@ -39,12 +39,7 @@ def test_rep_count_examples():
     assert rep_count(8) == 1  # (1, 1)
     assert rep_count(1) == 0
     assert rep_count(11) == 1  # (1, 2)
-
-
-def test_rep_count_include_zero():
-    assert rep_count(1, include_zero=True) == 1  # (0, 1)
-    assert rep_count(7, include_zero=True) == 1  # (1, 0)
-    assert rep_count(7) == 0
+    assert rep_count(7) == 0  # (1, 0) has b = 0
 
 
 def test_rep_count_rejects_nonpositive():

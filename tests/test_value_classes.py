@@ -90,7 +90,7 @@ def test_descriptor_note_defaults_from_its_constraint_or_fixed_base():
     parent = get_descriptor("2.1")
     assert IdentityDescriptor("x", parent.build, parent.constraint).note == parent.constraint.note
     assert IdentityDescriptor("y", parent.build, fixed_base=7).note == "fixed base 7"
-    assert IdentityDescriptor("z", parent.build, note="given").note == "given"
+    assert IdentityDescriptor("z", parent.build).note == "any base >= 1"
     assert IdentityDescriptor("w", parent.build).symbolic_trials == 5
 
 

@@ -5,10 +5,7 @@ Records every call of the two term kernels, ``qidx.qring._term_chain``
 division), that one ``symbolic`` deck and one 5-trial ``verify-all`` pass of
 ``perfbench/workloads.py`` make for the seed, by wrapping both kernels in
 the parent checkout (the ``poch_inf`` cache is cleared before each request,
-as a fresh CLI process would have it).  A checkout whose product kernel is
-the two-window ``_term_product(x, y, out_len)`` is recorded, and replays,
-each of its products as the chain of two windows ``[x, y]``: so a chain
-kernel can be timed on a parent's pair products alone.  The two checkouts then replay the
+as a fresh CLI process would have it).  The two checkouts then replay the
 calls in turn, each in a fresh interpreter that times ``PASSES`` passes of
 each kernel, for ``ROUNDS`` rounds, so that a change in the host's speed
 reaches both; each side reports its fastest pass of each kernel alone.
@@ -50,13 +47,9 @@ def plain(window):
 
 
 def kernels(qring) -> dict:
-    """Each kernel of a checkout, as it is now, as a call on (windows,
-    out_len); a product kernel of two windows takes a chain of two."""
-    pair, quotient = getattr(qring, "_term_product", None), qring._term_quotient
-    return {
-        "_term_chain": getattr(qring, "_term_chain", None) or (lambda w, n: pair(*w, n)),
-        "_term_quotient": lambda w, n: quotient(*w, n),
-    }
+    """Each kernel of a checkout, as it is now, as a call on (windows, out_len)."""
+    quotient = qring._term_quotient
+    return {"_term_chain": qring._term_chain, "_term_quotient": lambda w, n: quotient(*w, n)}
 
 
 def record(checkout: str, seed: str, out: str) -> None:
@@ -71,18 +64,12 @@ def record(checkout: str, seed: str, out: str) -> None:
         calls["_term_chain"].append(([plain(w) for w in windows], out_len))
         return real["_term_chain"](windows, out_len)
 
-    def pair(x, y, out_len):
-        return chain([x, y], out_len)
-
     def quotient(x, y, out_len):
         calls["_term_quotient"].append(([plain(x), plain(y)], out_len))
         return real["_term_quotient"]([x, y], out_len)
 
     qring._term_quotient = quotient
-    if hasattr(qring, "_term_chain"):
-        qring._term_chain = chain
-    else:
-        qring._term_product = pair
+    qring._term_chain = chain
     for request in build_deck("symbolic", int(seed)) + build_deck("suite", int(seed)):
         constructors._poch_inf_cached.cache_clear()
         with redirect_stdout(io.StringIO()):
@@ -92,10 +79,8 @@ def record(checkout: str, seed: str, out: str) -> None:
 
 def replay(checkout: str, calls_file: str, out: str) -> None:
     sys.path.insert(0, f"{checkout}/src")
-    from qidx import exactalg, qring
-
-    # a checkout from before the storage form moved to exactalg builds columns in qring
-    column = getattr(exactalg, "column", None) or qring._column
+    from qidx import qring
+    from qidx.exactalg import column
 
     def build(window):
         return [column({m: v for m, _, v in c}) if kind == "poly" else c for kind, c in window]
