@@ -39,6 +39,11 @@ def test_rep_count_examples():
     assert rep_count(8) == 1  # (1, 1)
     assert rep_count(1) == 0
     assert rep_count(11) == 1  # (1, 2)
+
+
+def test_rep_count_include_zero():
+    # pairs with a zero component are never counted
+    assert rep_count(1) == 0  # (0, 1) has a = 0
     assert rep_count(7) == 0  # (1, 0) has b = 0
 
 
