@@ -27,8 +27,12 @@ and ``lambert_sum`` sums a list of one-sided terms (c, M, x, s, W, r0) for
 builders.  ``phi_minus`` is ``theta_sum`` at z = q^m in base q^{2m}.  Finite
 and infinite Pochhammer products share ``_factors``: one shift and one add
 per factor on one packed int, in digits as wide as the coefficient bound
-2*exp(pi*sqrt(order/(3m))); ``poch_pair`` is the two-sided product
-(x)(q^m/x).  ``check_base`` is the one base-scale check.
+2*exp(pi*sqrt(order/(3m))).  ``poch_pair``, (x)(q^m/x), at x = +-q^e with
+0 <= e <= m is one pass over both progressions e + mi and m - e + mi, in
+digits for their bound 4*exp(pi*sqrt(2*order/(3m))); a tau-unit pair (its
+q^m/x has the inverse unit, which the packed tau digits cannot hold) and e
+outside [0, m] (keeping the errors of ``poch_inf``) multiply two
+``poch_inf``.  ``check_base`` is the one base-scale check.
 """
 
 from __future__ import annotations
@@ -363,23 +367,26 @@ def times_spec_monomial(qs: QSeries, x: SpecMonomial) -> QSeries:
 # ---------------------------------------------------------------------------
 
 
-def _factors(x: SpecMonomial, n: int, m: int, order: int) -> QSeries:
-    """The product of (1 - x*q^{m*i}) for 0 <= i < n through q^order (the
-    factors past q^order are 1 there), for x = sign * mono * q^e, on one int
-    of signed W-bit digits: digit k*S + j is the coefficient of mono^j q^k,
-    S = 1 for a sign unit, else one more than the most factors whose
-    exponents sum inside the window.  Each factor is one shift and one add
-    of the digits that stay inside; what lands above is never read."""
+def _factors(x: SpecMonomial, n: int, m: int, order: int, pair: bool = False) -> QSeries:
+    """The product of (1 - x*q^{m*i}) for 0 <= i < n, and of (1 - x^-1*q^{m+m*i})
+    if ``pair`` (a sign unit), through q^order (the factors past q^order are
+    1 there), for x = sign * mono * q^e, on one int of signed W-bit digits:
+    digit k*S + j is the coefficient of mono^j q^k, S = 1 for a sign unit,
+    else one more than the most factors whose exponents sum inside the
+    window.  Each factor is one shift and one add of the digits that stay
+    inside; what lands above is never read."""
     if order < 0:
         return QSeries.zero(order)
-    exps = range(x.qexp, order + 1, m)[:n]
+    starts = (x.qexp, m - x.qexp)[: 1 + pair]
+    exps = [d for s in starts for d in range(s, order + 1, m)[:n]]
     mono, op = x.unit.mono, operator.sub if x.unit.sign == 1 else operator.add
     tau = mono != MONO_ONE
     S = 1 + len(list(takewhile(order.__ge__, accumulate(exps)))) if tau else 1
-    # |digit| <= [q^k] prod_i (1 + q^(e+m*i)) < 2*exp(pi*sqrt(order/(3m))), the
-    # product at q = e^-s over e^(-s*order), with s = pi/sqrt(12*m*order) and
-    # sum_i log(1 + e^(-s(e+m*i))) <= log 2 + pi^2/(12*m*s); a sign bit, a float bit
-    nbytes = (int(math.pi * math.sqrt(order / (3 * m)) / math.log(2)) + 11) // 8
+    # |digit| <= [q^k] prod (1 + q^(s+m*i)) over p progressions < 2^p*exp(pi*sqrt(p*order/(3m))),
+    # at q = e^-t, t = pi/sqrt(12*m*order/p), as each sum_i log(1 + e^(-t(s+m*i))) <= log 2
+    # + pi^2/(12*m*t); partial products stay below.  p bits, a sign bit and a float bit
+    p = len(starts)
+    nbytes = (int(math.pi * math.sqrt(p * order / (3 * m)) / math.log(2)) + 10 + p) // 8
     W = 8 * nbytes
     # a bit above all the factors can add or take keeps a positive (& is slower on
     # a negative int); it is never shifted and never read
@@ -390,16 +397,16 @@ def _factors(x: SpecMonomial, n: int, m: int, order: int) -> QSeries:
     a = _unpack(a, (order + 1) * S, nbytes)
     if tau:
         pows = [mono_pow(mono, j) for j in reversed(range(S))]
-        a = [column({p: c for p, c in zip(pows, reversed(a[k : k + S])) if c})
+        a = [column({pw: c for pw, c in zip(pows, reversed(a[k : k + S])) if c})
              for k in range(0, len(a), S)]
     return QSeries(0, a, order)
 
 
 # Bounded: a full verify-all uses about 230 distinct products.
 @functools.lru_cache(maxsize=512)
-def _poch_inf_cached(x: SpecMonomial, m: int, order: int) -> QSeries:
+def _poch_inf_cached(x: SpecMonomial, m: int, order: int, pair: bool = False) -> QSeries:
     # order + 1 factors reach past q^order at every base
-    return _factors(x, order + 1, m, order)
+    return _factors(x, order + 1, m, order, pair)
 
 
 def poch_inf(x: SpecMonomial, m: int, order: int) -> QSeries:
@@ -425,8 +432,11 @@ def poch_fin(x: SpecMonomial, n: int, m: int, order: int) -> QSeries:
 
 
 def poch_pair(x: SpecMonomial, m: int, order: int) -> QSeries:
-    """The two-sided product (x; q^m)_inf * (x^-1 q^m; q^m)_inf."""
-    return poch_inf(x, m, order) * poch_inf(x.inv().times_qpow(m), m, order)
+    """(x; q^m)_inf * (x^-1 q^m; q^m)_inf, in one pass when it can (module docstring)."""
+    check_base(m)
+    if x.unit.symbolic or not 0 <= x.qexp <= m:
+        return poch_inf(x, m, order) * poch_inf(x.inv().times_qpow(m), m, order)
+    return _poch_inf_cached(x, m, order, True)
 
 
 # ---------------------------------------------------------------------------

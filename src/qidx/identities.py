@@ -621,6 +621,10 @@ def build_sides(
             f"got base {assign.base}"
         )
     check_base(assign.base)
+    if set(assign.params) != set(desc.params):
+        takes = ", ".join(desc.params) or "none"
+        got = ", ".join(sorted(assign.params)) or "none"
+        raise ConstraintViolationError(f"identity {ident} takes parameters {takes}, got {got}")
     if desc.constraint is not None:
         desc.constraint.validate(assign.params, assign.base)
     lhs, rhs = desc.build(assign.base, order, **assign.params)

@@ -12,24 +12,26 @@ storage form that ``exactalg`` defines and builds (``canon``, ``coerce``,
 ``column``, ``inverse``), and its leading zeros are trimmed when the series
 is built.
 
-Multiplication picks one of two exact kernels from what the operands hold:
+Multiplication has one dispatch, ``product(*series)`` (x * y is a chain of
+two), which picks one of two exact chain kernels from what the windows hold:
 
   * a tau-monomial coefficient in any factor: ``_term_chain``, the one tau
-    kernel, multiplies a chain of factors (``product(*series)``; x * y is a
-    chain of two) by sparse term accumulation: symbolic windows are sparse
-    in q and in tau, so each pair of nonzero terms whose q exponents land in
-    the window is multiplied once, the side with fewer terms walked outside.
+    kernel, multiplies the chain by sparse term accumulation: symbolic
+    windows are sparse in q and in tau, so each pair of nonzero terms whose
+    q exponents land in the window is multiplied once, the side with fewer
+    terms walked outside.
     Each factor is coded once: q index i and tau exponents e_v make the key
     i + n*sum_v e_v*S_v, n the window length, S_v = prod_{u<v} (2*B_u + 1),
     B_v the sum over the factors of their largest |e_v|.  No partial product
     passes B_v: the balanced digits never carry, and only the result is decoded;
-  * scalar coefficients: Kronecker substitution.  Both windows are scaled
-    to a common denominator, packed into one big integer each with
-    byte-aligned signed digits, and multiplied once; a window multiplied by
-    itself is packed once and squared.  Packing and unpacking are
-    linear-time byte conversions, which for digits of up to 8 bytes run in
-    C: little-endian int64 words from ``struct``, strided slice copies and
-    byte tables, with no digit touched in Python.
+  * scalar coefficients: ``_scalar_chain``, its scalar twin, by Kronecker
+    substitution.  Each window is scaled to ints once; each step packs the
+    product so far and the next window into one big integer each, in
+    byte-aligned signed digits as wide as that step needs, and multiplies
+    once (x * x packs once and squares); the result is divided once.
+    Packing and unpacking are linear-time byte conversions, which for digits
+    of up to 8 bytes run in C: little-endian int64 words from ``struct``,
+    strided slice copies and byte tables, with no digit touched in Python.
 
 Division x / y has the window and values of x * y.inv().  With a
 tau-coefficient on either side it is sparse long division, whose cost
@@ -66,7 +68,7 @@ def _integral(x: list) -> tuple[list[int], int]:
     if Fraction not in map(type, x):
         return x, 1
     den = math.lcm(*{c.denominator for c in x if type(c) is Fraction})
-    return [int(c * den) for c in x], den
+    return [c * den if type(c) is int else c.numerator * (den // c.denominator) for c in x], den
 
 
 def _bias(count: int, nbytes: int) -> int:
@@ -131,25 +133,24 @@ def _unpack(v: int, count: int, nbytes: int) -> list[int]:
     return list(struct.unpack("<%dq" % count, words))
 
 
-def _packed_product(x: list, y: list, out_len: int) -> list:
-    """The first out_len coefficients of the product of two scalar windows:
-    both are scaled to integers, packed into one int each and multiplied
-    once (Kronecker substitution).  When x is y the window is packed once
-    and the int squared, which CPython does faster than a product."""
-    square = x is y
-    x, dx = _integral(x[:out_len])
-    y, dy = (x, dx) if square else _integral(y[:out_len])
-    mx = max(map(abs, x))
-    my = mx if square else max(map(abs, y))
-    # each digit of the inputs and of the product must fit its width
-    bound = max(out_len * mx * my, mx, my)
-    nbytes = (bound.bit_length() + 8) // 8
-    px = _pack(x, nbytes)
-    digits = _unpack(px * px if square else px * _pack(y, nbytes), out_len, nbytes)
-    den = dx * dy
+def _scalar_chain(windows: list, out_len: int) -> list:
+    """The first out_len coefficients of the product of one or more scalar
+    windows (see the module docstring); a square is packed once, since
+    CPython squares an int faster than it multiplies two."""
+    run, den = _integral(windows[0][:out_len])
+    for step, w in enumerate(windows[1:]):
+        square = step == 0 and w is windows[0]
+        y, d = (run, den) if square else _integral(w[:out_len])
+        den *= d
+        mx = max(map(abs, run))
+        my = mx if square else max(map(abs, y))
+        # each digit of the inputs and of the product must fit its width
+        nbytes = (max(out_len * mx * my, mx, my).bit_length() + 8) // 8
+        px = _pack(run, nbytes)
+        run = _unpack(px * px if square else px * _pack(y, nbytes), out_len, nbytes)
     if den == 1:
-        return digits
-    return [canon(Fraction(d, den)) if d else 0 for d in digits]
+        return run
+    return [canon(Fraction(d, den)) if d else 0 for d in run]
 
 
 def _bucketed(pairs, n: int) -> tuple[list[int], list[int], list]:
@@ -310,11 +311,6 @@ class QSeries:
             return 0
         return self.coeffs[n - self.offset]
 
-    def _get(self, n: int):
-        if n < self.offset or n > self.order:
-            return 0
-        return self.coeffs[n - self.offset]
-
     def nonzero_items(self):
         for i, c in enumerate(self.coeffs):
             if c:
@@ -357,15 +353,11 @@ class QSeries:
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        x, y = self.coeffs, other.coeffs
-        if not x or not y:
-            return QSeries.zero(self.order + other.offset if not x else other.order + self.offset)
-        offset, out_len = self.offset + other.offset, min(len(x), len(y))
-        if LaurentPoly in map(type, x) or LaurentPoly in map(type, y):
-            out = _term_chain([x, y], out_len)
-        else:
-            out = _packed_product(x, y, out_len)
-        return QSeries(offset, out, offset + out_len - 1)
+        if not self.coeffs:
+            return QSeries.zero(self.order + other.offset)
+        if not other.coeffs:
+            return QSeries.zero(other.order + self.offset)
+        return product(self, other)
 
     __rmul__ = __mul__
 
@@ -442,13 +434,15 @@ class QSeries:
                 f"comparison up to q^{k} exceeds known orders "
                 f"({self.order}, {other.order})"
             )
+        # both windows over [lo, k] as lists, compared at once; only a
+        # mismatch is searched for term by term
         lo = min(self.offset, other.offset)
-        for e in range(lo, k + 1):
-            a = self._get(e)
-            b = other._get(e)
-            if a != b:
-                return False, (e, a, b)
-        return True, None
+        a, b = ([0] * (min(s.offset, k + 1) - lo) + s.coeffs[: max(k + 1 - s.offset, 0)]
+                for s in (self, other))
+        if a == b:
+            return True, None
+        i = next(i for i, (x, y) in enumerate(zip(a, b)) if x != y)
+        return False, (lo + i, a[i], b[i])
 
     def truncate(self, k: int) -> "QSeries":
         """Forget all coefficients above q^k."""
@@ -490,15 +484,17 @@ class QSeries:
 
 
 def product(*series: QSeries) -> QSeries:
-    """reduce(operator.mul, series) in window and values; one _term_chain
-    when a factor holds a tau-coefficient.  Leading coefficients live in an
-    integral domain, so the window runs from the sum of the offsets through
-    the shortest window's length."""
+    """reduce(operator.mul, series) in window and values, by one call of
+    the chain kernel that the coefficients call for; x * y comes here too.
+    Leading coefficients live in an integral domain, so the window runs
+    from the sum of the offsets through the shortest window's length."""
     windows = [s.coeffs for s in series]
-    if not all(windows) or not any(LaurentPoly in map(type, w) for w in windows):
+    if not all(windows):
         return reduce(mul, series)
     offset, out_len = sum(s.offset for s in series), min(map(len, windows))
-    return QSeries(offset, _term_chain(windows, out_len), offset + out_len - 1)
+    tau = any(LaurentPoly in map(type, w) for w in windows)
+    out = (_term_chain if tau else _scalar_chain)(windows, out_len)
+    return QSeries(offset, out, offset + out_len - 1)
 
 
 def format_coeff(c) -> tuple[str, bool]:

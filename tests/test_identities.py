@@ -185,6 +185,24 @@ def test_constraint_violation_report():
     assert rep.first_mismatch is None
 
 
+@pytest.mark.parametrize(
+    "ident, names, detail",
+    [
+        ("2.1", "abc", "identity 2.1 takes parameters a, b, got a, b, c"),
+        ("2.1", "a", "identity 2.1 takes parameters a, b, got a"),
+        ("3.4", "b", "identity 3.4 takes parameters none, got b"),
+    ],
+)
+def test_a_missing_or_extra_parameter_is_a_constraint_row(ident, names, detail):
+    # refused before any bound or builder reads a parameter
+    base = get_descriptor(ident).fixed_base or 5
+    spec = assign(base, **{n: SpecMonomial.signed(1, 1) for n in names})
+    with pytest.raises(ConstraintViolationError, match=detail):
+        build_sides(ident, spec, 10)
+    rep = check_identity(ident, spec, 10)
+    assert (rep.status, rep.order_compared, rep.detail) == ("constraint-violation", None, detail)
+
+
 def test_empty_constraint_set():
     with pytest.raises(EmptyConstraintSetError):
         random_spec("1.3", 3, "any")

@@ -1,8 +1,9 @@
-"""Differential tests: the two ``QSeries.__mul__`` kernels (sparse term
-chain, packed scalar product), ``qring.product`` of several factors, the
-Pochhammer products, the Newton inverse and series division against the
-naive per-coefficient product and inverse in ``naive_product``, and a check
-that no series operation mutates its operands."""
+"""Differential tests: the two chain kernels behind ``QSeries.__mul__``
+and ``qring.product`` (sparse term chain, packed scalar chain), the
+Pochhammer products and the fused signed pair, the Newton inverse and
+series division against the naive per-coefficient product and inverse in
+``naive_product``, and a check that no series operation mutates its
+operands."""
 
 import operator
 from fractions import Fraction
@@ -14,10 +15,10 @@ from hypothesis import strategies as st
 
 from naive_product import naive_inv, naive_mul, naive_poch
 from qidx import qring
-from qidx.constructors import SpecMonomial, Unit, poch_fin, poch_inf
-from qidx.errors import NonUnitLeadingError
+from qidx.constructors import SpecMonomial, Unit, poch_fin, poch_inf, poch_pair
+from qidx.errors import ConstraintViolationError, NegativeOrderArgumentError, NonUnitLeadingError
 from qidx.exactalg import MONO_ONE, LaurentPoly, coerce, inverse
-from qidx.qring import QSeries, _pack, _packed_product, _term_chain, _unpack
+from qidx.qring import QSeries, _pack, _scalar_chain, _term_chain, _unpack
 
 SETTINGS = settings(
     max_examples=300,
@@ -164,12 +165,13 @@ def alternated(x):
 def chains(draw):
     """1-5 factors, each of scalars and Fractions or also of tau-polynomials,
     at offsets -4..6, some of them empty; now and then one factor is another
-    one alternated, so that columns of the chain cancel to 0."""
+    one alternated, so that columns of the chain cancel to 0, or that other
+    one itself, which the scalar kernel squares when it is the first two."""
     count = draw(st.integers(1, 5))
     factors = [draw(series(draw(st.booleans()), max_len=10)) for _ in range(count)]
     if count > 1 and draw(st.booleans()):
         i, j = draw(st.permutations(range(count)))[:2]
-        factors[j] = alternated(factors[i])
+        factors[j] = draw(st.sampled_from([alternated, lambda f: f]))(factors[i])
     return factors
 
 
@@ -220,7 +222,11 @@ def test_packed_product_digit_at_the_width_edge(n, m, sign):
     x = QSeries.make(0, [sign * m] * n, n - 1)
     y = QSeries.make(0, [1] * n, n - 1)
     assert (x * y).coeffs[-1] == sign * n * m
+    assert _scalar_chain([x.coeffs, y.coeffs], n)[-1] == sign * n * m
     check_product(x, y)
+    # as the first step of a chain of three, and as a square
+    for chain in ([x.coeffs, y.coeffs, y.coeffs], [x.coeffs, x.coeffs]):
+        assert _scalar_chain(chain, n) == naive_window_chain(chain, n)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -243,12 +249,59 @@ def test_packed_product_accepts_every_qseries_window():
     # the part of x inside the product window is all zero, so the width must
     # come from y's digits as well as from the product's; a series trims
     # such zeros, so only a direct call hands them to the kernel
-    assert _packed_product([0, 0, 0, 1, 1, 1], [128, 1, 1], 3) == [0, 0, 0]
+    assert _scalar_chain([[0, 0, 0, 1, 1, 1], [128, 1, 1]], 3) == [0, 0, 0]
     x = QSeries(0, [0, 0, 0, 1, 1, 1], 5)
     check_product(x, QSeries.make(0, [128, 1, 1], 2))
     # an integral Fraction is not an int digit: it must be scaled too
     x = QSeries(0, [Fraction(2, 2), 3, 1], 2)
     check_product(x, QSeries.make(0, [5, 7, 1, 2], 3))
+
+
+def naive_window_chain(windows, out_len):
+    """The first out_len coefficients of the product of windows at q^0, by
+    ``reduce`` over ``naive_mul``; each window is padded with zeros to a
+    length that the product window does not pass."""
+    n = max(out_len, *map(len, windows))
+    prod = reduce(naive_mul, (QSeries(0, w + [0] * (n - len(w)), n - 1) for w in windows))
+    return [prod.coeff(k) for k in range(out_len)]
+
+
+# Fractions over denominators that differ between windows, and digits at the
+# edges of the packed widths
+chain_scalars = st.one_of(
+    st.integers(-9, 9),
+    st.sampled_from(_EDGES + [-e for e in _EDGES]),
+    st.builds(Fraction, st.integers(-50, 50), st.sampled_from([2, 3, 4, 5, 7, 9, 35])),
+).map(coerce)
+
+
+@st.composite
+def scalar_chains(draw):
+    """2-5 scalar windows of 1-12 coefficients and a product window no
+    longer than the shortest; one window in five is all zero inside the
+    product window, and now and then a window comes twice as one list,
+    which the kernel squares when it is the first two."""
+    count = draw(st.integers(2, 5))
+    windows = [draw(st.lists(chain_scalars, min_size=1, max_size=12)) for _ in range(count)]
+    out_len = draw(st.integers(1, min(map(len, windows))))
+    if draw(st.integers(0, 4)) == 0:
+        w = windows[draw(st.integers(0, count - 1))]
+        w[:out_len] = [0] * out_len
+    if draw(st.booleans()):
+        i, j = sorted(draw(st.permutations(range(count)))[:2])
+        windows[j] = windows[i]
+    return windows, out_len
+
+
+@SETTINGS
+@given(scalar_chains())
+def test_scalar_chain_matches_the_naive_fold(chain):
+    windows, out_len = chain
+    before = [list(w) for w in windows]
+    got = _scalar_chain(windows, out_len)
+    assert exact_coeffs(got) == exact_coeffs(naive_window_chain(windows, out_len))
+    assert_storage_form(got)
+    assert [list(w) for w in windows] == before
 
 
 def test_term_chain_accepts_every_qseries_window():
@@ -447,6 +500,46 @@ def test_pochhammer_products_match_factor_by_factor(args, n):
     # the factors past q^order are 1 there: order + 1 of them cover every base
     assert exact(poch_inf(x, m, order)) == exact(naive_poch(x, order + 1, m, order))
     assert exact(poch_fin(x, n, m, order)) == exact(naive_poch(x, n, m, order))
+
+
+def pair_by_product(x, m, order):
+    """(x; q^m)_inf * (x^-1 q^m; q^m)_inf as two products and one ``*``."""
+    return poch_inf(x, m, order) * poch_inf(x.inv().times_qpow(m), m, order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 13), st.sampled_from([1, -1]), st.integers(-1, 200))
+def test_signed_pair_matches_the_product_of_its_factors(m, sign, order):
+    # every e in 0..m takes the fused pass over both progressions; u = +1 at
+    # e = 0 and at e = m puts the factor 1 - q^0 in the pair
+    for e in range(m + 1):
+        x = SpecMonomial.signed(sign, e)
+        got = poch_pair(x, m, order)
+        assert exact(got) == exact(pair_by_product(x, m, order))
+        if sign == 1 and e in (0, m):
+            assert got.is_zero() and (got.offset, got.order) == (order + 1, order)
+
+
+@pytest.mark.parametrize("sign, e", [(-1, 0), (-1, 1), (1, 1)])
+def test_signed_pair_at_a_large_order_fits_its_digits(sign, e):
+    # at base 1 the coefficients of (-1; q)(-q; q) = 2 (-q; q)^2 grow like
+    # exp(pi*sqrt(2*order/3)), past the bound of one progression
+    x = SpecMonomial.signed(sign, e)
+    assert exact(poch_pair(x, 1, 1500)) == exact(pair_by_product(x, 1, 1500))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "e, m, error",
+    [(-1, 3, NegativeOrderArgumentError), (4, 3, NegativeOrderArgumentError),
+     (0, 0, ConstraintViolationError), (1, -2, ConstraintViolationError)],
+)
+def test_signed_pair_outside_its_range_raises_as_the_product(sign, e, m, error):
+    x = SpecMonomial.signed(sign, e)
+    with pytest.raises(error):
+        pair_by_product(x, m, 10)
+    with pytest.raises(error):
+        poch_pair(x, m, 10)
 
 
 # ---------------------------------------------------------------------------

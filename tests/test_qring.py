@@ -201,6 +201,29 @@ def test_eq_upto_reporting():
         x.eq_upto(y, 6)
 
 
+def test_eq_upto_compares_aligned_windows():
+    ta = LaurentPoly.var(VAR_A)
+    x = series({-2: 3, 0: Fraction(1, 2), 4: ta}, 8)
+    # equal series, one of them known further, and a zero series with itself
+    assert x.eq_upto(series({-2: 3, 0: Fraction(1, 2), 4: ta}, 12), 8) == (True, None)
+    assert QSeries.zero(5).eq_upto(QSeries.zero(7), 5) == (True, None)
+    # different offsets: the lower one's first term is the mismatch, either way
+    # round, and a zero series is zero at every exponent of the other
+    y = series({1: 2, 3: 5}, 8)
+    assert x.eq_upto(y, 8) == (False, (-2, 3, 0))
+    assert y.eq_upto(x, 8) == (False, (-2, 0, 3))
+    assert QSeries.zero(8).eq_upto(y, 8) == (False, (1, 0, 2))
+    # a mismatch inside the window, past a run of equal terms
+    z = series({-2: 3, 0: Fraction(1, 2), 4: 2 * ta}, 8)
+    assert x.eq_upto(z, 3) == (True, None)
+    assert x.eq_upto(z, 8) == (False, (4, ta, 2 * ta))
+    # k below both offsets compares nothing
+    assert y.eq_upto(series({2: 1}, 8), 0) == (True, None)
+    assert y.eq_upto(QSeries.zero(3), -5) == (True, None)
+    with pytest.raises(OrderExceededError):
+        x.eq_upto(z, 9)
+
+
 def test_truncate_monotone():
     rng = random.Random(12)
     for _ in range(100):
