@@ -26,12 +26,13 @@ from .identities import (
     CheckReport,
     ParamAssignment,
     check_identity,
+    check_names,
     get_descriptor,
     list_identities,
     run_suite,
     suite_ok,
 )
-from .numtheory import predicted_rep_count, rep_count, signed_divisor_sum
+from .numtheory import rep_rows
 
 
 class UsageError(QidxError):
@@ -45,17 +46,7 @@ def _assignment_for(ident: str, base: int | None, spec_text: str) -> ParamAssign
         known = ", ".join(row["identity"] for row in list_identities())
         raise UsageError(f"unknown identity {ident!r} (known: {known})") from None
     params = parse_spec_string(spec_text)
-    required = set(desc.params)
-    given = set(params)
-    if given - required:
-        extra = ", ".join(sorted(given - required))
-        raise UsageError(
-            f"identity {ident} does not take parameter(s): {extra}"
-            + (f" (takes {', '.join(desc.params)})" if desc.params else " (takes none)")
-        )
-    if required - given:
-        missing = ", ".join(n for n in desc.params if n not in given)
-        raise UsageError(f"identity {ident} needs --spec values for: {missing}")
+    check_names(desc, params)
     if base is None:
         if desc.fixed_base is not None:
             base = desc.fixed_base
@@ -149,19 +140,7 @@ def _cmd_verify_all(args) -> int:
 
 def _cmd_count_reps(args) -> int:
     _check_range("--max", args.max, 1)
-    rows = []
-    for n in range(1, args.max + 1):
-        reps = rep_count(n)
-        pred = predicted_rep_count(n)
-        rows.append(
-            {
-                "n": n,
-                "rep_count": reps,
-                "divisor_sum": signed_divisor_sum(n),
-                "predicted": pred,
-                "match": reps == pred,
-            }
-        )
+    rows = rep_rows(args.max)
     if args.json:
         _print_json(rows)
     else:

@@ -9,6 +9,7 @@ Grammar (whitespace-insensitive):
 
 NUMBER and INT are runs of decimal digits (``str.isdecimal``, the digits
 ``int`` reads).  Offsets in diagnostics are 1-based character positions.
+The binary operators share one node, ``BinOp``, and one table, ``_OPS``.
 Parameter values, base, and truncation order come from the surrounding
 command, not the text.  Spec strings (``a=-q^1,b=~q^2``) are read by the same
 parser: its tokens, its ``expect`` and the exponent grammar of ``factor``.
@@ -63,9 +64,9 @@ from .qring import QSeries
 
 class _Node:
     """An AST node, the base of ``Num``, ``QPow``, ``Ref``, ``Call``, ``Neg``,
-    ``Add``, ``Sub``, ``Mul`` and ``Pow``: equal to a node of its own type
-    with equal fields, and hashed alike; the source offset ``pos``, always
-    the last slot, is not compared."""
+    ``BinOp`` and ``Pow``: equal to a node of its own type with equal
+    fields, and hashed alike; the source offset ``pos``, always the last
+    slot, is not compared."""
 
     __slots__ = ()
 
@@ -114,25 +115,15 @@ class Neg(_Node):
         self.arg, self.pos = arg, pos
 
 
-class Add(_Node):
-    __slots__ = ("left", "right", "pos")
+class BinOp(_Node):
+    __slots__ = ("op", "left", "right", "pos")
 
-    def __init__(self, left: _Node, right: _Node, pos: int = 0):
-        self.left, self.right, self.pos = left, right, pos
-
-
-class Sub(_Node):
-    __slots__ = ("left", "right", "pos")
-
-    def __init__(self, left: _Node, right: _Node, pos: int = 0):
-        self.left, self.right, self.pos = left, right, pos
+    def __init__(self, op: str, left: _Node, right: _Node, pos: int = 0):
+        self.op, self.left, self.right, self.pos = op, left, right, pos
 
 
-class Mul(_Node):
-    __slots__ = ("left", "right", "pos")
-
-    def __init__(self, left: _Node, right: _Node, pos: int = 0):
-        self.left, self.right, self.pos = left, right, pos
+# operator -> (its printing level in _fmt, its function)
+_OPS = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul)}
 
 
 class Pow(_Node):
@@ -222,15 +213,14 @@ class _Parser:
             node = Neg(node, t.pos)
         while self.peek().kind in ("+", "-"):
             op = self.next()
-            rhs = self.parse_term()
-            node = Add(node, rhs, op.pos) if op.kind == "+" else Sub(node, rhs, op.pos)
+            node = BinOp(op.kind, node, self.parse_term(), op.pos)
         return node
 
     def parse_term(self) -> _Node:
         node = self.parse_factor()
         while self.peek().kind == "*":
             op = self.next()
-            node = Mul(node, self.parse_factor(), op.pos)
+            node = BinOp("*", node, self.parse_factor(), op.pos)
         return node
 
     def parse_exponent(self) -> tuple[int, int] | None:
@@ -312,13 +302,11 @@ def _fmt(node: _Node, level: int) -> str:
     if isinstance(node, Neg):
         s = f"-{_fmt(node.arg, 2)}"
         return f"({s})" if level >= 2 else s
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        s = f"{_fmt(node.left, 1)} {op} {_fmt(node.right, 2)}"
-        return f"({s})" if level >= 2 else s
-    if isinstance(node, Mul):
-        s = f"{_fmt(node.left, 2)}*{_fmt(node.right, 3)}"
-        return f"({s})" if level >= 3 else s
+    if isinstance(node, BinOp):
+        own = _OPS[node.op][0]
+        op = node.op if own == 2 else f" {node.op} "
+        s = f"{_fmt(node.left, own)}{op}{_fmt(node.right, own + 1)}"
+        return f"({s})" if level > own else s
     if isinstance(node, Pow):
         return f"{_fmt(node.base, 4)}^{node.exp}"
     raise TypeError(f"not an expression node: {node!r}")
@@ -424,9 +412,6 @@ _SIGNATURES = {
 }
 
 
-_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
-
-
 def _eval(node: _Node, assign, order: int):
     """The value of ``node``: a Fraction or a SpecMonomial while the
     arithmetic keeps it one, otherwise a QSeries through ``order``."""
@@ -468,9 +453,9 @@ def _eval(node: _Node, assign, order: int):
         if abs(k) * (big.bit_length() - 1) >= _TOO_BIG.bit_length():
             raise ConstraintViolationError(_TOO_LONG.format(node.pos + 1))
         return _check_digits(v**k, node.pos + 1)
-    if type(node) not in _ARITH:
+    if not isinstance(node, BinOp):
         raise TypeError(f"not an expression node: {node!r}")
-    op = _ARITH[type(node)]
+    op = _OPS[node.op][1]
     left, right = (_eval(n, assign, order) for n in (node.left, node.right))
     if isinstance(left, Fraction) and isinstance(right, Fraction):
         return _check_digits(op(left, right), node.pos + 1)

@@ -19,6 +19,7 @@ on the finished series, the two-sided products (x)(q^m/x) through
 ``poch_pair``.  Term coefficients stay integers: a fractional factor scales
 the combined series once.
 
+``check_names`` states the parameter-name rule for ``build_sides`` and the CLI.
 ``_report`` makes and times every ``CheckReport``; ``check_identity``
 reports a ``DomainError`` as a ``constraint-violation`` row, and every other
 error propagates.  The printed corollaries are the fixed-base rows, and
@@ -36,6 +37,7 @@ from fractions import Fraction
 from .constructors import (
     W_ONE,
     W_R,
+    _Q0,
     AffineWeight,
     SpecMonomial,
     Unit,
@@ -285,15 +287,12 @@ def _q(j: int) -> SpecMonomial:
     return SpecMonomial.signed(1, j)
 
 
-_ONE = _q(0)
-
-
 def _cross_terms(b: SpecMonomial, c: SpecMonomial) -> list:
     """The lambert_sum terms of the sum over n >= 1 of (b^n + b^-n + c^n +
     c^-n - (bc)^n - (bc)^-n - 2) q^{mn} / (1 - q^{mn})^2."""
     bc = b.mul(c)
     signed = ((b, 1), (b.inv(), 1), (c, 1), (c.inv(), 1), (bc, -1), (bc.inv(), -1))
-    return [(sgn, x, _ONE, 2, W_ONE, 1) for x, sgn in signed + ((_ONE, -2),)]
+    return [(sgn, x, _Q0, 2, W_ONE, 1) for x, sgn in signed + ((_Q0, -2),)]
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,7 @@ def _build_1_3(m, order, a, b, c):
 def _build_1_4(m, order, b, c):
     bc = b.mul(c)
     left, right = (lambert_sum(_l_terms(m, [(x, 1), (bc, -1)]), m, order) for x in (b, c))
-    terms = [(1, x, _ONE, 1, W_R, 1) for x in (bc, bc.inv())] + _cross_terms(b, c)
+    terms = [(1, x, _Q0, 1, W_R, 1) for x in (bc, bc.inv())] + _cross_terms(b, c)
     rhs = term_series(bc, 2, order) + lambert_sum(terms, m, order)
     return left * right, rhs
 
@@ -342,9 +341,9 @@ def _build_1_5(m, order, b, c):
     bc = b.mul(c)
     brace = lambert_sum(_l_terms(m, [(b, 1), (c, 1), (bc, -1)]), m, order)
     brace = QSeries.const(Fraction(1, 2), order) + brace
-    terms = [(1, _ONE, x, 2, W_ONE, 0) for x in (b, c, bc)]
-    terms += [(1, _ONE, x.inv(), 2, W_ONE, 1) for x in (b, c, bc)]
-    terms.append((-6, _ONE, _ONE, 2, W_ONE, 1))
+    terms = [(1, _Q0, x, 2, W_ONE, 0) for x in (b, c, bc)]
+    terms += [(1, _Q0, x.inv(), 2, W_ONE, 1) for x in (b, c, bc)]
+    terms.append((-6, _Q0, _Q0, 2, W_ONE, 1))
     rhs = QSeries.const(Fraction(1, 4), order) + lambert_sum(terms, m, order)
     return brace * brace, rhs
 
@@ -352,16 +351,16 @@ def _build_1_5(m, order, b, c):
 def _build_2_11(m, order, b, c):
     bc = b.mul(c)
     lb, lc, lbc = (l_func(x, m, order) for x in (b, c, bc))
-    terms = _cross_terms(b, c) + [(1, _ONE, bc, 2, W_ONE, 0), (1, _ONE, bc.inv(), 2, W_ONE, 1)]
+    terms = _cross_terms(b, c) + [(1, _Q0, bc, 2, W_ONE, 0), (1, _Q0, bc.inv(), 2, W_ONE, 1)]
     rhs = lbc * (lb + lc - lbc) + lambert_sum(terms, m, order)
     return lb * lc, rhs
 
 
 def _build_2_12(m, order, b):
     lb = l_func(b, m, order)
-    terms = [(1, _ONE, b, 2, W_ONE, 0), (1, _ONE, b.inv(), 2, W_ONE, 1)]
+    terms = [(1, _Q0, b, 2, W_ONE, 0), (1, _Q0, b.inv(), 2, W_ONE, 1)]
     terms += _l_terms(m, [(b, -1)])
-    terms += [(-2, x, _ONE, 2, W_ONE, 1) for x in (b, b.inv(), _ONE)]
+    terms += [(-2, x, _Q0, 2, W_ONE, 1) for x in (b, b.inv(), _Q0)]
     return lb * lb, lambert_sum(terms, m, order)
 
 
@@ -449,8 +448,8 @@ def _build_3_8(m, order, a, b, c, d):
         QSeries.const(1, order) + lambert_sum(second, m, order)
     )
     signed = ((a, 1), (b, 1), (ab, 1), (c, -1), (d, -1), (cd, -1))
-    terms = [(sgn, _ONE, x, 2, W_ONE, 0) for x, sgn in signed]
-    terms += [(sgn, _ONE, x.inv(), 2, W_ONE, 1) for x, sgn in signed]
+    terms = [(sgn, _Q0, x, 2, W_ONE, 0) for x, sgn in signed]
+    terms += [(sgn, _Q0, x.inv(), 2, W_ONE, 1) for x, sgn in signed]
     return lhs, lambert_sum(terms, m, order)
 
 
@@ -461,7 +460,7 @@ def _build_3_8(m, order, a, b, c, d):
 def _build_3_1(m, order):
     # the printed 2 * (1/2 + the signed sums), with the 2 taken into the terms
     signed = ((1, 1), (2, 1), (4, 1), (3, -1), (5, -1), (6, -1))
-    terms = [(2 * sgn, _ONE, SpecMonomial.signed(-1, j), 1, W_ONE, 0) for j, sgn in signed]
+    terms = [(2 * sgn, _Q0, SpecMonomial.signed(-1, j), 1, W_ONE, 0) for j, sgn in signed]
     s = QSeries.const(1, order) + lambert_sum(terms, 7, order)
     neg7 = poch_inf(SpecMonomial.signed(-1, 7), 7, order)
     neg1 = poch_inf(SpecMonomial.signed(-1, 1), 1, order)
@@ -473,7 +472,7 @@ def _build_3_1(m, order):
 def _build_3_3(m, order):
     terms = []
     for j, w in ((1, 1), (2, 1), (3, 2)):
-        terms += [(w, _ONE, _q(j), 1, W_ONE, 0), (-w, _ONE, _q(9 - j), 1, W_ONE, 0)]
+        terms += [(w, _Q0, _q(j), 1, W_ONE, 0), (-w, _Q0, _q(9 - j), 1, W_ONE, 0)]
     s = QSeries.const(1, order) + lambert_sum(terms, 9, order)
     lhs = s * _Pq(1, order)
     cube = (
@@ -491,41 +490,41 @@ def _build_3_4_5(k, m, order):
     right side."""
     signed = ((1, 1), (2, -1), (3, 1), (4, -1))
     brace = lambert_sum(
-        [(sgn, _ONE, _q(k * j % 5), 1, W_ONE, 0) for j, sgn in signed], 5, order
+        [(sgn, _Q0, _q(k * j % 5), 1, W_ONE, 0) for j, sgn in signed], 5, order
     )
-    terms = [(1, _ONE, _q(k * j % 5), 2, W_ONE, 0) for j in (2, 3)]
+    terms = [(1, _Q0, _q(k * j % 5), 2, W_ONE, 0) for j in (2, 3)]
     for j, weight, r0, sgn in (
         (1, AffineWeight(2, 0), 1, 1),
         (2, AffineWeight(1, 0), 1, -1),
         (4, AffineWeight(2, 2), 0, 1),
         (3, AffineWeight(1, 1), 0, -1),
     ):
-        terms.append((sgn, _ONE, _q(k * j % 5), 1, weight, r0))
-    terms.append((-2, _ONE, _ONE, 1, W_ONE, 1))
+        terms.append((sgn, _Q0, _q(k * j % 5), 1, weight, r0))
+    terms.append((-2, _Q0, _Q0, 1, W_ONE, 1))
     return brace * brace, lambert_sum(terms, 5, order)
 
 
 def _build_3_6(m, order):
 
     def g(j: int, c: int = 1):
-        return (c, _ONE, _q(j), 1, W_ONE, 0)
+        return (c, _Q0, _q(j), 1, W_ONE, 0)
 
     lhs = lambert_sum([g(1), g(4, -1)], 5, order) * lambert_sum([g(2), g(3, -1)], 5, order)
     # four times the printed right side, kept in integer coefficients
-    terms = [(sgn, _ONE, _q(j), 2, W_ONE, 0) for j, sgn in ((1, 1), (2, -1), (3, -1), (4, 1))]
-    terms += [(3 * sgn, _ONE, _q(j), 1, W_R, 1) for j, sgn in ((2, 1), (1, -1), (3, 1), (4, -1))]
+    terms = [(sgn, _Q0, _q(j), 2, W_ONE, 0) for j, sgn in ((1, 1), (2, -1), (3, -1), (4, 1))]
+    terms += [(3 * sgn, _Q0, _q(j), 1, W_R, 1) for j, sgn in ((2, 1), (1, -1), (3, 1), (4, -1))]
     terms += [g(1, -1), g(4, -2), g(3, 3)]
     return lhs, lambert_sum(terms, 5, order).scale(Fraction(1, 4))
 
 
 def _build_3_7(m, order):
     signed = ((1, 1), (2, 1), (3, -1), (4, 1), (5, -1), (6, -1))
-    s = lambert_sum([(sgn, _ONE, _q(j), 1, W_ONE, 0) for j, sgn in signed], 7, order)
+    s = lambert_sum([(sgn, _Q0, _q(j), 1, W_ONE, 0) for j, sgn in signed], 7, order)
     s = QSeries.const(Fraction(1, 2), order) + s
     # the two printed sums run in different bases, q and q^7
     rhs = QSeries.const(Fraction(1, 4), order)
-    rhs = rhs + lambert_sum([(1, _ONE, _ONE, 1, W_R, 1)], 1, order)
-    rhs = rhs + lambert_sum([(-7, _ONE, _ONE, 1, W_R, 1)], 7, order)
+    rhs = rhs + lambert_sum([(1, _Q0, _Q0, 1, W_R, 1)], 1, order)
+    rhs = rhs + lambert_sum([(-7, _Q0, _Q0, 1, W_R, 1)], 7, order)
     return s * s, rhs
 
 
@@ -610,6 +609,22 @@ _REGISTRY: dict[str, IdentityDescriptor] = {
 # checking
 
 
+def check_names(desc: IdentityDescriptor, names) -> None:
+    """Refuse names that are not exactly the identity's parameters with
+    ConstraintViolationError: an extra name first, then a missing one."""
+    extra = sorted(set(names) - set(desc.params))
+    if extra:
+        takes = ", ".join(desc.params) or "none"
+        raise ConstraintViolationError(
+            f"identity {desc.ident} does not take parameter(s): {', '.join(extra)} (takes {takes})"
+        )
+    missing = [name for name in desc.params if name not in names]
+    if missing:
+        raise ConstraintViolationError(
+            f"identity {desc.ident} needs --spec values for: {', '.join(missing)}"
+        )
+
+
 def build_sides(
     ident: str, assign: ParamAssignment, order: int
 ) -> tuple[QSeries, QSeries]:
@@ -621,10 +636,7 @@ def build_sides(
             f"got base {assign.base}"
         )
     check_base(assign.base)
-    if set(assign.params) != set(desc.params):
-        takes = ", ".join(desc.params) or "none"
-        got = ", ".join(sorted(assign.params)) or "none"
-        raise ConstraintViolationError(f"identity {ident} takes parameters {takes}, got {got}")
+    check_names(desc, assign.params)
     if desc.constraint is not None:
         desc.constraint.validate(assign.params, assign.base)
     lhs, rhs = desc.build(assign.base, order, **assign.params)

@@ -126,6 +126,17 @@ def signed_theta_quotient(order: int) -> QSeries:
     return num / den
 
 
+def rep_rows(n_max: int) -> list[dict]:
+    """The rows of ``qidx count-reps``, one per n in 1..n_max: rep_count,
+    the signed divisor sum, the prediction and whether the two counts match."""
+    rows = []
+    for n in range(1, n_max + 1):
+        reps, pred = rep_count(n), predicted_rep_count(n)
+        rows.append({"n": n, "rep_count": reps, "divisor_sum": signed_divisor_sum(n),
+                     "predicted": pred, "match": reps == pred})
+    return rows
+
+
 def verify_rep_range(n_max: int, theta_order: int = 0) -> RangeReport:
     """Compare rep_count against predicted_rep_count for every n <= n_max;
     when ``theta_order`` > 0, additionally compare the theta-product
@@ -133,9 +144,7 @@ def verify_rep_range(n_max: int, theta_order: int = 0) -> RangeReport:
     if n_max < 1:
         raise ValueError("range bound must be a positive integer")
     report = RangeReport(n_max)
-    for n in range(1, n_max + 1):
-        if rep_count(n) != predicted_rep_count(n):
-            report.mismatches.append(n)
+    report.mismatches = [row["n"] for row in rep_rows(n_max) if not row["match"]]
     if theta_order > 0:
         prod = theta_product_series(theta_order)
         for n in range(0, theta_order + 1):

@@ -13,7 +13,8 @@ storage form that ``exactalg`` defines and builds (``canon``, ``coerce``,
 is built.
 
 Multiplication has one dispatch, ``product(*series)`` (x * y is a chain of
-two), which picks one of two exact chain kernels from what the windows hold:
+two), which states the window of every list of factors, empty ones included,
+and picks one of two exact chain kernels from what the windows hold:
 
   * a tau-monomial coefficient in any factor: ``_term_chain``, the one tau
     kernel, multiplies the chain by sparse term accumulation: symbolic
@@ -49,7 +50,6 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from operator import mul
 
@@ -353,10 +353,6 @@ class QSeries:
             return self.scale(other)
         if not isinstance(other, QSeries):
             return NotImplemented
-        if not self.coeffs:
-            return QSeries.zero(self.order + other.offset)
-        if not other.coeffs:
-            return QSeries.zero(other.order + self.offset)
         return product(self, other)
 
     __rmul__ = __mul__
@@ -484,14 +480,15 @@ class QSeries:
 
 
 def product(*series: QSeries) -> QSeries:
-    """reduce(operator.mul, series) in window and values, by one call of
-    the chain kernel that the coefficients call for; x * y comes here too.
-    Leading coefficients live in an integral domain, so the window runs
-    from the sum of the offsets through the shortest window's length."""
+    """The product of one or more series, by one call of the chain kernel
+    that the coefficients call for; x * y comes here too.  Leading
+    coefficients live in an integral domain, so the window runs from the
+    sum of the offsets through the shortest window's length: an empty
+    factor gives the zero series known through one below that sum."""
     windows = [s.coeffs for s in series]
-    if not all(windows):
-        return reduce(mul, series)
     offset, out_len = sum(s.offset for s in series), min(map(len, windows))
+    if not out_len:
+        return QSeries.zero(offset - 1)
     tau = any(LaurentPoly in map(type, w) for w in windows)
     out = (_term_chain if tau else _scalar_chain)(windows, out_len)
     return QSeries(offset, out, offset + out_len - 1)
@@ -500,10 +497,7 @@ def product(*series: QSeries) -> QSeries:
 def format_coeff(c) -> tuple[str, bool]:
     """Render one coefficient; returns (body-without-sign, is_negative)."""
     if isinstance(c, LaurentPoly):
-        cv = c.constant_value()
-        if cv is None:
-            return "(" + str(c) + ")", False
-        c = cv
+        return "(" + str(c) + ")", False
     if c < 0:
         return str(-c), True
     return str(c), False

@@ -20,15 +20,13 @@ from qidx.errors import (
     UnknownFunctionError,
 )
 from qidx.exprs import (
-    Add,
+    BinOp,
     Call,
-    Mul,
     Neg,
     Num,
     Pow,
     QPow,
     Ref,
-    Sub,
     eval_expr,
     format_expr,
     parse_expr,
@@ -56,19 +54,19 @@ def run_cli(capsys, *argv):
 
 def test_parse_mul_of_poch_calls():
     ast = parse_expr("poch(q) * poch(-q)")
-    assert isinstance(ast, Mul)
+    assert isinstance(ast, BinOp) and ast.op == "*"
     assert ast.left == Call("poch", (QPow(1),))
     assert ast.right == Call("poch", (Neg(QPow(1)),))
 
 
 def test_parse_sub_of_two_calls():
     ast = parse_expr("f(a,b) - l(b)")
-    assert ast == Sub(Call("f", (Ref("a"), Ref("b"))), Call("l", (Ref("b"),)))
+    assert ast == BinOp("-", Call("f", (Ref("a"), Ref("b"))), Call("l", (Ref("b"),)))
 
 
 def test_parse_precedence_and_power():
     ast = parse_expr("1 + 2*q^3")
-    assert ast == Add(Num(1), Mul(Num(2), QPow(3)))
+    assert ast == BinOp("+", Num(1), BinOp("*", Num(2), QPow(3)))
     # power binds tighter than unary minus
     assert parse_expr("-q^2") == Neg(QPow(2))
 
@@ -81,7 +79,7 @@ def test_parse_decimal_digits_of_any_script():
 
 def test_parse_parenthesized_power():
     ast = parse_expr("(1-q)^2")
-    assert ast == Pow(Sub(Num(1), QPow(1)), 2)
+    assert ast == Pow(BinOp("-", Num(1), QPow(1)), 2)
     assert parse_expr("f(a,b)^-1") == Pow(Call("f", (Ref("a"), Ref("b"))), -1)
 
 
@@ -193,7 +191,7 @@ def test_format_parse_round_trip(text):
 
 def test_format_wraps_negation_inside_binary_ops():
     # a - (-b) must not print as "a - -b"
-    ast = Sub(QPow(1), Neg(Ref("b")))
+    ast = BinOp("-", QPow(1), Neg(Ref("b")))
     printed = format_expr(ast)
     assert parse_expr(printed) == ast
 
@@ -780,15 +778,21 @@ def test_cli_verify_pinned_base_is_implied(capsys):
 
 
 def test_cli_verify_rejects_wrong_parameters(capsys):
-    code, _, err = run_cli(
-        capsys, "verify", "1.4", "--base", "5", "--spec", "a=q^1,b=q^1,c=q^2"
-    )
-    assert code == 2
-    assert "does not take" in err
+    # refused before any report is printed, with or without --json
+    for json_flag in ((), ("--json",)):
+        code, out, err = run_cli(
+            capsys, "verify", "1.4", "--base", "5", "--spec", "a=q^1,b=q^1,c=q^2", *json_flag
+        )
+        assert code == 2
+        assert "does not take" in err
+        assert out == ""
 
-    code, _, err = run_cli(capsys, "verify", "1.4", "--base", "5", "--spec", "b=q^1")
-    assert code == 2
-    assert "needs --spec values for: c" in err
+        code, out, err = run_cli(
+            capsys, "verify", "1.4", "--base", "5", "--spec", "b=q^1", *json_flag
+        )
+        assert code == 2
+        assert "needs --spec values for: c" in err
+        assert out == ""
 
 
 def test_cli_verify_json_schema(capsys):

@@ -22,7 +22,7 @@ from qidx.constructors import SpecMonomial, Unit, l_func, poch_inf
 from qidx.errors import ArityError, NonUnitLeadingError, QidxError
 from qidx.exactalg import MONO_ONE, LaurentPoly
 from qidx.exprs import (
-    Add, Call, Mul, Neg, Num, Pow, QPow, Ref, Sub, eval_expr, format_expr, parse_expr,
+    BinOp, Call, Neg, Num, Pow, QPow, Ref, eval_expr, format_expr, parse_expr,
 )
 from qidx.identities import ParamAssignment, symbolic_param
 from qidx.qring import QSeries
@@ -48,11 +48,11 @@ def naive_eval(node, assign, order):
             out = CONSTRUCTORS[node.func](*args, assign.base, at)
         elif isinstance(node, Neg):
             out = -ev(node.arg, at)
-        elif isinstance(node, Add):
+        elif isinstance(node, BinOp) and node.op == "+":
             out = ev(node.left, at) + ev(node.right, at)
-        elif isinstance(node, Sub):
+        elif isinstance(node, BinOp) and node.op == "-":
             out = ev(node.left, at) - ev(node.right, at)
-        elif isinstance(node, Mul):
+        elif isinstance(node, BinOp) and node.op == "*":
             out = ev(node.left, at) * ev(node.right, at)
         else:
             out = ev(node.base, at) ** node.exp
@@ -101,11 +101,11 @@ refs = st.builds(Ref, st.sampled_from(NAMES))
 def _grow(children, with_sums):
     ops = [
         st.builds(Neg, children),
-        st.builds(Mul, children, children),
+        st.builds(BinOp, st.just("*"), children, children),
         st.builds(Pow, children, st.integers(-2, 3)),
     ]
     if with_sums:
-        ops += [st.builds(Add, children, children), st.builds(Sub, children, children)]
+        ops += [st.builds(BinOp, st.just(op), children, children) for op in "+-"]
     return st.one_of(*ops)
 
 
