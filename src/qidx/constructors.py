@@ -27,11 +27,11 @@ and ``lambert_sum`` sums a list of one-sided terms (c, M, x, s, W, r0) for
 builders.  ``phi_minus`` is ``theta_sum`` at z = q^m in base q^{2m}.  Finite
 and infinite Pochhammer products share ``_factors``: one shift and one add
 per factor on one packed int, in digits as wide as the coefficient bound
-2*exp(pi*sqrt(order/(3m))).  ``poch_pair``, (x)(q^m/x), at x = +-q^e with
+2*exp(pi*sqrt(order/(3m))).  ``poch_pair``, (x)(q^m/x), at x = u q^e with
 0 <= e <= m is one pass over both progressions e + mi and m - e + mi, in
-digits for their bound 4*exp(pi*sqrt(2*order/(3m))); a tau-unit pair (its
-q^m/x has the inverse unit, which the packed tau digits cannot hold) and e
-outside [0, m] (keeping the errors of ``poch_inf``) multiply two
+digits for their bound 4*exp(pi*sqrt(2*order/(3m))); for a tau-unit u the
+digits of a q slot run from u^-n2 to u^n1, plus a guard digit, and e = m
+is the same pair at x^-1 q^m.  Outside [0, m] it raises the error of
 ``poch_inf``.  ``check_base`` is the one base-scale check.
 """
 
@@ -369,35 +369,38 @@ def times_spec_monomial(qs: QSeries, x: SpecMonomial) -> QSeries:
 
 def _factors(x: SpecMonomial, n: int, m: int, order: int, pair: bool = False) -> QSeries:
     """The product of (1 - x*q^{m*i}) for 0 <= i < n, and of (1 - x^-1*q^{m+m*i})
-    if ``pair`` (a sign unit), through q^order (the factors past q^order are
+    if ``pair`` (0 <= e < m), through q^order (the factors past q^order are
     1 there), for x = sign * mono * q^e, on one int of signed W-bit digits:
-    digit k*S + j is the coefficient of mono^j q^k, S = 1 for a sign unit,
-    else one more than the most factors whose exponents sum inside the
-    window.  Each factor is one shift and one add of the digits that stay
-    inside; what lands above is never read."""
+    digit k*S + n2 + j is the coefficient of mono^j q^k.  S = 1 for a sign
+    unit; for a tau-unit, S = n1 + n2 + 1 (n1, n2 the most factors of each
+    progression whose exponents sum inside the window), plus for a pair a
+    guard digit that takes what an x^-1 factor shifts up from below q^order.
+    Each factor shifts and adds the digits that stay inside; what lands
+    above is never read."""
     if order < 0:
         return QSeries.zero(order)
-    starts = (x.qexp, m - x.qexp)[: 1 + pair]
-    exps = [d for s in starts for d in range(s, order + 1, m)[:n]]
+    runs = range(x.qexp, order + 1, m)[:n], range(m - x.qexp, order + 1, m)[: n * pair]
     mono, op = x.unit.mono, operator.sub if x.unit.sign == 1 else operator.add
     tau = mono != MONO_ONE
-    S = 1 + len(list(takewhile(order.__ge__, accumulate(exps)))) if tau else 1
+    n1, n2 = (len(list(takewhile(order.__ge__, accumulate(r)))) * tau for r in runs)
+    S = n1 + n2 + 1 + pair if tau else 1
     # |digit| <= [q^k] prod (1 + q^(s+m*i)) over p progressions < 2^p*exp(pi*sqrt(p*order/(3m))),
     # at q = e^-t, t = pi/sqrt(12*m*order/p), as each sum_i log(1 + e^(-t(s+m*i))) <= log 2
     # + pi^2/(12*m*t); partial products stay below.  p bits, a sign bit and a float bit
-    p = len(starts)
+    p = 1 + pair
     nbytes = (int(math.pi * math.sqrt(p * order / (3 * m)) / math.log(2)) + 10 + p) // 8
     W = 8 * nbytes
+    shifts = [(d, d * S + t) for r, t in zip(runs, (tau, -tau)) for d in r]
     # a bit above all the factors can add or take keeps a positive (& is slower on
     # a negative int); it is never shifted and never read
-    a = 1 + (1 << (order + 2) * S * W + len(exps).bit_length())
+    a = (1 << n2 * W) + (1 << (order + 2) * S * W + len(shifts).bit_length())
     window = (1 << (order + 1) * S * W) - 1
-    for d in exps:
-        a = op(a, (a & (window >> d * S * W)) << (d * S + tau) * W)
+    for d, s in shifts:
+        a = op(a, (a & (window >> d * S * W)) << s * W)
     a = _unpack(a, (order + 1) * S, nbytes)
     if tau:
-        pows = [mono_pow(mono, j) for j in reversed(range(S))]
-        a = [column({pw: c for pw, c in zip(pows, reversed(a[k : k + S])) if c})
+        pows = [mono_pow(mono, j) for j in reversed(range(-n2, n1 + 1))]
+        a = [column({pw: c for pw, c in zip(pows, reversed(a[k : k + n1 + n2 + 1])) if c})
              for k in range(0, len(a), S)]
     return QSeries(0, a, order)
 
@@ -432,10 +435,12 @@ def poch_fin(x: SpecMonomial, n: int, m: int, order: int) -> QSeries:
 
 
 def poch_pair(x: SpecMonomial, m: int, order: int) -> QSeries:
-    """(x; q^m)_inf * (x^-1 q^m; q^m)_inf, in one pass when it can (module docstring)."""
+    """(x; q^m)_inf * (x^-1 q^m; q^m)_inf, 0 <= ord(x) <= m, in one pass (module docstring)."""
     check_base(m)
-    if x.unit.symbolic or not 0 <= x.qexp <= m:
-        return poch_inf(x, m, order) * poch_inf(x.inv().times_qpow(m), m, order)
+    if not 0 <= x.qexp <= m:
+        raise NegativeOrderArgumentError(f"pair needs 0 <= ord(x) <= m, got {x.qexp}, m = {m}")
+    if x.qexp == m:
+        x = x.inv().times_qpow(m)  # the same pair, with no x^-1 factor at q^0
     return _poch_inf_cached(x, m, order, True)
 
 

@@ -406,8 +406,9 @@ def _build_2_6(m, order, a, b):
 
 def _build_2_7(m, order, a, b):
     pq = _Pq(m, order)
+    # the f-sum cancels (b)(q/b) of its product form before the last pair comes in
     lhs = product(
-        pq, poch_pair(a, m, order), poch_pair(b, m, order), jordan_kronecker(a, b, m, order)
+        pq, poch_pair(b, m, order), jordan_kronecker(a, b, m, order), poch_pair(a, m, order)
     )
     rhs = product(pq, pq, pq, poch_pair(a.mul(b), m, order))
     return lhs, rhs

@@ -20,7 +20,8 @@ and picks one of two exact chain kernels from what the windows hold:
     kernel, multiplies the chain by sparse term accumulation: symbolic
     windows are sparse in q and in tau, so each pair of nonzero terms whose
     q exponents land in the window is multiplied once, the side with fewer
-    terms walked outside.
+    terms walked outside.  A chain whose first two windows are one object
+    (x * x, x ** k) squares it first, visiting each pair of terms once.
     Each factor is coded once: q index i and tau exponents e_v make the key
     i + n*sum_v e_v*S_v, n the window length, S_v = prod_{u<v} (2*B_u + 1),
     B_v the sum over the factors of their largest |e_v|.  No partial product
@@ -183,15 +184,21 @@ def _term_chain(windows: list, out_len: int) -> list:
         code = {mono: out_len * sum(map(mul, mono, strides)) for mono in ms}
         coded.append(list(zip([i + code[mono] for i, terms in cols for mono in terms], coeffs)))
     running = coded[0]
-    for factor in coded[1:]:
+    for step, factor in enumerate(coded[1:]):
+        square = step == 0 and windows[1] is windows[0]
         sides = _bucketed(running, out_len), _bucketed(factor, out_len)
         (cx, ex, kx), (_, ey, ky) = sorted(sides, key=lambda side: len(side[2]))
         acc = {}
         get = acc.get
         for i in cx:
             # the long side is in index order: stop where i + j leaves the window
-            inner = ky[: ey[out_len - i]]
-            for k1, c1 in kx[ex[i] : ex[i + 1]]:
+            inner = ky[: (end := ey[out_len - i])]
+            for t, (k1, c1) in enumerate(kx[ex[i] : ex[i + 1]], ex[i]):
+                if square:  # each pair of distinct terms once, doubled
+                    inner = ky[t + 1 : end]
+                    if 2 * i < out_len:
+                        acc[2 * k1] = get(2 * k1, 0) + c1 * c1
+                    c1 *= 2
                 for k2, c2 in inner:
                     k = k1 + k2
                     acc[k] = get(k, 0) + c1 * c2

@@ -1,9 +1,9 @@
 """Differential tests: the two chain kernels behind ``QSeries.__mul__``
-and ``qring.product`` (sparse term chain, packed scalar chain), the
-Pochhammer products and the fused signed pair, the Newton inverse and
-series division against the naive per-coefficient product and inverse in
-``naive_product``, and a check that no series operation mutates its
-operands."""
+and ``qring.product`` (sparse term chain, its square step, packed scalar
+chain), the Pochhammer products and the one-pass pair (sign and tau units),
+the Newton inverse and series division against the naive per-coefficient
+product and inverse in ``naive_product``, and a check that no series
+operation mutates its operands."""
 
 import operator
 from fractions import Fraction
@@ -392,6 +392,47 @@ def test_term_kernel_matches_a_naive_convolution(fraction_sides, data):
     check_term_chain(x, y, out_len)
 
 
+def check_term_square(x, out_len):
+    """[x, x] (one window object) takes the square path of the pair loop,
+    [x, list(x)] the plain one: both match the naive product."""
+    got = _term_chain([x, x], out_len)
+    assert_storage_form(got)
+    want = exact_coeffs(naive_window_product(x, x, out_len))
+    assert exact_coeffs(got) == exact_coeffs(_term_chain([x, list(x)], out_len)) == want
+    return got
+
+
+@pytest.mark.parametrize("fraction", [False, True])
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_term_square_matches_the_plain_product(fraction, data):
+    # out_len odd or even, down to 1, and past the window; the diagonal of
+    # a term at index i falls inside only if 2i < out_len
+    length = data.draw(st.integers(1, 14))
+    x = data.draw(term_windows(length, fraction))
+    check_term_square(x, data.draw(st.integers(1, 2 * length + 1)))
+    # a square as the first step of a longer chain
+    y = data.draw(term_windows(data.draw(st.integers(1, 6)), False))
+    out_len = data.draw(st.integers(1, length))
+    assert exact_coeffs(_term_chain([x, x, y], out_len)) == exact_coeffs(
+        naive_window_chain([x, x, y], out_len)
+    )
+    # through the dispatch, and cubed by square-and-multiply
+    offset = data.draw(st.integers(-3, 3))
+    s = QSeries(offset, x, offset + length - 1)
+    assert exact(qring.product(s, s)) == exact(naive_mul(s, s))
+    assert exact(s**3) == exact(naive_mul(naive_mul(s, s), s))
+
+
+@pytest.mark.parametrize("out_len", [1, 2, 3, 4, 5])
+def test_term_square_skips_diagonals_past_the_window(out_len):
+    # terms at indices 0, 2 and 3, two of them in one column: at out_len 3,
+    # 4 and 5 a term lies inside the window while its square lies outside
+    t, u = LaurentPoly.monomial((1, 0, 0, 0)), LaurentPoly.monomial((0, -2, 1, 0), 3)
+    x = [t, 0, t + u, Fraction(-1, 2) * u, 0]
+    check_term_square(x, out_len)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 8), st.data())
 def test_term_kernel_of_an_all_zero_window_is_zero(nx, ny, out_len, data):
@@ -536,6 +577,46 @@ def test_signed_pair_at_a_large_order_fits_its_digits(sign, e):
 )
 def test_signed_pair_outside_its_range_raises_as_the_product(sign, e, m, error):
     x = SpecMonomial.signed(sign, e)
+    with pytest.raises(error):
+        pair_by_product(x, m, 10)
+    with pytest.raises(error):
+        poch_pair(x, m, 10)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 13), st.sampled_from([1, -1]), tau_monomials,
+       st.integers(-1, 60) | st.integers(61, 200))
+def test_tau_pair_matches_the_product_of_its_factors(m, sign, mono, order):
+    # every e in 0..m takes one packed pass over both progressions, mono^j at
+    # digit k*S + n2 + j; e = m goes through the pair's symmetry to e = 0
+    for e in range(m + 1):
+        x = SpecMonomial(Unit(sign, mono), e)
+        assert exact(poch_pair(x, m, order)) == exact(pair_by_product(x, m, order))
+
+
+@pytest.mark.parametrize("mono", [(1, 0, 0, 0), (0, -1, 0, 0), (1, -1, 1, 0)])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("m, e, order", [(4, 2, 17), (1, 0, 5), (1, 1, 5), (2, 1, 6)])
+def test_tau_pair_keeps_its_guard_digit_out_of_the_window(m, e, order, mono, sign):
+    # an x^-1 factor shifts the bits below q^order's slot into that slot's
+    # top digit; without a guard digit there, these read a wrong coefficient
+    x = SpecMonomial(Unit(sign, mono), e)
+    assert exact(poch_pair(x, m, order)) == exact(pair_by_product(x, m, order))
+
+
+def test_tau_pair_at_a_large_order_fits_its_digits():
+    x = SpecMonomial.symbolic(0, 1)
+    assert exact(poch_pair(x, 1, 400)) == exact(pair_by_product(x, 1, 400))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize(
+    "e, m, error",
+    [(-1, 3, NegativeOrderArgumentError), (4, 3, NegativeOrderArgumentError),
+     (0, 0, ConstraintViolationError), (1, -2, ConstraintViolationError)],
+)
+def test_tau_pair_outside_its_range_raises_as_the_product(sign, e, m, error):
+    x = SpecMonomial.symbolic(1, e, sign)
     with pytest.raises(error):
         pair_by_product(x, m, 10)
     with pytest.raises(error):

@@ -5,10 +5,12 @@ Records every call of the two term kernels, ``qidx.qring._term_chain``
 division), that one ``symbolic`` deck and one 5-trial ``verify-all`` pass of
 ``perfbench/workloads.py`` make for the seed, by wrapping both kernels in
 the parent checkout (the ``poch_inf`` cache is cleared before each request,
-as a fresh CLI process would have it).  The two checkouts then replay the
-calls in turn, each in a fresh interpreter that times ``PASSES`` passes of
-each kernel, for ``ROUNDS`` rounds, so that a change in the host's speed
-reaches both; each side reports its fastest pass of each kernel alone.
+as a fresh CLI process would have it).  Windows of a call that are one
+object, such as the two of a square, are rebuilt as one object, so a replay
+takes the path the live call took.  The two checkouts then replay the calls
+in turn, each in a fresh interpreter that times ``PASSES`` passes of each
+kernel, for ``ROUNDS`` rounds, so that a change in the host's speed reaches
+both; each side reports its fastest pass of each kernel alone.
 Exits 1 if any result of either kernel differs between the two in value or
 type.
 
@@ -46,6 +48,11 @@ def plain(window):
     ]
 
 
+def aliases(windows) -> list:
+    """For each window of a call, the position of its first window that is the same object."""
+    return [next(j for j, v in enumerate(windows) if v is w) for w in windows]
+
+
 def kernels(qring) -> dict:
     """Each kernel of a checkout, as it is now, as a call on (windows, out_len)."""
     quotient = qring._term_quotient
@@ -61,11 +68,11 @@ def record(checkout: str, seed: str, out: str) -> None:
     real = kernels(qring)
 
     def chain(windows, out_len):
-        calls["_term_chain"].append(([plain(w) for w in windows], out_len))
+        calls["_term_chain"].append(([plain(w) for w in windows], aliases(windows), out_len))
         return real["_term_chain"](windows, out_len)
 
     def quotient(x, y, out_len):
-        calls["_term_quotient"].append(([plain(x), plain(y)], out_len))
+        calls["_term_quotient"].append(([plain(x), plain(y)], aliases([x, y]), out_len))
         return real["_term_quotient"]([x, y], out_len)
 
     qring._term_quotient = quotient
@@ -88,7 +95,10 @@ def replay(checkout: str, calls_file: str, out: str) -> None:
     best, results = {}, {}
     for name, recorded in pickle.loads(Path(calls_file).read_bytes()).items():
         kernel = kernels(qring)[name]
-        calls = [([build(w) for w in windows], n) for windows, n in recorded]
+        calls = []
+        for windows, alias, n in recorded:
+            built = [build(w) for w in windows]
+            calls.append(([built[j] for j in alias], n))
         best[name] = float("inf")
         for _ in range(PASSES):
             t0 = time.perf_counter()
